@@ -1334,8 +1334,6 @@ def _remote_client(args: argparse.Namespace):
 
 
 def cmd_image_serve_store(args: argparse.Namespace) -> int:
-    import signal
-
     from repro.image import ObjectServer
 
     server = ObjectServer(
@@ -1344,34 +1342,10 @@ def cmd_image_serve_store(args: argparse.Namespace) -> int:
         port=args.port,
         max_connections=args.max_connections,
     )
-    stop = {"requested": False}
-
-    def request_stop(signum, frame):  # pragma: no cover - signal path
-        stop["requested"] = True
-
-    server.start()
-    print(
-        f"serving image objects from {args.store}"
-        f" on {server.host}:{server.port}",
-        file=sys.stderr,
+    return _serve_until_signalled(
+        server, f"serving image objects from {args.store}",
+        "object server stopped",
     )
-    sys.stderr.flush()
-    previous = {}
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        previous[sig] = signal.signal(sig, request_stop)
-    try:
-        import time
-
-        while not stop["requested"]:
-            time.sleep(0.2)
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
-        pass
-    finally:
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
-        server.stop()
-    print("object server stopped", file=sys.stderr)
-    return 0
 
 
 def cmd_image_sync(args: argparse.Namespace) -> int:
@@ -1436,8 +1410,6 @@ def cmd_image_fsck(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    import signal
-
     from repro.serve import SpecializationServer, TenantQuota
 
     quota = TenantQuota(
@@ -1456,20 +1428,28 @@ def cmd_serve(args: argparse.Namespace) -> int:
         store_dir=args.store,
         remote_store=args.remote_store,
     )
+    return _serve_until_signalled(server, "listening", "server stopped")
+
+
+def _serve_until_signalled(server, what: str, farewell: str) -> int:
+    """Start ``server`` and run it until SIGINT/SIGTERM.  Prints
+    ``<what> on HOST:PORT`` to stderr once it listens (scripts parse the
+    endpoint from that line) and ``farewell`` after the clean stop."""
+    import signal
+    import time
+
     stop = {"requested": False}
 
     def request_stop(signum, frame):  # pragma: no cover - signal path
         stop["requested"] = True
 
     server.start()
-    print(f"listening on {server.host}:{server.port}", file=sys.stderr)
+    print(f"{what} on {server.host}:{server.port}", file=sys.stderr)
     sys.stderr.flush()
     previous = {}
     for sig in (signal.SIGINT, signal.SIGTERM):
         previous[sig] = signal.signal(sig, request_stop)
     try:
-        import time
-
         while not stop["requested"]:
             time.sleep(0.2)
     except KeyboardInterrupt:  # pragma: no cover - interactive path
@@ -1478,7 +1458,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         for sig, handler in previous.items():
             signal.signal(sig, handler)
         server.stop()
-    print("server stopped", file=sys.stderr)
+    print(farewell, file=sys.stderr)
     return 0
 
 
@@ -1542,6 +1522,19 @@ def main(argv: list[str] | None = None) -> int:
         " (Sperber & Thiemann, PLDI 1997).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def listener(p: argparse.ArgumentParser, port: int) -> None:
+        """Where a frame server listens, and its connection pool bound."""
+        p.add_argument("--host", default="127.0.0.1")
+        p.add_argument(
+            "--port", type=int, default=port,
+            help=f"TCP port (0 picks an ephemeral port; default: {port})",
+        )
+        p.add_argument(
+            "--max-connections", type=int, default=64, dest="max_connections",
+            help="connection pool bound; excess connections get a retryable"
+            " BUSY frame (default: 64)",
+        )
 
     def common(p: argparse.ArgumentParser, needs_sig: bool) -> None:
         p.add_argument("file", help="Scheme source file")
@@ -1898,15 +1891,7 @@ def main(argv: list[str] | None = None) -> int:
         help="serve a store directory to remote workers (L3 object tier)",
     )
     p.add_argument("--store", required=True)
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument(
-        "--port", type=int, default=7459,
-        help="TCP port (0 picks an ephemeral port; default: 7459)",
-    )
-    p.add_argument(
-        "--max-connections", type=int, default=64, dest="max_connections",
-        help="connection pool bound (default: 64)",
-    )
+    listener(p, 7459)
     p.set_defaults(fn=cmd_image_serve_store)
 
     p = image_sub.add_parser(
@@ -1936,11 +1921,7 @@ def main(argv: list[str] | None = None) -> int:
         "serve",
         help="run the concurrent multi-tenant specialization service",
     )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument(
-        "--port", type=int, default=7357,
-        help="TCP port (0 picks an ephemeral port; default: 7357)",
-    )
+    listener(p, 7357)
     p.add_argument(
         "--store",
         help="root directory for per-tenant on-disk image stores (L2)",
@@ -1954,11 +1935,6 @@ def main(argv: list[str] | None = None) -> int:
         "--trust", action="append", metavar="TENANT",
         help="tenant whose admission findings warn instead of denying;"
         " repeatable",
-    )
-    p.add_argument(
-        "--max-connections", type=int, default=64, dest="max_connections",
-        help="connection pool bound; excess connections get a retryable"
-        " BUSY frame (default: 64)",
     )
     p.add_argument(
         "--max-programs", type=int, default=8, dest="max_programs",

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import base64
 import hashlib
-import socket
 import threading
 import time
 from contextlib import contextmanager, nullcontext
@@ -74,14 +73,11 @@ from repro.image.store import (
 from repro.pe.backend import ResidualProgram
 from repro.serve.protocol import (
     E_BAD_REQUEST,
-    E_INTERNAL,
     FrameError,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    error_frame,
-    recv_frame,
-    send_frame,
 )
+from repro.serve.transport import FrameClient, FrameServer, Refusal
 from repro.vm.verify import VerificationError
 
 
@@ -142,15 +138,22 @@ def _unb64(text: Any) -> bytes:
 # -- the server -------------------------------------------------------------
 
 
-class ObjectServer:
+class ObjectServer(FrameServer):
     """A threaded TCP object server over a local store directory.
 
-    One accept thread plus one handler thread per connection (bounded by
-    ``max_connections``), same lifecycle shape as the specialization
-    server.  Uploads are content-verified before they touch disk; the
-    server never decodes or executes images — it is a dumb, durable
-    byte tier, and every consumer re-verifies on load.
+    The connection model is the specialization server's
+    (:class:`~repro.serve.transport.FrameServer`).  Uploads are
+    content-verified before they touch disk; the server never decodes or
+    executes images — it is a dumb, durable byte tier, and every
+    consumer re-verifies on load.
     """
+
+    OBS_PREFIX = "image.l3.server"
+    ACCEPTED = "connections"
+    COUNTERS = (
+        "get_hits", "get_misses", "puts", "dedups", "ref_writes",
+        "stats_probes",
+    )
 
     def __init__(
         self,
@@ -159,219 +162,31 @@ class ObjectServer:
         port: int = 0,
         max_connections: int = 64,
         max_frame_bytes: int = MAX_FRAME_BYTES,
-        idle_timeout: float = 300.0,
     ):
         self.backend = LocalStoreBackend(store_dir)
-        self.host = host
-        self._requested_port = port
-        self.port: int | None = None
-        self.max_connections = max_connections
-        self.max_frame_bytes = max_frame_bytes
-        self.idle_timeout = idle_timeout
-        self._lock = threading.Lock()
-        self._counters = {
-            "connections": 0,
-            "requests": 0,
-            "get_hits": 0,
-            "get_misses": 0,
-            "puts": 0,
-            "dedups": 0,
-            "ref_writes": 0,
-            "stats_probes": 0,
-            "bad_requests": 0,
-            "frame_errors": 0,
-        }
-        self._listener: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._handlers: set[threading.Thread] = set()
-        self._connections: set[socket.socket] = set()
-        self._closing = threading.Event()
-
-    # -- lifecycle ------------------------------------------------------------
-
-    def start(self) -> "ObjectServer":
-        listener = socket.create_server(
-            (self.host, self._requested_port), reuse_port=False
-        )
-        listener.listen(128)
-        self._listener = listener
-        self.port = listener.getsockname()[1]
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-objstore-accept",
-            daemon=True,
-        )
-        self._accept_thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._closing.set()
-        if self._listener is not None:
-            # shutdown() wakes a thread blocked in accept(); close()
-            # alone leaves it blocked and the port in LISTEN (the
-            # in-flight accept keeps the socket alive), so a restart
-            # on the same port would fail with EADDRINUSE.
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._lock:
-            connections = list(self._connections)
-            handlers = list(self._handlers)
-        for conn in connections:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5)
-        for thread in handlers:
-            thread.join(timeout=5)
-
-    def __enter__(self) -> "ObjectServer":
-        return self.start()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.stop()
-
-    def _count(self, name: str, n: int = 1) -> None:
-        with self._lock:
-            self._counters[name] += n
-
-    # -- connections ----------------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._closing.is_set():
-            try:
-                conn, _addr = self._listener.accept()
-            except OSError:
-                break  # listener closed by stop()
-            with self._lock:
-                if len(self._connections) >= self.max_connections:
-                    admitted = False
-                else:
-                    self._connections.add(conn)
-                    admitted = True
-            if not admitted:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-                continue
-            self._count("connections")
-            obs.count("image.l3.server.connection")
-            thread = threading.Thread(
-                target=self._handle_connection, args=(conn,),
-                name="repro-objstore-conn", daemon=True,
-            )
-            with self._lock:
-                self._handlers.add(thread)
-            thread.start()
-
-    def _handle_connection(self, conn: socket.socket) -> None:
-        try:
-            conn.settimeout(self.idle_timeout)
-            while not self._closing.is_set():
-                try:
-                    frame = recv_frame(conn, max_bytes=self.max_frame_bytes)
-                except FrameError as exc:
-                    self._count("frame_errors")
-                    obs.count("image.l3.server.frame_error")
-                    try:
-                        send_frame(conn, error_frame(
-                            "BAD_FRAME", str(exc)
-                        ), max_bytes=self.max_frame_bytes)
-                    except OSError:
-                        pass
-                    return
-                except (TimeoutError, OSError):
-                    return  # idle timeout or peer reset
-                if frame is None:
-                    return  # clean EOF
-                response = self._dispatch(frame)
-                try:
-                    send_frame(
-                        conn, response, max_bytes=self.max_frame_bytes
-                    )
-                except FrameError:
-                    try:
-                        send_frame(conn, error_frame(
-                            E_INTERNAL,
-                            "response exceeded the frame size limit",
-                        ), max_bytes=self.max_frame_bytes)
-                    except OSError:
-                        return
-                except OSError:
-                    return
-        finally:
-            with self._lock:
-                self._connections.discard(conn)
-                self._handlers.discard(threading.current_thread())
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    # -- dispatch -------------------------------------------------------------
-
-    def _dispatch(self, frame: dict[str, Any]) -> dict[str, Any]:
-        self._count("requests")
-        kind = frame.get("type")
-        obs.count(
-            f"image.l3.server.request.{kind}" if isinstance(kind, str)
-            else "image.l3.server.request.invalid"
-        )
-        try:
-            if kind == "obj_get":
-                return self._handle_get(frame)
-            if kind == "obj_put":
-                return self._handle_put(frame)
-            if kind == "obj_stat":
-                return self._handle_stat(frame)
-            if kind == "obj_sync":
-                return self._handle_sync()
-            if kind == "stats":
-                return {
-                    "type": "stats_result",
-                    "v": PROTOCOL_VERSION,
-                    "stats": self.stats(),
-                }
-            if kind == "ping":
-                return {"type": "pong", "v": PROTOCOL_VERSION}
-            self._count("bad_requests")
-            return error_frame(
-                E_BAD_REQUEST, f"unknown request type {kind!r}"
-            )
-        except OSError as exc:
-            # Disk trouble on the server must not kill the handler
-            # thread; the client sees a typed, retryable error.
-            obs.count("image.l3.server.storage_error")
-            return error_frame(
-                E_INTERNAL, f"object storage failed: {exc}", retryable=True
-            )
+        super().__init__(host, port, max_connections, max_frame_bytes, {
+            "obj_get": self._handle_get,
+            "obj_put": self._handle_put,
+            "obj_stat": self._handle_stat,
+            "obj_sync": self._handle_sync,
+        })
 
     def _resolve_digest(self, frame: dict[str, Any]) -> "str | None":
         """The object digest a request names — directly, or via a key
-        ref.  ``None`` when absent/dangling; raises ``_BadRequest`` via
-        an error return from the caller for malformed input."""
+        ref.  ``None`` when absent/dangling; malformed input is
+        refused."""
         digest = frame.get("digest")
         if digest is not None:
             if not isinstance(digest, str) or not plausible_digest(digest):
-                raise _BadField(f"malformed object digest {digest!r}")
+                raise Refusal(
+                    E_BAD_REQUEST, f"malformed object digest {digest!r}"
+                )
             return digest
         key = frame.get("key")
         if key is None:
-            raise _BadField("request needs a digest or a key")
+            raise Refusal(E_BAD_REQUEST, "request needs a digest or a key")
         if not isinstance(key, str) or not plausible_digest(key):
-            raise _BadField(f"malformed index key {key!r}")
+            raise Refusal(E_BAD_REQUEST, f"malformed index key {key!r}")
         try:
             ref = self.backend.read_ref(key)
         except OSError:
@@ -385,29 +200,22 @@ class ObjectServer:
             "type": "obj_result", "v": PROTOCOL_VERSION,
             "found": False, "digest": None, "data": None,
         }
-        try:
-            digest = self._resolve_digest(frame)
-        except _BadField as exc:
-            self._count("bad_requests")
-            return error_frame(E_BAD_REQUEST, str(exc))
+        digest = self._resolve_digest(frame)
         if digest is None:
-            self._count("get_misses")
-            obs.count("image.l3.server.miss")
+            self.count("get_misses")
             return miss
         try:
             data = self.backend.read_object(digest)
         except OSError:
-            self._count("get_misses")
-            obs.count("image.l3.server.miss")
+            self.count("get_misses")
             return miss
         if hashlib.sha256(data).hexdigest() != digest:
             # Corrupt at rest: serve a miss, leave repair to fsck.
-            self._count("get_misses")
+            self.count("get_misses")
             obs.count("image.l3.server.corrupt")
             return miss
         self.backend.touch_object(digest)
-        self._count("get_hits")
-        obs.count("image.l3.server.hit")
+        self.count("get_hits")
         return {
             "type": "obj_result", "v": PROTOCOL_VERSION,
             "found": True, "digest": digest, "data": _b64(data),
@@ -416,16 +224,14 @@ class ObjectServer:
     def _handle_put(self, frame: dict[str, Any]) -> dict[str, Any]:
         digest = frame.get("digest")
         if not isinstance(digest, str) or not plausible_digest(digest):
-            self._count("bad_requests")
-            return error_frame(
+            raise Refusal(
                 E_BAD_REQUEST, f"malformed object digest {digest!r}"
             )
         key = frame.get("key")
         if key is not None and (
             not isinstance(key, str) or not plausible_digest(key)
         ):
-            self._count("bad_requests")
-            return error_frame(E_BAD_REQUEST, f"malformed index key {key!r}")
+            raise Refusal(E_BAD_REQUEST, f"malformed index key {key!r}")
         raw = frame.get("data")
         stored = deduped = False
         with self.backend.locked():
@@ -442,33 +248,29 @@ class ObjectServer:
                 deduped = True
             elif present:
                 deduped = True
-                self._count("dedups")
-                obs.count("image.l3.server.dedup")
+                self.count("dedups")
             else:
                 try:
                     data = _unb64(raw)
                 except RemoteStoreError as exc:
-                    self._count("bad_requests")
-                    return error_frame(E_BAD_REQUEST, str(exc))
+                    raise Refusal(E_BAD_REQUEST, str(exc)) from None
                 if hashlib.sha256(data).hexdigest() != digest:
                     # The content-address check is the server's whole
                     # trust model: refuse, don't quarantine-later.
-                    self._count("bad_requests")
                     obs.count("image.l3.server.digest_mismatch")
-                    return error_frame(
+                    raise Refusal(
                         E_BAD_REQUEST,
                         f"payload does not hash to {digest[:12]}...",
                     )
                 self.backend.write_object(digest, data)
                 stored = True
-                self._count("puts")
-                obs.count("image.l3.server.put")
+                self.count("puts")
                 obs.observe("image.l3.server.bytes", len(data))
             indexed = False
             if key is not None:
                 self.backend.write_ref(key, digest)
                 indexed = True
-                self._count("ref_writes")
+                self.count("ref_writes")
         return {
             "type": "obj_put_result", "v": PROTOCOL_VERSION,
             "stored": stored, "deduped": deduped,
@@ -476,12 +278,8 @@ class ObjectServer:
         }
 
     def _handle_stat(self, frame: dict[str, Any]) -> dict[str, Any]:
-        self._count("stats_probes")
-        try:
-            digest = self._resolve_digest(frame)
-        except _BadField as exc:
-            self._count("bad_requests")
-            return error_frame(E_BAD_REQUEST, str(exc))
+        self.count("stats_probes")
+        digest = self._resolve_digest(frame)
         miss = {
             "type": "obj_stat_result", "v": PROTOCOL_VERSION,
             "found": False, "digest": None, "bytes": None, "mtime": None,
@@ -498,7 +296,7 @@ class ObjectServer:
             "bytes": st.size, "mtime": st.mtime,
         }
 
-    def _handle_sync(self) -> dict[str, Any]:
+    def _handle_sync(self, frame: dict[str, Any]) -> dict[str, Any]:
         try:
             objects = self.backend.list_objects()
         except OSError:
@@ -525,132 +323,56 @@ class ObjectServer:
         }
 
     def stats(self) -> dict[str, Any]:
-        with self._lock:
-            counters = dict(self._counters)
-            active = len(self._connections)
-        return {
-            "host": self.host,
-            "port": self.port,
-            "root": self.backend.location(),
-            "active_connections": active,
-            "counters": counters,
-        }
-
-
-class _BadField(ValueError):
-    """Internal: a malformed digest/key field in an object request."""
+        return {**super().stats(), "root": self.backend.location()}
 
 
 # -- the client -------------------------------------------------------------
 
 
-class RemoteStoreClient:
+class RemoteStoreClient(FrameClient):
     """A :class:`~repro.image.store.StoreBackend` over the object-server
     protocol.
 
-    One connection is kept open across exchanges.  **Any transport-level
-    failure resets it** — after a timeout or torn frame the stream may
-    hold half a message, and reusing it would desync every later
-    exchange (the same discipline the specialization client needed).
-    Exchanges are idempotent (content-addressed), so they are retried
-    ``retries`` times with exponential backoff before
-    :class:`RemoteStoreError` escapes.
+    ``RemoteStoreClient(host, port, timeout=5.0, retries=2,
+    backoff=0.05, max_frame_bytes=MAX_FRAME_BYTES)`` — the
+    :class:`~repro.serve.transport.FrameClient` constructor.  One
+    connection is kept open across exchanges and reset on any
+    transport-level failure.  Exchanges are idempotent
+    (content-addressed), so they are retried ``retries`` times with
+    exponential backoff before :class:`RemoteStoreError` escapes.
     """
 
     writable = True
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        timeout: float = 5.0,
-        retries: int = 2,
-        backoff: float = 0.05,
-        max_frame_bytes: int = MAX_FRAME_BYTES,
-    ):
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.max_frame_bytes = max_frame_bytes
-        self._sock: socket.socket | None = None
-        self._io_lock = threading.Lock()
-
-    # -- transport ------------------------------------------------------------
+    OBS_PREFIX = "image.l3"
 
     def location(self) -> str:
         return f"{self.host}:{self.port}"
 
-    def close(self) -> None:
-        with self._io_lock:
-            self._close_locked()
-
-    def _close_locked(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-
-    def _connect_locked(self) -> socket.socket:
-        if self._sock is None:
-            self._sock = socket.create_connection(
-                (self.host, self.port), timeout=self.timeout
-            )
-        return self._sock
-
     def _request(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """One request/response exchange, with reset-on-error and
-        bounded retry/backoff.  Raises :class:`RemoteStoreError`."""
-        last: Exception | None = None
-        for attempt in range(self.retries + 1):
-            if attempt:
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
-                obs.count("image.l3.retry")
-            with self._io_lock:
-                try:
-                    sock = self._connect_locked()
-                    send_frame(
-                        sock, payload, max_bytes=self.max_frame_bytes
-                    )
-                    response = recv_frame(
-                        sock, max_bytes=self.max_frame_bytes
-                    )
-                except FrameError as exc:
-                    # Torn or garbage stream — or our own payload is
-                    # over the frame bound, which no retry will fix.
-                    self._close_locked()
-                    if "over the" in str(exc) and "limit" in str(exc):
-                        raise RemoteStoreError(
-                            str(exc), retryable=False
-                        ) from exc
-                    last = exc
-                    continue
-                except OSError as exc:
-                    self._close_locked()
-                    last = exc
-                    continue
-                if response is None:
-                    self._close_locked()
-                    last = RemoteStoreError(
-                        "object server closed the connection"
-                    )
-                    continue
-            if response.get("type") == "error":
-                # A typed refusal arrives on an in-sync stream; keep it.
-                raise RemoteStoreError(
-                    f"object server refused"
-                    f" {payload.get('type')}: [{response.get('code')}]"
-                    f" {response.get('message')}",
-                    retryable=bool(response.get("retryable", False)),
-                )
-            return response
-        raise RemoteStoreError(
-            f"object server at {self.location()} unreachable after"
-            f" {self.retries + 1} attempt(s): {last}"
-        ) from last
+        """One request/response exchange.  Raises
+        :class:`RemoteStoreError`."""
+        try:
+            data = self.encode(payload)
+        except FrameError as exc:
+            # Our own payload is over the frame bound: nothing was sent,
+            # the connection is untouched, and no retry will fix it.
+            raise RemoteStoreError(str(exc), retryable=False) from None
+        try:
+            response = self.exchange(data)
+        except (OSError, FrameError) as exc:
+            raise RemoteStoreError(
+                f"object server at {self.location()} unreachable after"
+                f" {self.retries + 1} attempt(s): {exc}"
+            ) from exc
+        if response.get("type") == "error":
+            # A typed refusal arrives on an in-sync stream; keep it.
+            raise RemoteStoreError(
+                f"object server refused"
+                f" {payload.get('type')}: [{response.get('code')}]"
+                f" {response.get('message')}",
+                retryable=bool(response.get("retryable", False)),
+            )
+        return response
 
     def _expect(
         self, payload: dict[str, Any], response_type: str

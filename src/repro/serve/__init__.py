@@ -10,8 +10,12 @@ server adds the multi-tenant production pieces:
 
 * a versioned, length-prefixed JSON frame protocol
   (:mod:`repro.serve.protocol`) — typed error frames, never tracebacks;
-* a threaded socket server (:mod:`repro.serve.server`) with a bounded
-  connection pool, a per-tenant generating-extension registry (cache
+* one frame transport (:mod:`repro.serve.transport`) under this
+  server and the L3 object server: listener, bounded connection pool
+  with a ``BUSY`` policy, typed-frame boundary, counters, and the
+  reusable client connection;
+* a threaded socket server (:mod:`repro.serve.server`) with a
+  per-tenant generating-extension registry (cache
   sharding falls out of one-extension-per-tenant), request coalescing
   via the single-flight cache, per-tenant quotas, and graceful
   degradation (typed ``BUSY``/``BUDGET`` responses);

@@ -5,7 +5,8 @@ for any number of request/response exchanges (the protocol is
 self-delimiting, so there is no per-request connection cost).  Typed
 ``error`` frames from the server surface as :class:`ServiceError` with
 the error ``code`` preserved; transport-level failures surface as
-:class:`ConnectionError`/:class:`FrameError`.
+:class:`ConnectionError`/:class:`FrameError`.  The connection handling
+is :class:`repro.serve.transport.FrameClient`'s.
 
     with SpecializationClient("127.0.0.1", port) as client:
         result = client.specialize(POWER, "DS", statics=["10"],
@@ -15,17 +16,12 @@ the error ``code`` preserved; transport-level failures surface as
 
 from __future__ import annotations
 
-import socket
-import time
 from typing import Any
 
-from repro.serve.protocol import (
-    MAX_FRAME_BYTES,
-    FrameError,
-    recv_frame,
-    send_frame,
-    specialize_request,
-)
+from repro.serve.protocol import MAX_FRAME_BYTES, specialize_request
+from repro.serve.transport import FrameClient, wait_for_server
+
+__all__ = ["ServiceError", "SpecializationClient", "wait_for_server"]
 
 
 class ServiceError(Exception):
@@ -48,8 +44,8 @@ class ServiceError(Exception):
         super().__init__(f"{self.code}: {frame.get('message', '')}")
 
 
-class SpecializationClient:
-    """A blocking protocol client with connection reuse."""
+class SpecializationClient(FrameClient):
+    """A blocking protocol client with connection reuse (no retries)."""
 
     def __init__(
         self,
@@ -58,37 +54,9 @@ class SpecializationClient:
         timeout: float = 60.0,
         max_frame_bytes: int = MAX_FRAME_BYTES,
     ):
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.max_frame_bytes = max_frame_bytes
-        self._sock: socket.socket | None = None
-
-    # -- connection management -------------------------------------------------
-
-    def connect(self) -> "SpecializationClient":
-        if self._sock is None:
-            sock = socket.create_connection(
-                (self.host, self.port), timeout=self.timeout
-            )
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._sock = sock
-        return self
-
-    def close(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            finally:
-                self._sock = None
-
-    def __enter__(self) -> "SpecializationClient":
-        return self.connect()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-    # -- the request/response round trip ---------------------------------------
+        super().__init__(
+            host, port, timeout, retries=0, max_frame_bytes=max_frame_bytes
+        )
 
     def request(self, frame: dict[str, Any]) -> dict[str, Any]:
         """Send one frame, return the response frame.
@@ -99,27 +67,14 @@ class SpecializationClient:
         one arrives as a :class:`ServiceError` first).
 
         Any *transport-level* failure mid-exchange — a ``socket.timeout``
-        or peer reset from ``send_frame``/``recv_frame``, or a torn
-        frame (:class:`FrameError`) — closes and resets the connection
-        before the exception propagates: the stream may hold half a
-        frame, and reusing it would desync every later exchange on this
-        client.  The next :meth:`request` transparently reconnects.
-        (A :class:`ServiceError` arrives on an in-sync stream and keeps
-        the connection open.)
+        or peer reset, or a torn frame (:class:`FrameError`) — closes and
+        resets the connection before the exception propagates (see
+        :meth:`FrameClient.exchange`); the next :meth:`request`
+        transparently reconnects.  A :class:`ServiceError` arrives on an
+        in-sync stream and keeps the connection open, and a frame too
+        large to send raises :class:`FrameError` before any I/O.
         """
-        self.connect()
-        assert self._sock is not None
-        try:
-            send_frame(self._sock, frame, max_bytes=self.max_frame_bytes)
-            response = recv_frame(self._sock, max_bytes=self.max_frame_bytes)
-        except (OSError, FrameError):
-            self.close()
-            raise
-        if response is None:
-            self.close()
-            raise ConnectionError(
-                "server closed the connection without a response"
-            )
+        response = self.exchange(self.encode(frame))
         if response.get("type") == "error":
             raise ServiceError(response)
         return response
@@ -163,28 +118,3 @@ class SpecializationClient:
     def stats(self) -> dict[str, Any]:
         """The server's stats snapshot (server/admission/tenant counters)."""
         return self.request({"type": "stats"})["stats"]
-
-
-def wait_for_server(
-    host: str, port: int, timeout: float = 10.0, interval: float = 0.05
-) -> None:
-    """Block until a server answers ``ping`` at (host, port).
-
-    For scripts (and CI) that start ``python -m repro serve`` as a
-    separate process and must not race its bind/listen.  Raises
-    :class:`ConnectionError` when the deadline passes.
-    """
-    deadline = time.monotonic() + timeout
-    last: Exception | None = None
-    while time.monotonic() < deadline:
-        try:
-            with SpecializationClient(host, port, timeout=interval * 10) as c:
-                if c.ping():
-                    return
-        except (OSError, FrameError, ServiceError) as exc:
-            last = exc
-        time.sleep(interval)
-    raise ConnectionError(
-        f"no specialization server answered at {host}:{port}"
-        f" within {timeout}s" + (f" (last error: {last})" if last else "")
-    )

@@ -113,7 +113,22 @@ def decode_frame(
             f"truncated frame: {len(data)} bytes, header needs"
             f" {_HEADER.size}"
         )
-    magic, version, length = _HEADER.unpack_from(data)
+    length = _payload_length(data, max_bytes)
+    body = data[_HEADER.size:]
+    if len(body) < length:
+        raise FrameError(
+            f"truncated frame: payload has {len(body)} of {length} bytes"
+        )
+    if len(body) > length:
+        raise FrameError(
+            f"{len(body) - length} trailing byte(s) after the frame"
+        )
+    return _parse_body(body)
+
+
+def _payload_length(header: bytes, max_bytes: int) -> int:
+    """Check a frame header; the payload length it announces."""
+    magic, version, length = _HEADER.unpack_from(header)
     if magic != _MAGIC:
         raise FrameError(f"bad magic {magic!r} (expected {_MAGIC!r})")
     if version != PROTOCOL_VERSION:
@@ -126,16 +141,7 @@ def decode_frame(
             f"frame payload of {length} bytes is over the"
             f" {max_bytes}-byte limit"
         )
-    body = data[_HEADER.size:]
-    if len(body) < length:
-        raise FrameError(
-            f"truncated frame: payload has {len(body)} of {length} bytes"
-        )
-    if len(body) > length:
-        raise FrameError(
-            f"{len(body) - length} trailing byte(s) after the frame"
-        )
-    return _parse_body(body)
+    return length
 
 
 def _parse_body(body: bytes) -> dict[str, Any]:
@@ -192,20 +198,7 @@ def recv_frame(
     header = _recv_exact(sock, _HEADER.size)
     if header is None:
         return None
-    magic, version, length = _HEADER.unpack(header)
-    if magic != _MAGIC:
-        raise FrameError(f"bad magic {magic!r} (expected {_MAGIC!r})")
-    if version != PROTOCOL_VERSION:
-        raise FrameError(
-            f"unsupported protocol version {version}"
-            f" (this side speaks {PROTOCOL_VERSION})"
-        )
-    if length > max_bytes:
-        raise FrameError(
-            f"frame payload of {length} bytes is over the"
-            f" {max_bytes}-byte limit"
-        )
-    body = _recv_exact(sock, length)
+    body = _recv_exact(sock, _payload_length(header, max_bytes))
     if body is None:
         raise FrameError("connection closed between header and payload")
     return _parse_body(body)

@@ -19,25 +19,23 @@ exists in-process.  What this module adds is the production envelope:
   safety analyzer (``forbid`` semantics → ``ADMISSION_DENIED``);
   trusted tenants get ``warn`` semantics — findings travel in the
   response and the runtime budgets backstop divergence.
-* **Quotas and graceful degradation.**  A bounded connection pool
-  (overflow → typed ``BUSY`` frame, never a hung connection), a
-  per-tenant in-flight cap, per-request unfold/size budgets clamped to
-  the tenant ceiling (trips → typed ``BUDGET_EXCEEDED``), and idle
-  timeouts on every connection.
+* **Quotas and graceful degradation.**  A per-tenant in-flight cap
+  (excess → typed, retryable ``BUSY``) and per-request unfold/size
+  budgets clamped to the tenant ceiling (trips → typed
+  ``BUDGET_EXCEEDED``).
 
-Threading model: one accept thread plus one handler thread per live
-connection, the pool bounded by ``max_connections``.  A connection
-carries any number of sequential request/response exchanges.
+The connection model — the bounded pool and its ``BUSY`` policy, idle
+timeouts, the typed-frame boundary, ``ping``/``stats`` and the server
+counters — is :class:`repro.serve.transport.FrameServer`'s.
 """
 
 from __future__ import annotations
 
 import hashlib
-import socket
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -53,22 +51,16 @@ from repro.serve.admission import (
 )
 from repro.serve.protocol import (
     E_ADMISSION_DENIED,
-    E_BAD_FRAME,
-    E_BAD_REQUEST,
     E_BUDGET_EXCEEDED,
     E_BUSY,
-    E_INTERNAL,
     E_PARSE_ERROR,
     E_SPECIALIZATION_ERROR,
-    FrameError,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    RequestValidationError,
     error_frame,
-    recv_frame,
-    send_frame,
     validate_specialize,
 )
+from repro.serve.transport import FrameServer, Refusal
 from repro.sexp.reader import read
 
 
@@ -91,14 +83,6 @@ class TenantQuota:
     max_in_flight: int = 8
     max_unfold_depth: int = 5_000
     max_residual_size: int = 1_000_000
-
-
-class _RequestRefused(Exception):
-    """Internal control flow: carries the typed error frame to send."""
-
-    def __init__(self, frame: dict[str, Any]):
-        super().__init__(frame.get("message", ""))
-        self.frame = frame
 
 
 class _Tenant:
@@ -158,7 +142,7 @@ class _Tenant:
                 if ext is not None:
                     self._extensions.move_to_end(key)
                     return ext
-            ext = build()  # may raise _RequestRefused (admission) etc.
+            ext = build()  # may raise Refusal (admission) etc.
             with self._lock:
                 self._extensions[key] = ext
                 self._extensions.move_to_end(key)
@@ -188,7 +172,7 @@ class _Tenant:
         return snapshot
 
 
-class SpecializationServer:
+class SpecializationServer(FrameServer):
     """A threaded socket server speaking :mod:`repro.serve.protocol`.
 
     ``trusted`` names tenants whose programs get ``warn`` admission
@@ -202,6 +186,8 @@ class SpecializationServer:
     context manager, or call :meth:`start` / :meth:`stop`.
     """
 
+    OBS_PREFIX = "serve"
+
     def __init__(
         self,
         host: str = "127.0.0.1",
@@ -212,82 +198,21 @@ class SpecializationServer:
         store_dir: str | Path | None = None,
         remote_store: str | None = None,
         max_frame_bytes: int = MAX_FRAME_BYTES,
-        idle_timeout: float = 300.0,
     ):
-        self.host = host
-        self._requested_port = port
-        self.port: int | None = None
-        self.max_connections = max_connections
+        super().__init__(host, port, max_connections, max_frame_bytes, {
+            "specialize": self._handle_specialize,
+            "probe": self._handle_probe,
+        })
         self.quota = quota or TenantQuota()
         self.trusted = frozenset(trusted)
         self.store_dir = Path(store_dir) if store_dir is not None else None
         self.remote_store = remote_store
-        self.max_frame_bytes = max_frame_bytes
-        self.idle_timeout = idle_timeout
         self.admission = AdmissionController()
         self._tenants: dict[str, _Tenant] = {}
         self._tenants_lock = threading.Lock()
-        self._lock = threading.Lock()
-        self._counters = {
-            "connections_accepted": 0,
-            "connections_rejected_busy": 0,
-            "requests": 0,
-            "responses_ok": 0,
-            "responses_error": 0,
-            "frame_errors": 0,
-        }
-        self._listener: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._handlers: set[threading.Thread] = set()
-        self._connections: set[socket.socket] = set()
-        self._closing = threading.Event()
-
-    # -- lifecycle ------------------------------------------------------------
-
-    def start(self) -> "SpecializationServer":
-        listener = socket.create_server(
-            (self.host, self._requested_port), reuse_port=False
-        )
-        listener.listen(128)
-        self._listener = listener
-        self.port = listener.getsockname()[1]
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-serve-accept", daemon=True
-        )
-        self._accept_thread.start()
-        return self
 
     def stop(self) -> None:
-        """Stop accepting, unblock every live connection, join threads."""
-        self._closing.set()
-        if self._listener is not None:
-            # shutdown() wakes a thread blocked in accept(); close()
-            # alone leaves it blocked and the port in LISTEN, so a
-            # restart on the same port would fail with EADDRINUSE.
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._lock:
-            connections = list(self._connections)
-            handlers = list(self._handlers)
-        for conn in connections:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5)
-        for thread in handlers:
-            thread.join(timeout=5)
+        super().stop()
         # Drain every extension's write-behind queue so images this
         # replica generated reach the shared L3 before the process dies.
         with self._tenants_lock:
@@ -295,152 +220,6 @@ class SpecializationServer:
         for tenant in tenants:
             for ext in tenant.extensions():
                 ext.close_store(flush=True, timeout=5)
-
-    def __enter__(self) -> "SpecializationServer":
-        return self.start()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.stop()
-
-    # -- counters -------------------------------------------------------------
-
-    def _count(self, name: str, n: int = 1) -> None:
-        with self._lock:
-            self._counters[name] += n
-
-    # -- accept / connection handling -----------------------------------------
-
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._closing.is_set():
-            try:
-                conn, _addr = self._listener.accept()
-            except OSError:
-                break  # listener closed by stop()
-            with self._lock:
-                active = len(self._connections)
-                if active < self.max_connections:
-                    self._connections.add(conn)
-                    admitted = True
-                else:
-                    admitted = False
-            if not admitted:
-                # Graceful degradation at the pool boundary: a typed,
-                # retryable BUSY frame, then close — never a socket
-                # that neither answers nor disconnects.
-                self._count("connections_rejected_busy")
-                obs.count("serve.connection.rejected_busy")
-                try:
-                    send_frame(conn, error_frame(
-                        E_BUSY,
-                        f"server connection pool is full"
-                        f" ({self.max_connections} connections)",
-                        retryable=True,
-                    ), max_bytes=self.max_frame_bytes)
-                except OSError:
-                    pass
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-                continue
-            self._count("connections_accepted")
-            obs.count("serve.connection.accepted")
-            thread = threading.Thread(
-                target=self._handle_connection, args=(conn,),
-                name="repro-serve-conn", daemon=True,
-            )
-            with self._lock:
-                self._handlers.add(thread)
-            thread.start()
-
-    def _handle_connection(self, conn: socket.socket) -> None:
-        try:
-            conn.settimeout(self.idle_timeout)
-            while not self._closing.is_set():
-                try:
-                    frame = recv_frame(conn, max_bytes=self.max_frame_bytes)
-                except FrameError as exc:
-                    # A peer speaking garbage: answer once, typed, and
-                    # drop the connection (framing is unrecoverable).
-                    self._count("frame_errors")
-                    obs.count("serve.frame_error")
-                    try:
-                        send_frame(conn, error_frame(
-                            E_BAD_FRAME, str(exc)
-                        ), max_bytes=self.max_frame_bytes)
-                    except OSError:
-                        pass
-                    return
-                except (TimeoutError, OSError):
-                    return  # idle timeout or peer reset
-                if frame is None:
-                    return  # clean EOF
-                response = self._dispatch(frame)
-                try:
-                    send_frame(
-                        conn, response, max_bytes=self.max_frame_bytes
-                    )
-                except FrameError:
-                    # The response itself does not fit a frame (huge
-                    # residual): degrade to a typed error.
-                    send_frame(conn, error_frame(
-                        E_INTERNAL,
-                        "response exceeded the frame size limit"
-                        " (retry with want_residual=false)",
-                    ), max_bytes=self.max_frame_bytes)
-                except OSError:
-                    return
-        finally:
-            with self._lock:
-                self._connections.discard(conn)
-                self._handlers.discard(threading.current_thread())
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    # -- request dispatch ------------------------------------------------------
-
-    def _dispatch(self, frame: dict[str, Any]) -> dict[str, Any]:
-        self._count("requests")
-        kind = frame.get("type")
-        obs.count(f"serve.request.{kind}" if isinstance(kind, str) else
-                  "serve.request.invalid")
-        try:
-            if kind == "specialize":
-                response = self._handle_specialize(frame)
-            elif kind == "probe":
-                response = self._handle_probe(frame)
-            elif kind == "stats":
-                response = {
-                    "type": "stats_result",
-                    "v": PROTOCOL_VERSION,
-                    "stats": self.stats(),
-                }
-            elif kind == "ping":
-                response = {"type": "pong", "v": PROTOCOL_VERSION}
-            else:
-                response = error_frame(
-                    E_BAD_REQUEST, f"unknown request type {kind!r}"
-                )
-        except _RequestRefused as exc:
-            response = exc.frame
-        except Exception as exc:  # noqa: BLE001 - the typed-frame boundary
-            # The contract: a traceback never crosses the wire.  Genuine
-            # bugs surface as INTERNAL frames (and a counter) instead of
-            # killing the connection thread.
-            obs.count("serve.internal_error")
-            response = error_frame(
-                E_INTERNAL, f"{type(exc).__name__}: {exc}"
-            )
-        if response.get("type") == "error":
-            self._count("responses_error")
-            obs.count(f"serve.response.error.{response.get('code')}")
-        else:
-            self._count("responses_ok")
-            obs.count("serve.response.ok")
-        return response
 
     # -- tenants ---------------------------------------------------------------
 
@@ -494,9 +273,9 @@ class SpecializationServer:
         try:
             program = parse_program(req["program"], goal=req["goal"])
         except ValueError as exc:  # ParseError / ReaderError
-            raise _RequestRefused(error_frame(
+            raise Refusal(
                 E_PARSE_ERROR, f"program does not parse: {exc}"
-            )) from None
+            ) from None
         report = self.admission.check(
             digest, program, req["signature"],
             memo_hints=req["memo_hints"], unfold_hints=req["unfold_hints"],
@@ -504,13 +283,13 @@ class SpecializationServer:
         if not report.safe and not tenant.trusted:
             tenant.denials += 1
             self.admission.record_denial()
-            raise _RequestRefused(error_frame(
+            raise Refusal(
                 E_ADMISSION_DENIED,
                 f"the specialization-safety analyzer reported"
                 f" {len(report.findings)} finding(s); untrusted tenants"
                 f" may only specialize provably safe programs",
                 findings=[str(f) for f in report.findings],
-            ))
+            )
         unfold, size = self._budgets(req)
         # Admission already ran (and cached) the analysis, so the
         # extension itself skips it; the runtime budgets stay on as the
@@ -533,15 +312,12 @@ class SpecializationServer:
         try:
             return [datum_to_value(read(item)) for item in items]
         except ValueError as exc:
-            raise _RequestRefused(error_frame(
+            raise Refusal(
                 E_PARSE_ERROR, f"{what} argument does not read: {exc}"
-            )) from None
+            ) from None
 
     def _handle_specialize(self, frame: dict[str, Any]) -> dict[str, Any]:
-        try:
-            req = validate_specialize(frame)
-        except RequestValidationError as exc:
-            return error_frame(E_BAD_REQUEST, str(exc))
+        req = validate_specialize(frame)
         tenant = self._tenant(req["tenant"])
         if not tenant.try_acquire():
             obs.count("serve.busy")
@@ -669,10 +445,7 @@ class SpecializationServer:
     # -- probe -----------------------------------------------------------------
 
     def _handle_probe(self, frame: dict[str, Any]) -> dict[str, Any]:
-        try:
-            req = validate_specialize(frame)
-        except RequestValidationError as exc:
-            return error_frame(E_BAD_REQUEST, str(exc))
+        req = validate_specialize(frame)
         with self._tenants_lock:
             tenant = self._tenants.get(req["tenant"])
         response = {
@@ -706,25 +479,12 @@ class SpecializationServer:
 
     def stats(self) -> dict[str, Any]:
         """A deep snapshot of server, admission, and tenant counters."""
-        with self._lock:
-            counters = dict(self._counters)
-            active = len(self._connections)
         with self._tenants_lock:
             tenants = dict(self._tenants)
         return {
-            "host": self.host,
-            "port": self.port,
-            "max_connections": self.max_connections,
-            "active_connections": active,
-            "counters": counters,
+            **super().stats(),
             "admission": self.admission.stats(),
-            "quota": {
-                "max_programs": self.quota.max_programs,
-                "max_cached_residuals": self.quota.max_cached_residuals,
-                "max_in_flight": self.quota.max_in_flight,
-                "max_unfold_depth": self.quota.max_unfold_depth,
-                "max_residual_size": self.quota.max_residual_size,
-            },
+            "quota": asdict(self.quota),
             "tenants": {
                 name: tenant.stats() for name, tenant in sorted(
                     tenants.items()
