@@ -231,8 +231,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 def _cfg_entry(template) -> list[dict]:
     """JSON-ready basic-block summary of a template's CFG."""
     from repro.vm.cfg import build_cfg
-
-    from repro.vm.instructions import Op
+    from repro.vm.dispatch import opcode_name
 
     cfg = build_cfg(template)
     preds = cfg.predecessors()
@@ -240,7 +239,7 @@ def _cfg_entry(template) -> list[dict]:
         {
             "start": block.start,
             "end": block.end,
-            "terminator": Op(block.terminator[0]).name,
+            "terminator": opcode_name(block.terminator[0]),
             "succs": list(block.succs),
             "preds": list(preds[block.start]),
             "falls_off": block.falls_off,

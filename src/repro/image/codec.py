@@ -41,6 +41,7 @@ from repro.lang.prims import PRIMITIVES, PrimSpec
 from repro.pe.backend import ResidualProgram
 from repro.runtime.values import NIL, UNSPECIFIED, Pair, Unspecified
 from repro.sexp.datum import Char, Symbol, sym
+from repro.vm.instructions import OP_NAMES
 from repro.vm.machine import Machine, VmClosure
 from repro.vm.template import Template
 
@@ -298,8 +299,6 @@ def _encode_template_body(enc: _Encoder, template: Template) -> None:
 
 
 def _decode_template_body(dec: _Decoder) -> Template:
-    from repro.vm.instructions import Op
-
     name = dec.string()
     arity = dec.uvarint()
     nlocals = dec.uvarint()
@@ -308,13 +307,9 @@ def _decode_template_body(dec: _Decoder) -> Template:
     ninstrs = dec.count("instruction")
     code = []
     for _ in range(ninstrs):
-        opnum = dec.uvarint()
-        try:
-            op = Op(opnum)
-        except ValueError:
-            raise CodecError(
-                f"template {name}: unknown opcode {opnum}"
-            ) from None
+        op = dec.uvarint()
+        if op not in OP_NAMES:
+            raise CodecError(f"template {name}: unknown opcode {op}")
         noperands = dec.count("operand")
         code.append((op, *(dec.svarint() for _ in range(noperands))))
     nliterals = dec.count("literal")

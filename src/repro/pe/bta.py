@@ -63,8 +63,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-import networkx as nx
-
 from repro.obs import traced
 from repro.lang.alpha import alpha_rename
 from repro.lang.assignment import eliminate_assignments
@@ -283,6 +281,51 @@ def _eta_expand_def_values(program: Program, gs: Gensym) -> Program:
     )
 
 
+def _strongly_connected_components(
+    graph: dict[Symbol, set[Symbol]],
+) -> list[set[Symbol]]:
+    """Tarjan's algorithm over a caller -> callees map, iteratively (a
+    long call chain must not hit Python's recursion limit)."""
+    index: dict[Symbol, int] = {}
+    low: dict[Symbol, int] = {}
+    stack: list[Symbol] = []
+    on_stack: set[Symbol] = set()
+    components: list[set[Symbol]] = []
+    for root in graph:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(graph[root]))]
+        while work:
+            node, callees = work[-1]
+            for callee in callees:
+                if callee not in index:
+                    index[callee] = low[callee] = len(index)
+                    stack.append(callee)
+                    on_stack.add(callee)
+                    work.append((callee, iter(graph[callee])))
+                    break
+                if callee in on_stack:
+                    low[node] = min(low[node], index[callee])
+            else:
+                work.pop()
+                if work:
+                    caller = work[-1][0]
+                    low[caller] = min(low[caller], low[node])
+                if low[node] == index[node]:
+                    component: set[Symbol] = set()
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.add(member)
+                        if member == node:
+                            break
+                    components.append(component)
+    return components
+
+
 class _Analysis:
     """The joint CFA / binding-time / demand fixpoint."""
 
@@ -326,14 +369,14 @@ class _Analysis:
         self.ann_closure_apps: dict[int, tuple[int, ...]] = {}
 
         graph = self._call_graph()
-        self.sccs = [set(c) for c in nx.strongly_connected_components(graph)]
+        self.sccs = _strongly_connected_components(graph)
         self.recursive: set[Symbol] = set()
         for comp in self.sccs:
             if len(comp) > 1:
                 self.recursive |= comp
             else:
                 (f,) = comp
-                if graph.has_edge(f, f):
+                if f in graph[f]:
                     self.recursive.add(f)
         self.scc_of: dict[Symbol, frozenset] = {}
         for comp in self.sccs:
@@ -397,12 +440,13 @@ class _Analysis:
         """The origin function of a (possibly cloned) definition name."""
         return self._origin.get(f, f)
 
-    def _call_graph(self) -> "nx.DiGraph":
-        """The call graph over *origin* functions."""
+    def _call_graph(self) -> dict[Symbol, set[Symbol]]:
+        """The call graph over *origin* functions: caller -> callees."""
         from repro.lang.ast import walk
 
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self._o(name) for name in self.defs)
+        graph: dict[Symbol, set[Symbol]] = {
+            self._o(name): set() for name in self.defs
+        }
         for name, d in self.defs.items():
             for node in walk(d.body):
                 if (
@@ -410,7 +454,7 @@ class _Analysis:
                     and isinstance(node.fn, Var)
                     and node.fn.name in self.defs
                 ):
-                    graph.add_edge(self._o(name), self._o(node.fn.name))
+                    graph[self._o(name)].add(self._o(node.fn.name))
         return graph
 
     # -- the fixpoint ----------------------------------------------------------------

@@ -460,13 +460,26 @@ class Specializer:
         self, exprs: list[Expr], env: dict[Symbol, Value], k: Callable[[list], Any]
     ) -> Any:
         """Specialize ``exprs`` left to right, collecting their values."""
+        return self._spec_from(exprs, 0, [], env, k)
 
-        def go(i: int, acc: list[Value]) -> Any:
-            if i == len(exprs):
-                return k(acc)
-            return self.spec(exprs[i], env, lambda v: go(i + 1, acc + [v]))
-
-        return go(0, [])
+    def _spec_from(
+        self,
+        exprs: list[Expr],
+        i: int,
+        acc: list[Value],
+        env: dict[Symbol, Value],
+        k: Callable[[list], Any],
+    ) -> Any:
+        # A method, not a self-recursive local closure: such a closure
+        # is a reference cycle (function -> cell -> function), left for
+        # the cyclic garbage collector on every call.
+        if i == len(exprs):
+            return k(acc)
+        return self.spec(
+            exprs[i],
+            env,
+            lambda v: self._spec_from(exprs, i + 1, acc + [v], env, k),
+        )
 
     def _charge(self, n: int = 1) -> None:
         """Account for ``n`` serious residual constructs being emitted."""

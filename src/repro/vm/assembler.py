@@ -59,10 +59,12 @@ def assemble(
             if id(label) in label_positions:
                 raise AssemblyError(f"label attached twice: {label!r}")
             label_positions[id(label)] = position
-        encoded: list = [instr.op]
+        # Template code carries plain-int opcodes (DESIGN §5h).
+        op = int(instr.op)
+        encoded: list = [op]
         for operand_idx, operand in enumerate(instr.operands):
             if isinstance(operand, Label):
-                if instr.op not in BRANCH_OPS:
+                if op not in BRANCH_OPS:
                     raise AssemblyError(
                         f"label operand on non-branch {instr.op!r}"
                     )

@@ -28,13 +28,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.vm.instructions import BRANCH_OPS, Op
+from repro.vm.instructions import (
+    BRANCH_OPS,
+    JUMP,
+    JUMP_IF_FALSE,
+    RETURN,
+    TAIL_CALL,
+)
 from repro.vm.template import Template
 
 # Opcodes that end a basic block.
-TERMINATOR_OPS = frozenset(
-    {Op.JUMP, Op.JUMP_IF_FALSE, Op.RETURN, Op.TAIL_CALL}
-)
+TERMINATOR_OPS = frozenset({JUMP, JUMP_IF_FALSE, RETURN, TAIL_CALL})
 
 
 @dataclass(slots=True)
@@ -131,18 +135,16 @@ def build_cfg(template_or_code: Template | Sequence[tuple]) -> CFG:
         instrs = tuple(code[start:stop])
         last = instrs[-1]
         op = last[0]
-        if type(op) is not Op:
-            op = Op(op)
         falls_off = False
-        if op is Op.JUMP:
+        if op == JUMP:
             succs: tuple[int, ...] = (last[1],)
-        elif op is Op.JUMP_IF_FALSE:
+        elif op == JUMP_IF_FALSE:
             if stop < end:
                 succs = (stop, last[1])
             else:
                 succs = (last[1],)
                 falls_off = True
-        elif op is Op.RETURN or op is Op.TAIL_CALL:
+        elif op == RETURN or op == TAIL_CALL:
             succs = ()
         elif stop < end:
             succs = (stop,)

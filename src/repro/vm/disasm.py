@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 from repro.lang.prims import PrimSpec
-from repro.vm.instructions import BRANCH_OPS, LITERAL_COUNT_OPS, LITERAL_OPERAND_OPS, Op
+from repro.vm.instructions import (
+    BRANCH_OPS,
+    LITERAL_COUNT_OPS,
+    LITERAL_OPERAND_OPS,
+    OP_NAMES,
+)
 from repro.vm.template import Template
 
 
@@ -30,15 +35,15 @@ def render_instruction(
     if labels is None:
         labels = jump_labels(template)
     instr = template.code[pc]
-    try:
-        op = Op(instr[0])
-    except ValueError:
+    op = instr[0]
+    name = OP_NAMES.get(op)
+    if name is None:
         # A fused superinstruction (run-time-only representation):
         # render its interned name and raw operands.
         from repro.vm.dispatch import opcode_name
 
-        return " ".join([opcode_name(instr[0]), *(str(x) for x in instr[1:])])
-    rendered = [op.name]
+        return " ".join([opcode_name(op), *(str(x) for x in instr[1:])])
+    rendered = [name]
     if op in LITERAL_OPERAND_OPS:
         rendered.append(_literal(template.literals[instr[1]]))
     elif op in LITERAL_COUNT_OPS:

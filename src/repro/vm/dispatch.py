@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.vm.instructions import Op
+from repro.vm.instructions import OP_NAMES, Op
 
 # --------------------------------------------------------------------------
 # The instruction table
@@ -188,15 +188,20 @@ literals = template.literals
 #: Dispatch-chain order (hottest base opcodes first, matching the PR-5 loops).
 ORDER: tuple[Op, ...] = tuple(spec.op for spec in _SPECS)
 
-TABLE: dict[Op, InstrSpec] = {spec.op: spec for spec in _SPECS}
+#: Opcode -> spec.  Keyed by ``Op`` members, which hash and compare
+#: like their int values, so template opcodes index it directly.
+TABLE: dict[int, InstrSpec] = {spec.op: spec for spec in _SPECS}
 
-#: Straight-line opcodes eligible for superinstruction fusion.
-FUSABLE_OPS: frozenset[Op] = frozenset(op for op, s in TABLE.items() if s.fusable)
+#: Straight-line opcodes eligible for superinstruction fusion (plain
+#: ints, like the opcodes in template code).
+FUSABLE_OPS: frozenset[int] = frozenset(
+    spec.op.value for spec in _SPECS if spec.fusable
+)
 
 
-def operand_count(op: Op) -> int:
+def operand_count(op: int) -> int:
     """Operand slots of a *base* opcode, from the table."""
-    return TABLE[Op(op)].operands
+    return TABLE[op].operands
 
 
 # --------------------------------------------------------------------------
@@ -207,7 +212,7 @@ def operand_count(op: Op) -> int:
 FUSED_BASE = 64
 
 _registry_lock = threading.Lock()
-_fused_by_seq: dict[tuple[Op, ...], "Superinstruction"] = {}
+_fused_by_seq: dict[tuple[int, ...], "Superinstruction"] = {}
 _fused_by_opcode: dict[int, "Superinstruction"] = {}
 
 
@@ -215,18 +220,19 @@ _fused_by_opcode: dict[int, "Superinstruction"] = {}
 class Superinstruction:
     """A fused handler for an adjacent run of base opcodes.
 
-    ``opcode`` is a plain int outside the ``Op`` range; the fused
-    instruction's operands are the member operands concatenated in
-    order, so lowering back to the base ISA is a pure un-concatenation.
+    ``opcode`` is a plain int outside the ``Op`` range and ``ops`` are
+    the member opcodes as plain ints; the fused instruction's operands
+    are the member operands concatenated in order, so lowering back to
+    the base ISA is a pure un-concatenation.
     """
 
     opcode: int
-    ops: tuple[Op, ...]
+    ops: tuple[int, ...]
     name: str
 
     @property
     def operands(self) -> int:
-        return sum(TABLE[op].operands for op in self.ops)
+        return sum(operand_count(op) for op in self.ops)
 
     @property
     def dispatches_saved(self) -> int:
@@ -234,20 +240,22 @@ class Superinstruction:
         return len(self.ops) - 1
 
 
-def superinstruction(ops: Sequence[Op]) -> Superinstruction:
+def superinstruction(ops: Sequence[int]) -> Superinstruction:
     """Intern a fused opcode for ``ops`` (2–4 fusable base opcodes)."""
-    seq = tuple(Op(o) for o in ops)
+    seq = tuple(int(o) for o in ops)
     if not 2 <= len(seq) <= 4:
         raise ValueError(f"superinstruction length must be 2-4, got {len(seq)}")
     for op in seq:
         if op not in FUSABLE_OPS:
-            raise ValueError(f"opcode {op.name} is not fusable")
+            raise ValueError(f"opcode {opcode_name(op)} is not fusable")
     with _registry_lock:
         found = _fused_by_seq.get(seq)
         if found is not None:
             return found
         opcode = FUSED_BASE + len(_fused_by_seq)
-        made = Superinstruction(opcode, seq, "+".join(op.name for op in seq))
+        made = Superinstruction(
+            opcode, seq, "+".join(OP_NAMES[op] for op in seq)
+        )
         _fused_by_seq[seq] = made
         _fused_by_opcode[opcode] = made
         return made
@@ -260,10 +268,9 @@ def fused_for_opcode(opcode: int) -> Superinstruction | None:
 
 def opcode_name(op: Any) -> str:
     """Human-readable name for a base or fused opcode value."""
-    try:
-        return Op(op).name
-    except ValueError:
-        pass
+    name = OP_NAMES.get(op)
+    if name is not None:
+        return name
     found = _fused_by_opcode.get(int(op))
     return found.name if found is not None else f"FUSED_{int(op)}"
 
@@ -287,7 +294,7 @@ class FusionPlan:
         )
 
 
-def make_plan(seqs: Iterable[Sequence[Op]]) -> FusionPlan:
+def make_plan(seqs: Iterable[Sequence[int]]) -> FusionPlan:
     """Intern every sequence and return the plan (dedup, order-preserving)."""
     fused: list[Superinstruction] = []
     for seq in seqs:
@@ -414,7 +421,7 @@ def _loop_lines(plan: FusionPlan | None, counting: bool) -> list[str]:
         out.extend("            " + line for line in _fused_arm(s, mode))
         keyword = "elif"
     for op in ORDER:
-        out.append(f"        {keyword} op == Op.{op.name}:")
+        out.append(f"        {keyword} op == {op.value}:  # {op.name}")
         out.extend("            " + line for line in _expand(TABLE[op].body, mode, 1))
         keyword = "elif"
     out.append("        else:  # pragma: no cover - unreachable, sound assembler")
@@ -465,7 +472,6 @@ def build_loop(plan: FusionPlan | None = None, counting: bool = False) -> Callab
     mode = "counting" if counting else "production"
     source = counting_loop_source(plan) if counting else production_loop_source(plan)
     namespace: dict[str, Any] = {
-        "Op": Op,
         "PrimSpec": PrimSpec,
         "VMError": VMError,
         "VmClosure": VmClosure,

@@ -98,6 +98,9 @@ def attach_label(label: Label, fragment: Fragment) -> Fragment:
     return Attach(label, fragment)
 
 
+_DONE: Any = object()  # end-of-parts sentinel for iter_instructions
+
+
 def iter_instructions(
     fragment: Fragment,
 ) -> Iterator[tuple[tuple[Label, ...], Instr]]:
@@ -108,23 +111,25 @@ def iter_instructions(
     reported with a sentinel ``None`` instruction by the assembler, which
     handles that case itself.
     """
+    # An explicit stack of part iterators, not a recursive generator:
+    # no ``yield from`` chain per nesting level, and no self-referencing
+    # closure for the cyclic garbage collector to reclaim.
     pending: list[Label] = []
-
-    def walk(frag: Fragment) -> Iterator[tuple[tuple[Label, ...], Instr]]:
-        nonlocal pending
-        if isinstance(frag, Instr):
+    stack: list[Iterator[Fragment]] = [iter((fragment,))]
+    while stack:
+        frag = next(stack[-1], _DONE)
+        if frag is _DONE:
+            stack.pop()
+        elif isinstance(frag, Instr):
             labels = tuple(pending)
             pending = []
             yield labels, frag
         elif isinstance(frag, Seq):
-            for part in frag.parts:
-                yield from walk(part)
+            stack.append(iter(frag.parts))
         elif isinstance(frag, Attach):
             pending.append(frag.label)
-            yield from walk(frag.fragment)
+            stack.append(iter((frag.fragment,)))
         else:
             raise TypeError(f"not a fragment: {frag!r}")
-
-    yield from walk(fragment)
     if pending:
         raise ValueError("label attached past the end of the fragment")

@@ -32,11 +32,33 @@ class Op(IntEnum):
         return self.name
 
 
+#: Base opcode value -> name.  Template code carries plain ``int``
+#: opcodes, not ``Op`` members (DESIGN §5h): an int compares against an
+#: int constant without the enum attribute load, and an instruction
+#: tuple of ints is untracked by the garbage collector.  ``Op`` stays
+#: the vocabulary of compilers, tables and disassembly.
+OP_NAMES: dict[int, str] = {op.value: op.name for op in Op}
+
+# Plain-int opcode constants for the readers' hot paths.
+CONST = Op.CONST.value
+LOCAL = Op.LOCAL.value
+CLOSED = Op.CLOSED.value
+GLOBAL = Op.GLOBAL.value
+PUSH = Op.PUSH.value
+SETLOC = Op.SETLOC.value
+PRIM = Op.PRIM.value
+MAKE_CLOSURE = Op.MAKE_CLOSURE.value
+JUMP = Op.JUMP.value
+JUMP_IF_FALSE = Op.JUMP_IF_FALSE.value
+CALL = Op.CALL.value
+TAIL_CALL = Op.TAIL_CALL.value
+RETURN = Op.RETURN.value
+
 # Opcodes whose single operand is a literal-frame index.
-LITERAL_OPERAND_OPS = frozenset({Op.CONST, Op.GLOBAL})
+LITERAL_OPERAND_OPS = frozenset({CONST, GLOBAL})
 
 # Opcodes whose first operand is a literal-frame index and second is a count.
-LITERAL_COUNT_OPS = frozenset({Op.PRIM, Op.MAKE_CLOSURE})
+LITERAL_COUNT_OPS = frozenset({PRIM, MAKE_CLOSURE})
 
 # Opcodes whose operand is a jump target.
-BRANCH_OPS = frozenset({Op.JUMP, Op.JUMP_IF_FALSE})
+BRANCH_OPS = frozenset({JUMP, JUMP_IF_FALSE})

@@ -14,7 +14,6 @@ from typing import Any, Sequence
 from repro.lang.prims import PrimSpec, register_procedure_type
 from repro.runtime.errors import SchemeError
 from repro.sexp.datum import Symbol
-from repro.vm.instructions import Op
 from repro.vm.template import Template
 
 
@@ -95,23 +94,23 @@ class Machine:
             instr = code[pc]
             op = instr[0]
             pc += 1
-            if op == Op.CONST:
+            if op == 1:  # CONST
                 val = literals[instr[1]]
-            elif op == Op.LOCAL:
+            elif op == 2:  # LOCAL
                 val = locals_[instr[1]]
-            elif op == Op.CLOSED:
+            elif op == 3:  # CLOSED
                 val = closed[instr[1]]
-            elif op == Op.GLOBAL:
+            elif op == 4:  # GLOBAL
                 name = literals[instr[1]]
                 try:
                     val = globals_[name]
                 except KeyError:
                     raise VMError(f"undefined global: {name}") from None
-            elif op == Op.PUSH:
+            elif op == 5:  # PUSH
                 stack.append(val)
-            elif op == Op.SETLOC:
+            elif op == 6:  # SETLOC
                 locals_[instr[1]] = val
-            elif op == Op.PRIM:
+            elif op == 7:  # PRIM
                 spec = literals[instr[1]]
                 n = instr[2]
                 if n:
@@ -120,7 +119,7 @@ class Machine:
                 else:
                     args = []
                 val = spec.apply(args)
-            elif op == Op.MAKE_CLOSURE:
+            elif op == 8:  # MAKE_CLOSURE
                 sub = literals[instr[1]]
                 n = instr[2]
                 if n:
@@ -129,12 +128,12 @@ class Machine:
                 else:
                     env = ()
                 val = VmClosure(sub, env)
-            elif op == Op.JUMP:
+            elif op == 9:  # JUMP
                 pc = instr[1]
-            elif op == Op.JUMP_IF_FALSE:
+            elif op == 10:  # JUMP_IF_FALSE
                 if val is False:
                     pc = instr[1]
-            elif op == Op.TAIL_CALL:
+            elif op == 12:  # TAIL_CALL
                 n = instr[1]
                 if n:
                     args = stack[-n:]
@@ -164,7 +163,7 @@ class Machine:
                     literals = template.literals
                 else:
                     raise VMError(f"attempt to apply non-procedure {fn!r}")
-            elif op == Op.CALL:
+            elif op == 11:  # CALL
                 n = instr[1]
                 if n:
                     args = stack[-n:]
@@ -190,7 +189,7 @@ class Machine:
                     val = fn.apply(args)
                 else:
                     raise VMError(f"attempt to apply non-procedure {fn!r}")
-            elif op == Op.RETURN:
+            elif op == 13:  # RETURN
                 if not conts:
                     return val
                 template, pc, locals_, stack, closed = conts.pop()

@@ -54,7 +54,22 @@ from repro.runtime.errors import SchemeError
 from repro.runtime.values import NIL, UNSPECIFIED
 from repro.sexp.datum import Char, Symbol
 from repro.vm.cfg import build_cfg
-from repro.vm.instructions import BRANCH_OPS, Op
+from repro.vm.instructions import (
+    BRANCH_OPS,
+    CALL,
+    CLOSED,
+    CONST,
+    GLOBAL,
+    JUMP,
+    JUMP_IF_FALSE,
+    LOCAL,
+    MAKE_CLOSURE,
+    PRIM,
+    PUSH,
+    RETURN,
+    SETLOC,
+    TAIL_CALL,
+)
 from repro.vm.template import Template
 from repro.vm.verify import VerifyReport, check_template
 
@@ -190,18 +205,15 @@ class _Fn:
             instrs: list[list] = []
             for raw in block.instrs:
                 op = raw[0]
-                if type(op) is not Op:
-                    op = Op(op)
                 if op in BRANCH_OPS:
                     instrs.append([op, bid_of[raw[1]]])
                 else:
                     instrs.append([op, *raw[1:]])
             last = instrs[-1][0]
-            if last is not Op.JUMP and last is not Op.RETURN \
-                    and last is not Op.TAIL_CALL:
+            if last != JUMP and last != RETURN and last != TAIL_CALL:
                 # Explicit fall-through (verified, reachable code never
                 # falls off the end, so the successor exists).
-                instrs.append([Op.JUMP, bid_of[block.end]])
+                instrs.append([JUMP, bid_of[block.end]])
             self.blocks[bid] = instrs
         self.entry = 0
         self.literals: list[Any] = list(template.literals)
@@ -222,9 +234,9 @@ class _Fn:
     def succs(self, bid: int) -> tuple[int, ...]:
         instrs = self.blocks[bid]
         last = instrs[-1]
-        if last[0] is Op.RETURN or last[0] is Op.TAIL_CALL:
+        if last[0] == RETURN or last[0] == TAIL_CALL:
             return ()
-        if len(instrs) >= 2 and instrs[-2][0] is Op.JUMP_IF_FALSE:
+        if len(instrs) >= 2 and instrs[-2][0] == JUMP_IF_FALSE:
             return (last[1], instrs[-2][1])  # fall-through first
         return (last[1],)
 
@@ -252,7 +264,7 @@ def _thread_jumps(fn: _Fn) -> bool:
     forward = {
         bid: instrs[0][1]
         for bid, instrs in fn.blocks.items()
-        if len(instrs) == 1 and instrs[0][0] is Op.JUMP
+        if len(instrs) == 1 and instrs[0][0] == JUMP
     }
 
     if not forward:
@@ -303,12 +315,8 @@ def _entry_state(fn: _Fn) -> tuple:
 # Hoisted operand-class sets for the hot per-instruction loops (building
 # a tuple of attribute loads on every iteration is measurable at this
 # call volume).
-_CLOBBERS_VAL = frozenset(
-    {Op.CLOSED, Op.GLOBAL, Op.PRIM, Op.MAKE_CLOSURE, Op.CALL}
-)
-_EFFECTFUL_VAL_KILLS = frozenset(
-    {Op.GLOBAL, Op.PRIM, Op.MAKE_CLOSURE, Op.CALL}
-)
+_CLOBBERS_VAL = frozenset({CLOSED, GLOBAL, PRIM, MAKE_CLOSURE, CALL})
+_EFFECTFUL_VAL_KILLS = frozenset({GLOBAL, PRIM, MAKE_CLOSURE, CALL})
 
 
 def _flow_block(fn: _Fn, bid: int, state: tuple) -> tuple:
@@ -316,12 +324,12 @@ def _flow_block(fn: _Fn, bid: int, state: tuple) -> tuple:
     val, locs = state[0], list(state[1])
     for instr in fn.blocks[bid]:
         op = instr[0]
-        if op is Op.CONST:
+        if op == CONST:
             val = fn.abstract(instr[1])
-        elif op is Op.LOCAL:
+        elif op == LOCAL:
             known = locs[instr[1]]
             val = known if isinstance(known, _Const) else _Slot(instr[1])
-        elif op is Op.SETLOC:
+        elif op == SETLOC:
             locs[instr[1]] = val if isinstance(val, _Const) else TOP
             if val is TOP:
                 val = _Slot(instr[1])
@@ -384,11 +392,6 @@ def _apply_consts(fn: _Fn, states: dict[int, tuple | None]) -> bool:
     """Rewrite each block under its solved entry state: delete redundant
     loads and stores, rematerialize known locals, fold pure primitives
     on known constants, and simplify branches on known conditions."""
-    # Local bindings for the per-instruction dispatch (hot loop).
-    CONST, LOCAL, CLOSED, GLOBAL = Op.CONST, Op.LOCAL, Op.CLOSED, Op.GLOBAL
-    PUSH, SETLOC, PRIM = Op.PUSH, Op.SETLOC, Op.PRIM
-    MAKE_CLOSURE, CALL = Op.MAKE_CLOSURE, Op.CALL
-    TAIL_CALL, JUMP, JUMP_IF_FALSE = Op.TAIL_CALL, Op.JUMP, Op.JUMP_IF_FALSE
     stats = fn.stats
     changed = False
     for bid in list(fn.blocks):
@@ -402,14 +405,14 @@ def _apply_consts(fn: _Fn, states: dict[int, tuple | None]) -> bool:
         dead: set[int] = set()
         for idx, instr in enumerate(instrs):
             op = instr[0]
-            if op is CONST:
+            if op == CONST:
                 known = fn.abstract(instr[1])
                 if known is not TOP and known == val:
                     dead.add(idx)
                     stats["copy_prop"] += 1
                 else:
                     val = known
-            elif op is LOCAL:
+            elif op == LOCAL:
                 slot = instr[1]
                 known = locs[slot]
                 if (isinstance(val, _Slot) and val.slot == slot) or (
@@ -424,11 +427,11 @@ def _apply_consts(fn: _Fn, states: dict[int, tuple | None]) -> bool:
                     changed = True
                 else:
                     val = _Slot(slot)
-            elif op is CLOSED or op is GLOBAL:
+            elif op == CLOSED or op == GLOBAL:
                 val = TOP
-            elif op is PUSH:
+            elif op == PUSH:
                 stack.append((val, idx))
-            elif op is SETLOC:
+            elif op == SETLOC:
                 slot = instr[1]
                 if isinstance(val, _Slot) and val.slot == slot:
                     dead.add(idx)
@@ -440,7 +443,7 @@ def _apply_consts(fn: _Fn, states: dict[int, tuple | None]) -> bool:
                     locs[slot] = val if isinstance(val, _Const) else TOP
                     if val is TOP:
                         val = _Slot(slot)
-            elif op is PRIM:
+            elif op == PRIM:
                 spec = fn.literals[instr[1]]
                 count = instr[2]
                 folded = False
@@ -466,14 +469,14 @@ def _apply_consts(fn: _Fn, states: dict[int, tuple | None]) -> bool:
                     del stack[-count:]
                 if not folded:
                     val = TOP
-            elif op is MAKE_CLOSURE:
+            elif op == MAKE_CLOSURE:
                 if instr[2]:
                     del stack[max(0, len(stack) - instr[2]):]
                 val = TOP
-            elif op is CALL or op is TAIL_CALL:
+            elif op == CALL or op == TAIL_CALL:
                 del stack[max(0, len(stack) - instr[1] - 1):]
                 val = TOP
-            elif op is JUMP_IF_FALSE:
+            elif op == JUMP_IF_FALSE:
                 if isinstance(val, _Const):
                     if val.value is False:
                         instrs[idx] = [JUMP, instr[1]]
@@ -513,31 +516,27 @@ def _solve_liveness(fn: _Fn) -> dict[int, frozenset]:
     cascade, and one solve + one elimination pass removes chains that
     plain liveness would only peel one layer per round."""
 
-    RETURN, TAIL_CALL, PUSH = Op.RETURN, Op.TAIL_CALL, Op.PUSH
-    JUMP_IF_FALSE, SETLOC, LOCAL = Op.JUMP_IF_FALSE, Op.SETLOC, Op.LOCAL
-    CONST, CLOSED = Op.CONST, Op.CLOSED
-
     def transfer(bid: int, solver: Solver) -> frozenset:
         live: set = set()
         for succ in fn.succs(bid):
             live |= solver.get(succ)
         for instr in reversed(fn.blocks[bid]):
             op = instr[0]
-            if op is RETURN:
+            if op == RETURN:
                 live = {_VAL}
-            elif op is TAIL_CALL:
+            elif op == TAIL_CALL:
                 live = set()
-            elif op is JUMP_IF_FALSE or op is PUSH:
+            elif op == JUMP_IF_FALSE or op == PUSH:
                 live.add(_VAL)
-            elif op is SETLOC:
+            elif op == SETLOC:
                 if instr[1] in live:  # else faint: will be deleted
                     live.discard(instr[1])
                     live.add(_VAL)
-            elif op is LOCAL:
+            elif op == LOCAL:
                 if _VAL in live:  # else faint
                     live.discard(_VAL)
                     live.add(instr[1])
-            elif op is CONST or op is CLOSED:
+            elif op == CONST or op == CLOSED:
                 live.discard(_VAL)  # faint when val dead; either way kills
             elif op in _EFFECTFUL_VAL_KILLS:
                 live.discard(_VAL)
@@ -556,9 +555,6 @@ def _solve_liveness(fn: _Fn) -> dict[int, frozenset]:
 
 def _eliminate_dead(fn: _Fn, live_in: dict[int, frozenset]) -> bool:
     """Delete stores to dead slots and pure loads of a dead ``val``."""
-    RETURN, TAIL_CALL, PUSH = Op.RETURN, Op.TAIL_CALL, Op.PUSH
-    JUMP_IF_FALSE, SETLOC, LOCAL = Op.JUMP_IF_FALSE, Op.SETLOC, Op.LOCAL
-    CONST, CLOSED = Op.CONST, Op.CLOSED
     stats = fn.stats
     changed = False
     for bid, instrs in fn.blocks.items():
@@ -569,27 +565,27 @@ def _eliminate_dead(fn: _Fn, live_in: dict[int, frozenset]) -> bool:
         for idx in range(len(instrs) - 1, -1, -1):
             instr = instrs[idx]
             op = instr[0]
-            if op is RETURN:
+            if op == RETURN:
                 live = {_VAL}
-            elif op is TAIL_CALL:
+            elif op == TAIL_CALL:
                 live = set()
-            elif op is JUMP_IF_FALSE or op is PUSH:
+            elif op == JUMP_IF_FALSE or op == PUSH:
                 live.add(_VAL)
-            elif op is SETLOC:
+            elif op == SETLOC:
                 if instr[1] not in live:
                     dead.add(idx)
                     stats["dead_store"] += 1
                 else:
                     live.discard(instr[1])
                     live.add(_VAL)
-            elif op is LOCAL:
+            elif op == LOCAL:
                 if _VAL not in live:
                     dead.add(idx)
                     stats["dead_load"] += 1
                 else:
                     live.discard(_VAL)
                     live.add(instr[1])
-            elif op is CONST or op is CLOSED:
+            elif op == CONST or op == CLOSED:
                 if _VAL not in live:
                     dead.add(idx)
                     stats["dead_load"] += 1
@@ -659,7 +655,7 @@ def _encode(fn: _Fn, optimize_literal) -> Template:
         instrs = fn.blocks[bid]
         last = instrs[-1]
         if (
-            last[0] is Op.JUMP
+            last[0] == JUMP
             and pos + 1 < len(order)
             and last[1] == order[pos + 1]
         ):
@@ -706,7 +702,7 @@ def _encode(fn: _Fn, optimize_literal) -> Template:
         instr[1]
         for instrs in fn.blocks.values()
         for instr in instrs
-        if instr[0] is Op.LOCAL or instr[0] is Op.SETLOC
+        if instr[0] == LOCAL or instr[0] == SETLOC
     }
     slot_map = {slot: slot for slot in range(fn.arity)}
     for slot in sorted(s for s in used_slots if s >= fn.arity):
@@ -723,11 +719,11 @@ def _encode(fn: _Fn, optimize_literal) -> Template:
             op = instr[0]
             if op in BRANCH_OPS:
                 code.append((op, starts[instr[1]]))
-            elif op is Op.CONST or op is Op.GLOBAL:
+            elif op == CONST or op == GLOBAL:
                 code.append((op, intern_old(instr[1])))
-            elif op is Op.PRIM or op is Op.MAKE_CLOSURE:
+            elif op == PRIM or op == MAKE_CLOSURE:
                 code.append((op, intern_old(instr[1]), instr[2]))
-            elif op is Op.LOCAL or op is Op.SETLOC:
+            elif op == LOCAL or op == SETLOC:
                 code.append((op, slot_map[instr[1]]))
             else:
                 code.append(tuple(instr))
@@ -811,6 +807,60 @@ def clear_memo() -> None:
 # -- entry points -------------------------------------------------------------
 
 
+class _TreeOptimizer:
+    """Optimizes a template tree, each distinct nested template once.
+
+    Methods rather than two closures that call each other: such a pair
+    is a reference cycle, left behind on every call for the cyclic
+    garbage collector.
+    """
+
+    __slots__ = ("stats", "memo")
+
+    def __init__(self) -> None:
+        self.stats: Counter = Counter()
+        self.memo: dict[int, Template] = {}
+
+    def template(self, t: Template) -> Template:
+        cached = self.memo.get(id(t))
+        if cached is not None:
+            return cached
+        stats = self.stats
+        fn = _Fn(t, stats)
+        fired_before = sum(stats.values())
+        _optimize_rounds(fn)
+        if sum(stats.values()) == fired_before:
+            # No pass fired: re-encoding would reproduce the input (bar
+            # a possible JUMP-to-next peephole, which the assembler does
+            # not emit) — keep the original tuples and only swap nested
+            # templates whose own optimization changed them.
+            new_literals = tuple(self.literal(v) for v in t.literals)
+            if all(a is b for a, b in zip(new_literals, t.literals)):
+                optimized = t
+            else:
+                optimized = Template(
+                    code=t.code,
+                    literals=new_literals,
+                    arity=t.arity,
+                    nlocals=t.nlocals,
+                    name=t.name,
+                )
+            self.memo[id(t)] = optimized
+            return optimized
+        literal_count = len(t.literals)
+        optimized = _encode(fn, self.literal)
+        delta = literal_count - len(optimized.literals)
+        if delta > 0:
+            stats["literal_compaction"] += delta
+        self.memo[id(t)] = optimized
+        return optimized
+
+    def literal(self, value: Any) -> Any:
+        if isinstance(value, Template):
+            return self.template(value)
+        return value
+
+
 @obs.traced("vm.optimize")
 def optimize(
     template: Template,
@@ -855,48 +905,8 @@ def optimize(
             skipped=True,
         )
 
-    stats: Counter = Counter()
-    memo: dict[int, Template] = {}
-
-    def optimize_one(t: Template) -> Template:
-        cached = memo.get(id(t))
-        if cached is not None:
-            return cached
-        fn = _Fn(t, stats)
-        fired_before = sum(stats.values())
-        _optimize_rounds(fn)
-        if sum(stats.values()) == fired_before:
-            # No pass fired: re-encoding would reproduce the input (bar
-            # a possible JUMP-to-next peephole, which the assembler does
-            # not emit) — keep the original tuples and only swap nested
-            # templates whose own optimization changed them.
-            new_literals = tuple(optimize_literal(v) for v in t.literals)
-            if all(a is b for a, b in zip(new_literals, t.literals)):
-                optimized = t
-            else:
-                optimized = Template(
-                    code=t.code,
-                    literals=new_literals,
-                    arity=t.arity,
-                    nlocals=t.nlocals,
-                    name=t.name,
-                )
-            memo[id(t)] = optimized
-            return optimized
-        literal_count = len(t.literals)
-        optimized = _encode(fn, optimize_literal)
-        delta = literal_count - len(optimized.literals)
-        if delta > 0:
-            stats["literal_compaction"] += delta
-        memo[id(t)] = optimized
-        return optimized
-
-    def optimize_literal(value: Any) -> Any:
-        if isinstance(value, Template):
-            return optimize_one(value)
-        return value
-
-    optimized = optimize_one(template)
+    tree = _TreeOptimizer()
+    optimized = tree.template(template)
 
     if validate:
         report = check_template(optimized, closed_count)
@@ -910,7 +920,7 @@ def optimize(
         template=optimized,
         before_instructions=before,
         after_instructions=after,
-        passes=dict(stats),
+        passes=dict(tree.stats),
     )
     if validate and key is not None:
         if len(_memo) >= _MEMO_MAX:

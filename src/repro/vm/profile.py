@@ -52,7 +52,6 @@ from repro.lang.prims import PrimSpec
 from repro.sexp.datum import Symbol
 from repro.vm.dispatch import FUSABLE_OPS as _FUSABLE
 from repro.vm.dispatch import opcode_name
-from repro.vm.instructions import Op
 from repro.vm.machine import Machine, VmClosure, VMError
 from repro.vm.template import Template
 
@@ -73,7 +72,7 @@ class VMProfile:
     """Execution counts collected by the profiled dispatch loop."""
 
     def __init__(self) -> None:
-        # Opcode keys are Op members, plus plain ints for fused opcodes.
+        # Opcode keys are plain ints, base and fused opcodes alike.
         self.opcode_counts: dict[Any, int] = {}
         self.template_invocations: dict[TemplateIdent, int] = {}
         self.template_instructions: dict[TemplateIdent, int] = {}
@@ -293,23 +292,23 @@ def _run_counting(machine, template, locals_, closed, profile):
                 triple_counts[run3] = triple_counts.get(run3, 0) + 1
         prev2 = prev1
         prev1 = op if op in _FUSABLE else None
-        if op == Op.CONST:
+        if op == 1:  # CONST
             val = literals[instr[1]]
-        elif op == Op.LOCAL:
+        elif op == 2:  # LOCAL
             val = locals_[instr[1]]
-        elif op == Op.CLOSED:
+        elif op == 3:  # CLOSED
             val = closed[instr[1]]
-        elif op == Op.GLOBAL:
+        elif op == 4:  # GLOBAL
             name = literals[instr[1]]
             try:
                 val = globals_[name]
             except KeyError:
                 raise VMError(f"undefined global: {name}") from None
-        elif op == Op.PUSH:
+        elif op == 5:  # PUSH
             stack.append(val)
-        elif op == Op.SETLOC:
+        elif op == 6:  # SETLOC
             locals_[instr[1]] = val
-        elif op == Op.PRIM:
+        elif op == 7:  # PRIM
             spec = literals[instr[1]]
             n = instr[2]
             if n:
@@ -318,7 +317,7 @@ def _run_counting(machine, template, locals_, closed, profile):
             else:
                 args = []
             val = spec.apply(args)
-        elif op == Op.MAKE_CLOSURE:
+        elif op == 8:  # MAKE_CLOSURE
             sub = literals[instr[1]]
             n = instr[2]
             if n:
@@ -327,12 +326,12 @@ def _run_counting(machine, template, locals_, closed, profile):
             else:
                 env = ()
             val = VmClosure(sub, env)
-        elif op == Op.JUMP:
+        elif op == 9:  # JUMP
             pc = instr[1]
-        elif op == Op.JUMP_IF_FALSE:
+        elif op == 10:  # JUMP_IF_FALSE
             if val is False:
                 pc = instr[1]
-        elif op == Op.TAIL_CALL:
+        elif op == 12:  # TAIL_CALL
             n = instr[1]
             if n:
                 args = stack[-n:]
@@ -365,7 +364,7 @@ def _run_counting(machine, template, locals_, closed, profile):
                 tkey = profile._ident(template)
             else:
                 raise VMError(f"attempt to apply non-procedure {fn!r}")
-        elif op == Op.CALL:
+        elif op == 11:  # CALL
             n = instr[1]
             if n:
                 args = stack[-n:]
@@ -393,7 +392,7 @@ def _run_counting(machine, template, locals_, closed, profile):
                 val = fn.apply(args)
             else:
                 raise VMError(f"attempt to apply non-procedure {fn!r}")
-        elif op == Op.RETURN:
+        elif op == 13:  # RETURN
             if not conts:
                 return val
             template, pc, locals_, stack, closed = conts.pop()

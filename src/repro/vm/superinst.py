@@ -36,6 +36,7 @@ from repro.runtime.errors import SchemeError
 from repro.vm.cfg import build_cfg
 from repro.vm.dispatch import (
     FUSABLE_OPS,
+    FUSED_BASE,
     FusionPlan,
     Superinstruction,
     build_loop,
@@ -43,7 +44,7 @@ from repro.vm.dispatch import (
     make_plan,
     operand_count,
 )
-from repro.vm.instructions import BRANCH_OPS, Op
+from repro.vm.instructions import BRANCH_OPS
 from repro.vm.machine import Machine, VmClosure
 from repro.vm.template import Template
 from repro.vm.verify import check_template
@@ -70,7 +71,7 @@ def select_superinstructions(
     superinstructions (interned process-wide, so repeated selection is
     stable and cheap).
     """
-    candidates: list[tuple[int, tuple[int, ...], tuple[Op, ...]]] = []
+    candidates: list[tuple[int, tuple[int, ...]]] = []
     sources: tuple[Mapping[tuple, int], ...] = (
         getattr(profile, "triple_counts", {}),
         getattr(profile, "pair_counts", {}),
@@ -82,11 +83,9 @@ def select_superinstructions(
             if not all(op in FUSABLE_OPS for op in seq):
                 continue
             score = count * (len(seq) - 1)
-            candidates.append(
-                (score, tuple(int(op) for op in seq), tuple(Op(op) for op in seq))
-            )
+            candidates.append((score, tuple(int(op) for op in seq)))
     candidates.sort(key=lambda item: (-item[0], len(item[1]), item[1]))
-    return make_plan(seq for _score, _key, seq in candidates[:max_fused])
+    return make_plan(seq for _score, seq in candidates[:max_fused])
 
 
 def plan_from_template(template: Template, max_fused: int = 8) -> FusionPlan:
@@ -96,8 +95,8 @@ def plan_from_template(template: Template, max_fused: int = 8) -> FusionPlan:
     Used as a profile-free fallback and by tests that want a fused
     execution path without a prior profiling run.
     """
-    pair_counts: dict[tuple[Op, ...], int] = {}
-    triple_counts: dict[tuple[Op, ...], int] = {}
+    pair_counts: dict[tuple[int, ...], int] = {}
+    triple_counts: dict[tuple[int, ...], int] = {}
     seen: set[int] = set()
     stack = [template]
     while stack:
@@ -183,7 +182,7 @@ def _fuse_code(
 ) -> tuple[tuple[tuple, ...], bool]:
     code = template.code
     for instr in code:
-        if type(instr[0]) is not Op:
+        if instr[0] >= FUSED_BASE:
             raise FusionValidationError(
                 f"{template.name}: cannot fuse already-fused code"
                 f" (opcode {instr[0]!r})"
@@ -253,7 +252,7 @@ def lower_template(
             if lowered is not lit:
                 new_literals[i] = lowered
                 changed = True
-    has_fused = any(type(instr[0]) is not Op for instr in template.code)
+    has_fused = any(instr[0] >= FUSED_BASE for instr in template.code)
     if not has_fused and not changed:
         _memo[id(template)] = template
         return template
@@ -262,7 +261,7 @@ def lower_template(
     for pc, instr in enumerate(template.code):
         pc_map[pc] = len(expanded)
         op = instr[0]
-        if type(op) is Op:
+        if op < FUSED_BASE:
             expanded.append(instr)
             continue
         sup = fused_for_opcode(op)

@@ -11,12 +11,14 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Tuple
 
+from repro.vm.instructions import OP_NAMES
+
 
 @dataclass(frozen=True, slots=True)
 class Template:
     """Assembled, executable object code for one procedure body."""
 
-    code: Tuple[tuple, ...]       # (op, operand, ...) tuples, targets resolved
+    code: Tuple[tuple, ...]       # (int opcode, operand, ...), targets resolved
     literals: Tuple[Any, ...]     # constants, symbols, prim specs, templates
     arity: int                    # number of parameters
     nlocals: int                  # total local slots (params + temporaries)
@@ -94,8 +96,8 @@ def _content_digest(template: Template, memo: dict[int, str]) -> str:
     found = memo.get(id(template))
     if found is not None:
         return found
-    # Late import: prims does not depend on this module, but keeping the
-    # top level import-free preserves template.py as a leaf module.
+    # Late import: prims does not depend on this module, but keeping it
+    # out of the top level keeps template.py's imports inside the VM package.
     from repro.lang.prims import PrimSpec
 
     hasher = hashlib.sha256()
@@ -104,8 +106,17 @@ def _content_digest(template: Template, memo: dict[int, str]) -> str:
         f"\x00{template.nlocals}\x00".encode()
     )
     for instr in template.code:
-        # Op has a custom name repr; operands are ints — both stable.
-        hasher.update(repr(tuple(instr)).encode())
+        # Base opcodes are spelled by name, as ``repr`` of an ``Op``
+        # member spells them, so the digest does not depend on whether
+        # the code holds ints or enum members; operands are ints.
+        name = OP_NAMES.get(instr[0])
+        if name is None:
+            text = repr(tuple(instr))
+        elif len(instr) == 1:
+            text = f"({name},)"
+        else:
+            text = f"({name}, {', '.join(map(repr, instr[1:]))})"
+        hasher.update(text.encode())
         hasher.update(b"\x00")
     for lit in template.literals:
         if isinstance(lit, Template):

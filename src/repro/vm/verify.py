@@ -46,7 +46,24 @@ from repro.lang.prims import PrimSpec
 from repro.runtime.errors import SchemeError
 from repro.sexp.datum import Symbol
 from repro.vm.cfg import build_cfg
-from repro.vm.instructions import BRANCH_OPS, Op
+from repro.vm.instructions import (
+    BRANCH_OPS,
+    CALL,
+    CLOSED,
+    CONST,
+    GLOBAL,
+    JUMP,
+    JUMP_IF_FALSE,
+    LOCAL,
+    MAKE_CLOSURE,
+    OP_NAMES,
+    PRIM,
+    PUSH,
+    RETURN,
+    SETLOC,
+    TAIL_CALL,
+    Op,
+)
 from repro.vm.template import Template
 
 
@@ -141,28 +158,28 @@ class VerificationError(SchemeError):
         super().__init__(f"bytecode verification failed: {summary}")
 
 
-# Expected operand counts per opcode.
+# Expected operand counts per (plain-int) opcode.
 _OPERAND_COUNTS = {
-    Op.CONST: 1,
-    Op.LOCAL: 1,
-    Op.CLOSED: 1,
-    Op.GLOBAL: 1,
-    Op.PUSH: 0,
-    Op.SETLOC: 1,
-    Op.PRIM: 2,
-    Op.MAKE_CLOSURE: 2,
-    Op.JUMP: 1,
-    Op.JUMP_IF_FALSE: 1,
-    Op.CALL: 1,
-    Op.TAIL_CALL: 1,
-    Op.RETURN: 0,
+    CONST: 1,
+    LOCAL: 1,
+    CLOSED: 1,
+    GLOBAL: 1,
+    PUSH: 0,
+    SETLOC: 1,
+    PRIM: 2,
+    MAKE_CLOSURE: 2,
+    JUMP: 1,
+    JUMP_IF_FALSE: 1,
+    CALL: 1,
+    TAIL_CALL: 1,
+    RETURN: 0,
 }
 
 # Opcodes whose second operand is a pop count.
-_COUNTED_OPS = frozenset({Op.PRIM, Op.MAKE_CLOSURE})
-_LITERAL_OPS = frozenset({Op.CONST, Op.GLOBAL}) | _COUNTED_OPS
-_SLOT_OPS = frozenset({Op.LOCAL, Op.SETLOC})
-_CALL_OPS = frozenset({Op.CALL, Op.TAIL_CALL})
+_COUNTED_OPS = frozenset({PRIM, MAKE_CLOSURE})
+_LITERAL_OPS = frozenset({CONST, GLOBAL}) | _COUNTED_OPS
+_SLOT_OPS = frozenset({LOCAL, SETLOC})
+_CALL_OPS = frozenset({CALL, TAIL_CALL})
 
 
 @traced("vm.verify")
@@ -256,21 +273,22 @@ def _structural_pass(
             cfg_ok = False
             continue
         op = instr[0]
-        if type(op) is not Op:
-            try:
-                op = Op(op)
-            except ValueError:
-                err(
-                    ViolationKind.BAD_OPCODE, pc,
-                    f"unknown opcode {instr[0]!r}",
-                )
-                cfg_ok = False
-                continue
-        expected = _OPERAND_COUNTS[op]
+        if type(op) is not int:
+            # Hand-built code may hold ``Op`` members; a bool, float or
+            # anything else that merely compares equal is no opcode.
+            op = int(op) if isinstance(op, Op) else -1
+        expected = _OPERAND_COUNTS.get(op)
+        if expected is None:
+            err(
+                ViolationKind.BAD_OPCODE, pc,
+                f"unknown opcode {instr[0]!r}",
+            )
+            cfg_ok = False
+            continue
         if len(instr) - 1 != expected:
             err(
                 ViolationKind.BAD_OPERANDS, pc,
-                f"{op.name} expects {expected} operand(s),"
+                f"{OP_NAMES[op]} expects {expected} operand(s),"
                 f" has {len(instr) - 1}",
             )
             cfg_ok = False
@@ -284,7 +302,7 @@ def _structural_pass(
         if not operands_ok:
             err(
                 ViolationKind.BAD_OPERANDS, pc,
-                f"{op.name} has non-integer operand(s) {instr[1:]!r}",
+                f"{OP_NAMES[op]} has non-integer operand(s) {instr[1:]!r}",
             )
             cfg_ok = False
             continue
@@ -294,17 +312,17 @@ def _structural_pass(
             if not 0 <= k < len(literals):
                 err(
                     ViolationKind.BAD_LITERAL_INDEX, pc,
-                    f"{op.name} literal index {k} outside frame of"
+                    f"{OP_NAMES[op]} literal index {k} outside frame of"
                     f" {len(literals)}",
                 )
                 continue
             lit = literals[k]
-            if op is Op.GLOBAL and not isinstance(lit, Symbol):
+            if op == GLOBAL and not isinstance(lit, Symbol):
                 err(
                     ViolationKind.BAD_LITERAL_KIND, pc,
                     f"GLOBAL literal {k} is {type(lit).__name__}, not a symbol",
                 )
-            elif op is Op.PRIM:
+            elif op == PRIM:
                 if not isinstance(lit, PrimSpec):
                     err(
                         ViolationKind.BAD_LITERAL_KIND, pc,
@@ -326,7 +344,7 @@ def _structural_pass(
                             f"{lit.name} applied to {n} argument(s); accepts"
                             f" {lit.min_arity}..{lit.max_arity or 'many'}",
                         )
-            elif op is Op.MAKE_CLOSURE:
+            elif op == MAKE_CLOSURE:
                 if not isinstance(lit, Template):
                     err(
                         ViolationKind.BAD_LITERAL_KIND, pc,
@@ -343,10 +361,10 @@ def _structural_pass(
             if not 0 <= i < template.nlocals:
                 err(
                     ViolationKind.BAD_LOCAL_SLOT, pc,
-                    f"{op.name} slot {i} outside frame of"
+                    f"{OP_NAMES[op]} slot {i} outside frame of"
                     f" {template.nlocals} local(s)",
                 )
-        elif op is Op.CLOSED:
+        elif op == CLOSED:
             i = instr[1]
             if not 0 <= i < closed_count:
                 err(
@@ -359,7 +377,7 @@ def _structural_pass(
             if not 0 <= t < len(code):
                 err(
                     ViolationKind.BAD_JUMP_TARGET, pc,
-                    f"{op.name} target {t} outside code of"
+                    f"{OP_NAMES[op]} target {t} outside code of"
                     f" {len(code)} instruction(s)",
                 )
                 cfg_ok = False
@@ -367,7 +385,7 @@ def _structural_pass(
             if instr[1] < 0:
                 err(
                     ViolationKind.BAD_OPERANDS, pc,
-                    f"{op.name} argument count {instr[1]} is negative",
+                    f"{OP_NAMES[op]} argument count {instr[1]} is negative",
                 )
                 cfg_ok = False
     return cfg_ok
@@ -413,25 +431,23 @@ def _dataflow_pass(template: Template, path: str, out: list[Violation]) -> None:
         for offset, instr in enumerate(block.instrs):
             pc = leader + offset
             op = instr[0]
-            if type(op) is not Op:
-                op = Op(op)
             pops, pushes = _stack_effect(op, instr)
             if depth < pops:
                 err(
                     ViolationKind.STACK_UNDERFLOW, pc,
-                    f"{op.name} needs {pops} stack value(s), only {depth}"
-                    " available",
+                    f"{OP_NAMES[op]} needs {pops} stack value(s), only"
+                    f" {depth} available",
                 )
                 reached_upto[leader] = pc
                 underflowed = True
                 break
             depth = depth - pops + pushes
-            if op is Op.RETURN or op is Op.TAIL_CALL:
+            if op == RETURN or op == TAIL_CALL:
                 if depth > 0:
                     out.append(
                         Violation(
                             ViolationKind.LEFTOVER_STACK, path, pc,
-                            f"{op.name} leaves {depth} value(s) on the"
+                            f"{OP_NAMES[op]} leaves {depth} value(s) on the"
                             " operand stack",
                         )
                     )
@@ -439,10 +455,10 @@ def _dataflow_pass(template: Template, path: str, out: list[Violation]) -> None:
             continue
         reached_upto[leader] = block.end - 1
         if block.falls_off:
-            op = Op(block.terminator[0])
             err(
                 ViolationKind.FALLS_OFF_END, block.end - 1,
-                f"{op.name} falls through past the last instruction"
+                f"{OP_NAMES[block.terminator[0]]} falls through past the"
+                " last instruction"
                 " with no RETURN or tail call",
             )
         for succ in block.succs:
@@ -462,9 +478,9 @@ def _dataflow_pass(template: Template, path: str, out: list[Violation]) -> None:
         )
 
 
-def _stack_effect(op: Op, instr: tuple) -> tuple[int, int]:
+def _stack_effect(op: int, instr: tuple) -> tuple[int, int]:
     """(pops, pushes) on the operand stack.  ``val`` is not modelled."""
-    if op is Op.PUSH:
+    if op == PUSH:
         return 0, 1
     if op in _COUNTED_OPS:
         return instr[2], 0
@@ -486,7 +502,7 @@ def _check_nested(
         if (
             isinstance(instr, tuple)
             and len(instr) == 3
-            and instr[0] == Op.MAKE_CLOSURE
+            and instr[0] == MAKE_CLOSURE
             and isinstance(instr[1], int)
             and 0 <= instr[1] < len(template.literals)
             and isinstance(template.literals[instr[1]], Template)

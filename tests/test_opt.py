@@ -249,7 +249,7 @@ class TestTranslationValidation:
 
         def broken_rounds(fn):
             for instrs in fn.blocks.values():
-                instrs[:] = [i for i in instrs if i[0] is not Op.PUSH]
+                instrs[:] = [i for i in instrs if i[0] != Op.PUSH]
             fn.stats["broken"] += 1
 
         monkeypatch.setattr(opt, "_optimize_rounds", broken_rounds)
@@ -263,7 +263,7 @@ class TestTranslationValidation:
 
         def broken_rounds(fn):
             for instrs in fn.blocks.values():
-                instrs[:] = [i for i in instrs if i[0] is not Op.PUSH]
+                instrs[:] = [i for i in instrs if i[0] != Op.PUSH]
             fn.stats["broken"] += 1
 
         monkeypatch.setattr(opt, "_optimize_rounds", broken_rounds)

@@ -24,7 +24,7 @@ from repro.vm import (
     make_label,
     sequentially,
 )
-from repro.vm.dispatch import make_plan
+from repro.vm.dispatch import FUSED_BASE, make_plan
 from repro.vm.superinst import (
     FusionValidationError,
     SuperMachine,
@@ -194,7 +194,7 @@ class TestValidation:
         # Corrupt one fused operand: lowering no longer restores t.
         code = list(fused.code)
         for i, instr in enumerate(code):
-            if not isinstance(instr[0], Op) and len(instr) > 1:
+            if instr[0] >= FUSED_BASE and len(instr) > 1:
                 code[i] = (instr[0], *instr[1:-1], 99)
                 break
         tampered = Template(
