@@ -43,7 +43,7 @@ from repro.runtime.values import NIL, UNSPECIFIED, Pair, Unspecified
 from repro.sexp.datum import Char, Symbol, sym
 from repro.vm.instructions import OP_NAMES
 from repro.vm.machine import Machine, VmClosure
-from repro.vm.template import Template
+from repro.vm.template import Template, intern_code
 
 MAGIC = b"RPOI"  # RePro Object Image
 CODEC_VERSION = 1
@@ -315,7 +315,7 @@ def _decode_template_body(dec: _Decoder) -> Template:
     nliterals = dec.count("literal")
     literals = tuple(_decode_value(dec) for _ in range(nliterals))
     return Template(
-        code=tuple(code),
+        code=intern_code(code),
         literals=literals,
         arity=arity,
         nlocals=nlocals,

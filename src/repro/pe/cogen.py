@@ -9,6 +9,10 @@ PGG [59] ("Cogen in six lines"): a compiler from annotated programs to
 program generators, as opposed to interpreting annotations at each
 specialization (which is what :mod:`repro.pe.specializer` does).
 
+Static subterms (the annotated program's static-subterm table) compile
+to direct-style closures ``(env, rt) -> value``; the rest pass
+continuations, which let-insertion needs.
+
 The generated extension is parameterized over the same residual-code
 backend as the specializer, so it can produce source *or* object code —
 composing the cogen path with the fused backend realizes §9's outlook of
@@ -64,6 +68,8 @@ D = BindingTime.DYNAMIC
 
 # A compiled expression: (environment, runtime, continuation) -> body code.
 GenCode = Callable[[dict, "_Runtime", Callable], Any]
+# A compiled static subterm: (environment, runtime) -> value.
+DirectCode = Callable[[dict, "_Runtime"], Any]
 
 
 class _Runtime:
@@ -83,6 +89,8 @@ class _Runtime:
         "residual_size",
         "unfold_stack",
         "draining",
+        "codes",
+        "directs",
     )
 
     def __init__(
@@ -90,9 +98,16 @@ class _Runtime:
         backend: Backend,
         max_residual_defs: int,
         name_gensym: Gensym,
+        codes: dict[Symbol, GenCode],
+        directs: dict[Symbol, DirectCode],
         max_unfold_depth: int = 5_000,
         max_residual_size: int = 1_000_000,
     ):
+        # The compiled defs are reached through the runtime, never from
+        # the compiled closures themselves, so the closure tree of an
+        # extension holds no reference cycle.
+        self.codes = codes
+        self.directs = directs
         self.backend = backend
         self.gensym = Gensym("y")
         self.name_gensym = name_gensym
@@ -128,6 +143,56 @@ class _Runtime:
             if stack[i] == top:
                 return tuple(stack[i:][:32])
         return (top,)
+
+    def enter_unfold(
+        self, name: str, params: tuple, env: dict, args: list
+    ) -> dict:
+        """Push an unfold of ``name`` and return its body's environment.
+
+        The caller pops the unfold stack when the unfold ends.
+        """
+        if len(args) != len(params):
+            raise SpecializationError(
+                f"{name}: arity mismatch during unfolding"
+            )
+        inner = dict(env)
+        inner.update(zip(params, args))
+        self.unfold_stack.append(name)
+        if len(self.unfold_stack) > self.max_unfold_depth:
+            raise BudgetExceeded(
+                "max_unfold_depth",
+                self.max_unfold_depth,
+                cycle=self.repeating_cycle(),
+            )
+        return inner
+
+    def memoize(self, d: AnnDef, args: list) -> tuple:
+        """Look up / schedule the residual version of ``d`` for ``args``."""
+        static_key = []
+        for bt, p, a in zip(d.bts, d.params, args):
+            if bt is S:
+                if not isinstance(a, Static):
+                    raise BindingTimeError(
+                        f"{d.name}: static parameter {p} received dynamic"
+                        " value"
+                    )
+                static_key.append(_freeze(a.value, self.freeze_cache))
+        key = (d.name, tuple(static_key))
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
+        residual_name = self.name_gensym.fresh(d.name)
+        dyn_params = tuple(self.gensym.fresh(p) for p in d.dynamic_params())
+        self.memo[key] = (residual_name, dyn_params)
+        env: dict[Symbol, Any] = {}
+        dyn_iter = iter(dyn_params)
+        for bt, p, a in zip(d.bts, d.params, args):
+            if bt is S:
+                env[p] = a
+            else:
+                env[p] = Dynamic(self.backend.var(next(dyn_iter)))
+        self.pending.append((residual_name, dyn_params, d, env))
+        return self.memo[key]
 
 
 class _TailCont:
@@ -193,9 +258,14 @@ class CompiledGeneratingExtension:
     def __init__(self, annotated: AnnotatedProgram, cache_size: int = 128):
         self.annotated = annotated
         self.cache = ResidualCache(cache_size)
-        self._defs: dict[Symbol, tuple[AnnDef, GenCode]] = {}
+        self._static = annotated.static
+        self._codes: dict[Symbol, GenCode] = {}
+        self._directs: dict[Symbol, DirectCode] = {}
         for d in annotated.defs:
-            self._defs[d.name] = (d, self._comp(d.body))
+            direct, code = self._part(d.body)
+            self._codes[d.name] = code or _cps(direct)
+            if direct is not None:
+                self._directs[d.name] = direct
 
     # -- running the extension --------------------------------------------------
 
@@ -269,10 +339,12 @@ class CompiledGeneratingExtension:
             backend,
             max_residual_defs,
             name_gensym or Specializer._shared_names,
+            self._codes,
+            self._directs,
             max_unfold_depth=max_unfold_depth,
             max_residual_size=max_residual_size,
         )
-        goal, _ = self._defs[self.annotated.goal]
+        goal = self.annotated.goal_def()
         statics = list(static_args)
         if len(statics) != len(goal.static_params()):
             raise SpecializationError(
@@ -289,7 +361,7 @@ class CompiledGeneratingExtension:
         # One-time process-wide floor; never restored (see pe.limits).
         ensure_recursion_limit()
         try:
-            residual_goal, dyn_params = self._memoize(rt, goal, args)
+            residual_goal, dyn_params = rt.memoize(goal, args)
             self._drain(rt)
         except RecursionError:
             import sys
@@ -306,34 +378,7 @@ class CompiledGeneratingExtension:
 
     __call__ = generate
 
-    # -- memoization ----------------------------------------------------------------
-
-    def _memoize(self, rt: _Runtime, d: AnnDef, args: list) -> tuple:
-        static_key = []
-        for bt, p, a in zip(d.bts, d.params, args):
-            if bt is S:
-                if not isinstance(a, Static):
-                    raise BindingTimeError(
-                        f"{d.name}: static parameter {p} received dynamic"
-                        " value"
-                    )
-                static_key.append(_freeze(a.value, rt.freeze_cache))
-        key = (d.name, tuple(static_key))
-        hit = rt.memo.get(key)
-        if hit is not None:
-            return hit
-        residual_name = rt.name_gensym.fresh(d.name)
-        dyn_params = tuple(rt.gensym.fresh(p) for p in d.dynamic_params())
-        rt.memo[key] = (residual_name, dyn_params)
-        env: dict[Symbol, Any] = {}
-        dyn_iter = iter(dyn_params)
-        for bt, p, a in zip(d.bts, d.params, args):
-            if bt is S:
-                env[p] = a
-            else:
-                env[p] = Dynamic(rt.backend.var(next(dyn_iter)))
-        rt.pending.append((residual_name, dyn_params, d, env))
-        return rt.memo[key]
+    # -- the residual definitions ----------------------------------------------------
 
     def _drain(self, rt: _Runtime) -> None:
         while rt.pending:
@@ -347,43 +392,44 @@ class CompiledGeneratingExtension:
                     cycle=rt.repeating_cycle(),
                 )
             rt.charge()
-            _, code = self._defs[d.name]
-            body = code(env, rt, _TailCont(rt))
+            body = self._codes[d.name](env, rt, _TailCont(rt))
             rt.backend.define(residual_name, dyn_params, body)
 
     # -- the compiler: ACS -> composed closures ------------------------------------
 
-    def _comp(self, e: Expr) -> GenCode:
+    def _part(self, e: Expr) -> tuple[DirectCode | None, GenCode | None]:
+        """Compile ``e`` as ``(direct, None)`` if static, else ``(None, code)``."""
+        if id(e) in self._static:
+            return self._direct(e), None
+        return None, self._comp(e)
+
+    def _direct(self, e: Expr) -> DirectCode:
+        """Compile the static subterm ``e`` to a direct-style closure."""
         if isinstance(e, Const):
             value = Static(datum_to_value(e.value))
-            return lambda env, rt, k: k(value)
+            return lambda env, rt: value
 
         if isinstance(e, Var):
             name = e.name
             if self.annotated.has(name):
                 d = self.annotated.lookup(name)
-                code = None
-
-                def def_ref(env, rt, k, d=d):
-                    nonlocal code
-                    if code is None:
-                        _, code = self._defs[d.name]
-                    return k(Static(GenClosure(d.params, code, {}, d.name.name)))
-
-                return def_ref
+                params, label = d.params, d.name.name
+                return lambda env, rt: Static(
+                    GenClosure(params, rt.codes[name], {}, label)
+                )
             spec = PRIMITIVES.get(name)
             if spec is not None:
                 prim_value = Static(PrimProcedure(spec))
 
-                def var_or_prim(env, rt, k):
+                def var_or_prim(env, rt):
                     hit = env.get(name)
-                    return k(hit if hit is not None else prim_value)
+                    return hit if hit is not None else prim_value
 
                 return var_or_prim
 
-            def var_ref(env, rt, k):
+            def var_ref(env, rt):
                 try:
-                    return k(env[name])
+                    return env[name]
                 except KeyError:
                     raise SpecializationError(
                         f"unbound variable at generation: {name}"
@@ -392,47 +438,98 @@ class CompiledGeneratingExtension:
             return var_ref
 
         if isinstance(e, Lam):
-            params, body_code = e.params, self._comp(e.body)
-            return lambda env, rt, k: k(
-                Static(GenClosure(params, body_code, dict(env)))
+            params = e.params
+            body_code = self._code(e.body)
+            return lambda env, rt: Static(
+                GenClosure(params, body_code, dict(env))
             )
 
+        if isinstance(e, Let):
+            var, rhs, body = e.var, self._direct(e.rhs), self._direct(e.body)
+            return lambda env, rt: body({**env, var: rhs(env, rt)}, rt)
+
+        if isinstance(e, If):
+            test = self._direct(e.test)
+            then, alt = self._direct(e.then), self._direct(e.alt)
+            return lambda env, rt: (
+                then if _static_test(test(env, rt)) else alt
+            )(env, rt)
+
+        if isinstance(e, Prim):
+            op, apply_ = e.op, _prim_spec(e.op).apply
+            args = [self._direct(a) for a in e.args]
+            return lambda env, rt: _apply_prim(
+                op, apply_, [a(env, rt) for a in args]
+            )
+
+        if isinstance(e, App):
+            # A call to a top-level def with a static body, which no
+            # binder shadows: run the callee's direct evaluator.
+            d = self.annotated.lookup(e.fn.name)
+            name, params, label = d.name, d.params, d.name.name
+            args = [self._direct(a) for a in e.args]
+
+            def app_direct(env, rt):
+                inner = rt.enter_unfold(
+                    label, params, {}, [a(env, rt) for a in args]
+                )
+                # The unfold leaves the stack when its body returns.
+                try:
+                    return rt.directs[name](inner, rt)
+                finally:
+                    rt.unfold_stack.pop()
+
+            return app_direct
+
+        raise SpecializationError(
+            f"cogen cannot compile {type(e).__name__} statically"
+        )
+
+    def _code(self, e: Expr) -> GenCode:
+        """Compile ``e`` to continuation-passing code, static or not."""
+        direct, code = self._part(e)
+        return code or _cps(direct)
+
+    def _comp(self, e: Expr) -> GenCode:
+        """Compile the non-static subterm ``e`` to continuation passing."""
         if isinstance(e, Lift):
-            inner = self._comp(e.expr)
+            inner_d, inner = self._part(e.expr)
+            if inner_d is not None:
+                return lambda env, rt, k: k(
+                    Dynamic(_triv(rt, inner_d(env, rt)))
+                )
             return lambda env, rt, k: inner(
                 env, rt, lambda v: k(Dynamic(_triv(rt, v)))
             )
 
         if isinstance(e, Let):
-            var, rhs, body = e.var, self._comp(e.rhs), self._comp(e.body)
-
-            def let_code(env, rt, k):
-                return rhs(
-                    env, rt, lambda v: body({**env, var: v}, rt, k)
+            var, body = e.var, self._code(e.body)
+            rhs_d, rhs = self._part(e.rhs)
+            if rhs_d is not None:
+                return lambda env, rt, k: body(
+                    {**env, var: rhs_d(env, rt)}, rt, k
                 )
-
-            return let_code
+            return lambda env, rt, k: rhs(
+                env, rt, lambda v: body({**env, var: v}, rt, k)
+            )
 
         if isinstance(e, If):
-            test = self._comp(e.test)
-            then, alt = self._comp(e.then), self._comp(e.alt)
+            test_d, test = self._part(e.test)
+            then, alt = self._code(e.then), self._code(e.alt)
+            if test_d is not None:
+                return lambda env, rt, k: (
+                    then if _static_test(test_d(env, rt)) else alt
+                )(env, rt, k)
 
-            def if_code(env, rt, k):
-                def branch(v):
-                    if not isinstance(v, Static):
-                        raise BindingTimeError(
-                            "dynamic test in static conditional"
-                        )
-                    chosen = then if is_truthy(v.value) else alt
-                    return chosen(env, rt, k)
-
-                return test(env, rt, branch)
-
-            return if_code
+            return lambda env, rt, k: test(
+                env,
+                rt,
+                lambda v: (then if _static_test(v) else alt)(env, rt, k),
+            )
 
         if isinstance(e, DIf):
-            test = self._comp(e.test)
-            then, alt = self._comp(e.then), self._comp(e.alt)
+            test_d, test = self._part(e.test)
+            then, alt = self._code(e.then), self._code(e.alt)
 
             def dif_code(env, rt, k):
                 def emit(v):
@@ -441,41 +538,27 @@ class CompiledGeneratingExtension:
                         _triv(rt, v), then(env, rt, k), alt(env, rt, k)
                     )
 
+                if test_d is not None:
+                    return emit(test_d(env, rt))
                 return test(env, rt, emit)
 
             return dif_code
 
         if isinstance(e, Prim):
-            spec = PRIMITIVES.get(e.op)
-            if spec is None:
-                raise SpecializationError(f"unknown primitive {e.op}")
-            arg_codes = [self._comp(a) for a in e.args]
-            apply_ = spec.apply
-            op = e.op
+            op, apply_ = e.op, _prim_spec(e.op).apply
+            items = self._items(e.args)
 
             def prim_code(env, rt, k):
-                def finish(vals):
-                    args = []
-                    for v in vals:
-                        if not isinstance(v, Static):
-                            raise BindingTimeError(
-                                f"dynamic argument to static primitive {op}"
-                            )
-                        args.append(v.value)
-                    try:
-                        return k(Static(apply_(args)))
-                    except SchemeError as exc:
-                        raise SpecializationError(
-                            f"generation-time error in ({op} ...): {exc}"
-                        ) from exc
-
-                return _seq(arg_codes, env, rt, finish)
+                return _seq(
+                    items, 0, [], env, rt,
+                    lambda vals: k(_apply_prim(op, apply_, vals)),
+                )
 
             return prim_code
 
         if isinstance(e, DPrim):
             op = e.op
-            arg_codes = [self._comp(a) for a in e.args]
+            items = self._items(e.args)
 
             def dprim_code(env, rt, k):
                 def finish(vals):
@@ -484,13 +567,13 @@ class CompiledGeneratingExtension:
                     )
                     return _insert_let(rt, serious, k)
 
-                return _seq(arg_codes, env, rt, finish)
+                return _seq(items, 0, [], env, rt, finish)
 
             return dprim_code
 
         if isinstance(e, DLam):
             params = e.params
-            body_code = self._comp(e.body)
+            body_code = self._code(e.body)
 
             def dlam_code(env, rt, k):
                 rt.charge()
@@ -504,8 +587,7 @@ class CompiledGeneratingExtension:
             return dlam_code
 
         if isinstance(e, App):
-            fn_code = self._comp(e.fn)
-            arg_codes = [self._comp(a) for a in e.args]
+            items = self._items((e.fn, *e.args))
 
             def app_code(env, rt, k):
                 def finish(vals):
@@ -514,20 +596,9 @@ class CompiledGeneratingExtension:
                         fn.value, GenClosure
                     ):
                         clo = fn.value
-                        if len(args) != len(clo.params):
-                            raise SpecializationError(
-                                f"{clo.name}: arity mismatch during"
-                                " unfolding"
-                            )
-                        inner = dict(clo.env)
-                        inner.update(zip(clo.params, args))
-                        rt.unfold_stack.append(clo.name)
-                        if len(rt.unfold_stack) > rt.max_unfold_depth:
-                            raise BudgetExceeded(
-                                "max_unfold_depth",
-                                rt.max_unfold_depth,
-                                cycle=rt.repeating_cycle(),
-                            )
+                        inner = rt.enter_unfold(
+                            clo.name, clo.params, clo.env, args
+                        )
                         try:
                             return clo.code(inner, rt, k)
                         finally:
@@ -543,17 +614,7 @@ class CompiledGeneratingExtension:
                         if spec.pure and all(
                             isinstance(a, Static) for a in args
                         ):
-                            try:
-                                return k(
-                                    Static(
-                                        spec.apply([a.value for a in args])
-                                    )
-                                )
-                            except SchemeError as exc:
-                                raise SpecializationError(
-                                    f"generation-time error in"
-                                    f" ({spec.name} ...): {exc}"
-                                ) from exc
+                            return k(_apply_prim(spec.name, spec.apply, args))
                         serious = rt.backend.prim(
                             spec.name, [_triv(rt, a) for a in args]
                         )
@@ -563,13 +624,12 @@ class CompiledGeneratingExtension:
                         " application"
                     )
 
-                return _seq([fn_code, *arg_codes], env, rt, finish)
+                return _seq(items, 0, [], env, rt, finish)
 
             return app_code
 
         if isinstance(e, DApp):
-            fn_code = self._comp(e.fn)
-            arg_codes = [self._comp(a) for a in e.args]
+            items = self._items((e.fn, *e.args))
 
             def dapp_code(env, rt, k):
                 def finish(vals):
@@ -578,25 +638,25 @@ class CompiledGeneratingExtension:
                     )
                     return _insert_let(rt, serious, k)
 
-                return _seq([fn_code, *arg_codes], env, rt, finish)
+                return _seq(items, 0, [], env, rt, finish)
 
             return dapp_code
 
         if isinstance(e, MemoCall):
             callee = self.annotated.lookup(e.name)
-            arg_codes = [self._comp(a) for a in e.args]
+            items = self._items(e.args)
             dyn_positions = [i for i, bt in enumerate(callee.bts) if bt is D]
 
             def memo_code(env, rt, k):
                 def finish(vals):
-                    residual_name, _ = self._memoize(rt, callee, vals)
+                    residual_name, _ = rt.memoize(callee, vals)
                     dyn_args = [_triv(rt, vals[i]) for i in dyn_positions]
                     serious = rt.backend.call(
                         rt.backend.global_ref(residual_name), dyn_args
                     )
                     return _insert_let(rt, serious, k)
 
-                return _seq(arg_codes, env, rt, finish)
+                return _seq(items, 0, [], env, rt, finish)
 
             return memo_code
 
@@ -604,16 +664,68 @@ class CompiledGeneratingExtension:
             f"cogen cannot compile {type(e).__name__}"
         )
 
+    def _items(self, exprs: Sequence[Expr]) -> tuple:
+        """Compile argument expressions for :func:`_seq`."""
+        return tuple(self._part(a) for a in exprs)
 
-def _seq(codes: list, env: dict, rt: _Runtime, k: Callable) -> Any:
-    """Run compiled argument codes left to right, collecting values."""
 
-    def go(i: int, acc: list) -> Any:
-        if i == len(codes):
-            return k(acc)
-        return codes[i](env, rt, lambda v: go(i + 1, acc + [v]))
+def _cps(direct: DirectCode) -> GenCode:
+    """Continuation-passing code for a static subterm."""
+    return lambda env, rt, k: k(direct(env, rt))
 
-    return go(0, [])
+
+def _seq(
+    items: tuple, i: int, acc: list, env: dict, rt: _Runtime, k: Callable
+) -> Any:
+    """Run compiled argument ``items`` from ``i`` on, collecting values.
+
+    Leading static items are evaluated in a loop; a continuation is
+    built only for the next non-static one.  A module function, not a
+    self-recursive closure, so no call leaves a reference cycle.
+    ``acc`` is fresh per call: a duplicated continuation may resume
+    twice.
+    """
+    n = len(items)
+    while i < n:
+        direct, code = items[i]
+        if direct is None:
+            return code(
+                env, rt, lambda v: _seq(items, i + 1, acc + [v], env, rt, k)
+            )
+        acc.append(direct(env, rt))
+        i += 1
+    return k(acc)
+
+
+def _prim_spec(op: Symbol) -> PrimSpec:
+    spec = PRIMITIVES.get(op)
+    if spec is None:
+        raise SpecializationError(f"unknown primitive {op}")
+    return spec
+
+
+def _apply_prim(op: Any, apply_: Callable, vals: list) -> Static:
+    """Apply a static primitive at generation time."""
+    args = []
+    for v in vals:
+        if not isinstance(v, Static):
+            raise BindingTimeError(
+                f"dynamic argument to static primitive {op}"
+            )
+        args.append(v.value)
+    try:
+        return Static(apply_(args))
+    except SchemeError as exc:
+        raise SpecializationError(
+            f"generation-time error in ({op} ...): {exc}"
+        ) from exc
+
+
+def _static_test(v: Any) -> bool:
+    """The truth of a static conditional's test value."""
+    if not isinstance(v, Static):
+        raise BindingTimeError("dynamic test in static conditional")
+    return is_truthy(v.value)
 
 
 def _freeze(value: Any, cache: FreezeCache) -> Any:

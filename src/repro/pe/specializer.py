@@ -15,6 +15,10 @@ Beyond Fig. 3 (which the paper elides as "standard" [30, 60]):
 * **Tail positions** — when the continuation is the function-body return
   continuation, serious code is emitted in tail position instead of
   let-wrapped, preserving ANF's tail-call forms (the VM relies on them).
+* **Static subterms in direct style** — continuations are needed only
+  where let-insertion can happen.  Subterms that can emit no code (the
+  annotated program's static-subterm table) are evaluated directly by
+  ``_eval``.
 
 The engine is parameterized over the residual-code constructors
 (:class:`~repro.pe.backend.Backend`): handing it the source backend gives a
@@ -113,6 +117,7 @@ class Specializer:
             raise ValueError(f"unknown dif_strategy {dif_strategy!r}")
         self.dif_strategy = dif_strategy
         self.annotated = annotated
+        self._static = annotated.static
         self.backend = backend if backend is not None else SourceBackend()
         self.gensym = Gensym("y")
         # Residual function names come from a shared supply by default, so
@@ -248,22 +253,21 @@ class Specializer:
     # -- the specializer proper -------------------------------------------------------
 
     def spec(self, expr: Expr, env: dict[Symbol, Value], k: Cont) -> Any:
-        """Specialize ``expr`` under ``env``, continuing with ``k``."""
+        """Specialize ``expr`` under ``env``, continuing with ``k``.
+
+        A static subterm (see :func:`~repro.pe.annprog.static_subterms`)
+        emits no code, so it is evaluated in direct style; continuation
+        passing is kept for the constructs around which let-insertion
+        can happen.
+        """
+        static = self._static
+        if id(expr) in static:
+            return k(self._eval(expr, env))
         backend = self.backend
 
-        if isinstance(expr, Const):
-            return k(Static(datum_to_value(expr.value)))
-
-        if isinstance(expr, Var):
-            value = env.get(expr.name)
-            if value is None:
-                value = self._global_value(expr.name)
-            return k(value)
-
-        if isinstance(expr, Lam):
-            return k(Static(SpecClosure(expr.params, expr.body, dict(env))))
-
         if isinstance(expr, Lift):
+            if id(expr.expr) in static:
+                return k(Dynamic(self._lift(self._eval(expr.expr, env))))
             return self.spec(
                 expr.expr,
                 env,
@@ -271,6 +275,9 @@ class Specializer:
             )
 
         if isinstance(expr, Let):
+            if id(expr.rhs) in static:
+                rhs = self._eval(expr.rhs, env)
+                return self.spec(expr.body, {**env, expr.var: rhs}, k)
             return self.spec(
                 expr.rhs,
                 env,
@@ -278,15 +285,14 @@ class Specializer:
             )
 
         if isinstance(expr, If):
-            def branch(v: Value) -> Any:
-                if not isinstance(v, Static):
-                    raise BindingTimeError(
-                        "dynamic test in a static conditional"
-                    )
-                chosen = expr.then if is_truthy(v.value) else expr.alt
+            if id(expr.test) in static:
+                chosen = self._choose(expr, self._eval(expr.test, env))
                 return self.spec(chosen, env, k)
-
-            return self.spec(expr.test, env, branch)
+            return self.spec(
+                expr.test,
+                env,
+                lambda v: self.spec(self._choose(expr, v), env, k),
+            )
 
         if isinstance(expr, DIf):
             def emit_dif(v: Value) -> Any:
@@ -326,29 +332,17 @@ class Specializer:
                     self.spec(expr.alt, env, k),
                 )
 
+            if id(expr.test) in static:
+                return emit_dif(self._eval(expr.test, env))
             return self.spec(expr.test, env, emit_dif)
 
         if isinstance(expr, Prim):
-            spec_ = PRIMITIVES.get(expr.op)
-            if spec_ is None:
-                raise SpecializationError(f"unknown primitive {expr.op}")
-
-            def apply_prim(values: list[Value]) -> Any:
-                args = []
-                for v in values:
-                    if not isinstance(v, Static):
-                        raise BindingTimeError(
-                            f"dynamic argument to static primitive {expr.op}"
-                        )
-                    args.append(v.value)
-                try:
-                    return k(Static(spec_.apply(args)))
-                except SchemeError as exc:
-                    raise SpecializationError(
-                        f"specialization-time error in ({expr.op} ...): {exc}"
-                    ) from exc
-
-            return self._spec_list(list(expr.args), env, apply_prim)
+            spec_ = self._prim_spec(expr.op)
+            return self._spec_list(
+                list(expr.args),
+                env,
+                lambda values: k(self._apply_prim(expr.op, spec_, values)),
+            )
 
         if isinstance(expr, DPrim):
             def emit_prim(values: list[Value]) -> Any:
@@ -373,21 +367,12 @@ class Specializer:
                 args = values[1:]
                 if isinstance(fn, Static) and isinstance(fn.value, SpecClosure):
                     clo = fn.value
-                    if len(args) != len(clo.params):
-                        raise SpecializationError(
-                            f"{clo.name}: arity mismatch during unfolding"
-                        )
-                    inner = dict(clo.env)
-                    inner.update(zip(clo.params, args))
+                    inner = self._enter_unfold(
+                        clo.name, clo.params, clo.env, args
+                    )
                     # The continuation runs inside this call (CPS), so
-                    # stack depth tracks unfold nesting exactly.
-                    self._unfold_stack.append(clo.name)
-                    if len(self._unfold_stack) > self.max_unfold_depth:
-                        raise BudgetExceeded(
-                            "max_unfold_depth",
-                            self.max_unfold_depth,
-                            cycle=self._repeating_cycle(),
-                        )
+                    # the unfold stays active while the rest of the
+                    # residual body is specialized.
                     try:
                         return self.spec(clo.body, inner, k)
                     finally:
@@ -403,15 +388,7 @@ class Specializer:
                     if spec_.pure and all(
                         isinstance(a, Static) for a in args
                     ):
-                        try:
-                            return k(
-                                Static(spec_.apply([a.value for a in args]))
-                            )
-                        except SchemeError as exc:
-                            raise SpecializationError(
-                                f"specialization-time error in"
-                                f" ({spec_.name} ...): {exc}"
-                            ) from exc
+                        return k(self._apply_prim(spec_.name, spec_, args))
                     # Dynamic (or impure) primitive-value application:
                     # residualize as a primitive operation.
                     serious = self.backend.prim(
@@ -454,7 +431,102 @@ class Specializer:
             f"specializer cannot handle {type(expr).__name__}"
         )
 
+    def _eval(self, expr: Expr, env: dict[Symbol, Value]) -> Value:
+        """Evaluate the static subterm ``expr`` in direct style."""
+        t = type(expr)
+        if t is Var:
+            value = env.get(expr.name)
+            if value is None:
+                value = self._global_value(expr.name)
+            return value
+        if t is Const:
+            return Static(datum_to_value(expr.value))
+        if t is Prim:
+            spec_ = self._prim_spec(expr.op)
+            return self._apply_prim(
+                expr.op, spec_, [self._eval(a, env) for a in expr.args]
+            )
+        if t is If:
+            chosen = self._choose(expr, self._eval(expr.test, env))
+            return self._eval(chosen, env)
+        if t is Let:
+            rhs = self._eval(expr.rhs, env)
+            return self._eval(expr.body, {**env, expr.var: rhs})
+        if t is App:
+            # A call to a top-level def with a static body: the table
+            # guarantees no binder shadows the name.
+            d = self.annotated.lookup(expr.fn.name)
+            args = [self._eval(a, env) for a in expr.args]
+            inner = self._enter_unfold(d.name.name, d.params, {}, args)
+            # The unfold leaves the stack when its body returns.
+            try:
+                return self._eval(d.body, inner)
+            finally:
+                self._unfold_stack.pop()
+        if t is Lam:
+            return Static(SpecClosure(expr.params, expr.body, dict(env)))
+        raise SpecializationError(
+            f"specializer cannot evaluate {t.__name__} statically"
+        )
+
     # -- helpers ---------------------------------------------------------------------
+
+    @staticmethod
+    def _choose(expr: If, test: Value) -> Expr:
+        """The branch of the static conditional ``expr`` that ``test`` picks."""
+        if not isinstance(test, Static):
+            raise BindingTimeError("dynamic test in a static conditional")
+        return expr.then if is_truthy(test.value) else expr.alt
+
+    @staticmethod
+    def _prim_spec(op: Symbol) -> PrimSpec:
+        spec_ = PRIMITIVES.get(op)
+        if spec_ is None:
+            raise SpecializationError(f"unknown primitive {op}")
+        return spec_
+
+    @staticmethod
+    def _apply_prim(op: Any, spec_: PrimSpec, values: list[Value]) -> Static:
+        """Apply a static primitive at specialization time."""
+        args = []
+        for v in values:
+            if not isinstance(v, Static):
+                raise BindingTimeError(
+                    f"dynamic argument to static primitive {op}"
+                )
+            args.append(v.value)
+        try:
+            return Static(spec_.apply(args))
+        except SchemeError as exc:
+            raise SpecializationError(
+                f"specialization-time error in ({op} ...): {exc}"
+            ) from exc
+
+    def _enter_unfold(
+        self,
+        name: str,
+        params: tuple[Symbol, ...],
+        env: dict[Symbol, Value],
+        args: list[Value],
+    ) -> dict[Symbol, Value]:
+        """Push an unfold of ``name`` and return its body's environment.
+
+        The caller pops the unfold stack when the unfold ends.
+        """
+        if len(args) != len(params):
+            raise SpecializationError(
+                f"{name}: arity mismatch during unfolding"
+            )
+        inner = dict(env)
+        inner.update(zip(params, args))
+        self._unfold_stack.append(name)
+        if len(self._unfold_stack) > self.max_unfold_depth:
+            raise BudgetExceeded(
+                "max_unfold_depth",
+                self.max_unfold_depth,
+                cycle=self._repeating_cycle(),
+            )
+        return inner
 
     def _spec_list(
         self, exprs: list[Expr], env: dict[Symbol, Value], k: Callable[[list], Any]
@@ -472,8 +544,14 @@ class Specializer:
     ) -> Any:
         # A method, not a self-recursive local closure: such a closure
         # is a reference cycle (function -> cell -> function), left for
-        # the cyclic garbage collector on every call.
-        if i == len(exprs):
+        # the cyclic garbage collector on every call.  ``acc`` is fresh
+        # per call, since a duplicated continuation may resume twice.
+        static = self._static
+        n = len(exprs)
+        while i < n and id(exprs[i]) in static:
+            acc.append(self._eval(exprs[i], env))
+            i += 1
+        if i == n:
             return k(acc)
         return self.spec(
             exprs[i],

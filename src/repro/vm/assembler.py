@@ -13,7 +13,7 @@ from typing import Any
 from repro.obs import traced
 from repro.vm.fragments import Fragment, Label, Lit, iter_instructions
 from repro.vm.instructions import BRANCH_OPS
-from repro.vm.template import Template
+from repro.vm.template import Template, intern_code
 
 
 class AssemblyError(ValueError):
@@ -89,7 +89,7 @@ def assemble(
         raise AssemblyError(f"nlocals {nlocals} < arity {arity}")
 
     return Template(
-        code=tuple(tuple(i) for i in code),
+        code=intern_code(code),
         literals=tuple(literals),
         arity=arity,
         nlocals=nlocals,

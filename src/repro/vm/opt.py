@@ -70,7 +70,7 @@ from repro.vm.instructions import (
     SETLOC,
     TAIL_CALL,
 )
-from repro.vm.template import Template
+from repro.vm.template import Template, intern_code
 from repro.vm.verify import VerifyReport, check_template
 
 
@@ -729,7 +729,7 @@ def _encode(fn: _Fn, optimize_literal) -> Template:
                 code.append(tuple(instr))
 
     return Template(
-        code=tuple(code),
+        code=intern_code(code),
         literals=tuple(new_literals),
         arity=fn.arity,
         nlocals=len(slot_map),

@@ -46,7 +46,7 @@ from repro.vm.dispatch import (
 )
 from repro.vm.instructions import BRANCH_OPS
 from repro.vm.machine import Machine, VmClosure
-from repro.vm.template import Template
+from repro.vm.template import Template, intern_code
 from repro.vm.verify import check_template
 
 
@@ -165,7 +165,7 @@ def fuse_template(
         _memo[id(template)] = template
         return template
     made = Template(
-        code=new_code,
+        code=intern_code(new_code),
         literals=tuple(new_literals),
         arity=template.arity,
         nlocals=template.nlocals,
@@ -281,7 +281,7 @@ def lower_template(
         else:
             out.append(instr)
     made = Template(
-        code=tuple(out),
+        code=intern_code(out),
         literals=tuple(new_literals),
         arity=template.arity,
         nlocals=template.nlocals,

@@ -9,9 +9,45 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Tuple
+from typing import Any, Iterable, Sequence, Tuple
 
 from repro.vm.instructions import OP_NAMES
+
+#: Most distinct instructions the process-wide table below holds.
+INTERN_CAP = 1 << 14
+
+# Instruction tuple -> the one shared object equal to it.  Add-only and
+# capped; entries are immutable tuples of ints that no code tells apart
+# from an equal tuple (DESIGN §5d).
+_INTERNED: dict[tuple, tuple] = {}
+
+
+def intern_code(rows: Iterable[Sequence[int]]) -> Tuple[tuple, ...]:
+    """A code vector of ``rows`` in which equal instructions are one object.
+
+    Residuals repeat a few hundred distinct instructions many thousand
+    times, so cached code and the optimizer's memo keys hold one tuple
+    per distinct instruction instead of one per occurrence.  Only rows
+    of plain ints are shared (``True == 1`` and ``Op.CONST == 0``, but
+    the verifier tells them apart); once the table holds
+    :data:`INTERN_CAP` rows, new ones are kept as built.
+    """
+    table = _INTERNED
+    code = []
+    for row in rows:
+        row = tuple(row)
+        for x in row:
+            if type(x) is not int:
+                break
+        else:
+            shared = table.get(row)
+            if shared is None:
+                if len(table) < INTERN_CAP:
+                    row = table.setdefault(row, row)
+            else:
+                row = shared
+        code.append(row)
+    return tuple(code)
 
 
 @dataclass(frozen=True, slots=True)

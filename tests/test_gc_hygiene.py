@@ -13,6 +13,7 @@ import gc
 
 import pytest
 
+from repro.compiler.fusion import ObjectCodeBackend
 from repro.rtcg import GeneratingExtension
 from repro.vm.opt import clear_memo
 from repro.vm.template import Template
@@ -59,19 +60,37 @@ def _templates(residual) -> list[Template]:
     return found
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_cold_generation_leaves_no_cyclic_garbage(name):
-    ext, static = _extension(name)
+def _cyclic_garbage(generate) -> int:
+    """Collectable objects ``generate()`` leaves behind."""
     clear_memo()  # a memo hit would skip the optimizer's cold path
     was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        ext.to_object_code([static])
-        garbage = gc.collect()
+        generate()
+        return gc.collect()
     finally:
         if was_enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_cold_generation_leaves_no_cyclic_garbage(name):
+    ext, static = _extension(name)
+    garbage = _cyclic_garbage(lambda: ext.to_object_code([static]))
+    assert garbage <= CYCLIC_GARBAGE_BOUND
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_compiled_extension_leaves_no_cyclic_garbage(name):
+    # Compiling the extension and running it: neither the closure tree
+    # nor a generation may hold a reference cycle.
+    ext, static = _extension(name)
+    garbage = _cyclic_garbage(
+        lambda: ext.compiled().generate(
+            [static], backend=ObjectCodeBackend()
+        )
+    )
     assert garbage <= CYCLIC_GARBAGE_BOUND
 
 
