@@ -25,10 +25,10 @@ generation with every emitted template verified at generation time
 (``ObjectCodeBackend(verify=True)``) against the bare paper-faithful
 timing (``verify=False``).
 
-A fourth column measures the **residual cache**: applying the extension
-to an already-seen static input through the cross-invocation cache
-(``use_cache=True``) — the amortized cost of the paper's "applied any
-number of times" once the memo table is warm.
+A fourth column measures the **residual cache**: applying the
+``GeneratingExtension`` to an already-seen static input through its L1
+residual cache — the amortized cost of the paper's "applied any number
+of times" once the memo table is warm.
 
 A fifth column measures the **warm start** from the on-disk image store:
 the in-memory cache is dropped before every application, so each one
@@ -78,10 +78,8 @@ def _generate_object_optimized(ext, static):
     )
 
 
-def _generate_object_cached(ext, static):
-    return ext.generate(
-        [static], backend=ObjectCodeBackend(verify=True), use_cache=True
-    )
+def _generate_object_cached(gen, static):
+    return gen.to_object_code([static])
 
 
 def _generate_object_disk(gen, static):
@@ -117,11 +115,11 @@ class TestFig6MIXWELL:
         assert result.machine is not None
 
     def test_mixwell_object_code_cached(
-        self, benchmark, mixwell_ext, mixwell_static
+        self, benchmark, mixwell_gen, mixwell_static
     ):
-        _generate_object_cached(mixwell_ext, mixwell_static)  # warm
+        _generate_object_cached(mixwell_gen, mixwell_static)  # warm
         result = benchmark(
-            _generate_object_cached, mixwell_ext, mixwell_static
+            _generate_object_cached, mixwell_gen, mixwell_static
         )
         assert result.machine is not None
         assert result.stats["cache_hit"]
@@ -160,9 +158,9 @@ class TestFig6LAZY:
         result = benchmark(_generate_object_optimized, lazy_ext, lazy_static)
         assert result.machine is not None
 
-    def test_lazy_object_code_cached(self, benchmark, lazy_ext, lazy_static):
-        _generate_object_cached(lazy_ext, lazy_static)  # warm
-        result = benchmark(_generate_object_cached, lazy_ext, lazy_static)
+    def test_lazy_object_code_cached(self, benchmark, lazy_gen, lazy_static):
+        _generate_object_cached(lazy_gen, lazy_static)  # warm
+        result = benchmark(_generate_object_cached, lazy_gen, lazy_static)
         assert result.machine is not None
         assert result.stats["cache_hit"]
 
@@ -298,7 +296,7 @@ class TestFig6Shape:
 
     @pytest.mark.parametrize("workload", ["mixwell", "lazy"])
     def test_cache_hit_is_10x_faster_than_regeneration(
-        self, workload, mixwell_ext, mixwell_static, lazy_ext, lazy_static
+        self, workload, mixwell_gen, mixwell_static, lazy_gen, lazy_static
     ):
         """The amortization claim, asserted: applying a generating
         extension to an already-seen static input through the residual
@@ -306,22 +304,22 @@ class TestFig6Shape:
         regenerating the object code."""
         import time
 
-        ext, static = {
-            "mixwell": (mixwell_ext, mixwell_static),
-            "lazy": (lazy_ext, lazy_static),
+        gen, static = {
+            "mixwell": (mixwell_gen, mixwell_static),
+            "lazy": (lazy_gen, lazy_static),
         }[workload]
 
-        def best_of(fn, n=5):
+        def best_of(fn, target, n=5):
             times = []
             for _ in range(n):
                 t0 = time.perf_counter()
-                fn(ext, static)
+                fn(target, static)
                 times.append(time.perf_counter() - t0)
             return min(times)
 
-        _generate_object_cached(ext, static)  # warm the cache
-        t_regen = best_of(_generate_object_verified)
-        t_hit = best_of(_generate_object_cached)
+        _generate_object_cached(gen, static)  # warm the cache
+        t_regen = best_of(_generate_object_verified, gen.compiled())
+        t_hit = best_of(_generate_object_cached, gen)
         assert t_hit * 10.0 < t_regen, (
             f"{workload}: cache hit {t_hit:.6f}s"
             f" vs regeneration {t_regen:.6f}s"

@@ -75,14 +75,15 @@ class TestFig8Columns:
 
     def test_generate_cached(self, benchmark, workload):
         """The residual-cache column: the same Generate, served from the
-        cross-invocation residual cache once the static input (here:
-        none — normal compilation) has been seen."""
-        name, _, _, extension = workload
+        generating extension's L1 residual cache once the static input
+        (here: none — normal compilation) has been seen."""
+        from repro.rtcg import make_generating_extension
+
+        name, program, _, _ = workload
+        gen = make_generating_extension(program, "DD")
 
         def generate_cached():
-            return extension.generate(
-                [], backend=ObjectCodeBackend(), use_cache=True
-            )
+            return gen.to_object_code([])
 
         generate_cached()  # warm
         rp = benchmark(generate_cached)

@@ -6,8 +6,9 @@ can also avoid termination problems in partial evaluation [60]." (§1)
 
 A query engine compiles each query to object code the moment it arrives —
 classic run-time code generation — and *keeps installing* new compiled
-queries into one shared machine as the workload evolves (the specializer's
-shared residual-name supply makes the incremental installation safe).
+queries into one shared machine as the workload evolves (the backend owns
+the machine's residual-name supply, so every generation into it draws
+distinct names and the incremental installation is safe).
 
 Run:  python examples/incremental_rtcg.py
 """
@@ -77,13 +78,12 @@ def main() -> None:
 
     # Several queries, one machine: incremental installation.
     from repro.compiler import ObjectCodeBackend
-    from repro.pe import Specializer
 
     backend = ObjectCodeBackend()
     q1 = datum_to_value(read("((age gt 18))"))
     q2 = datum_to_value(read("((dept eq sales))"))
-    m1 = Specializer(gen.bta.annotated, backend).run([q1])
-    m2 = Specializer(gen.bta.annotated, backend).run([q2])
+    m1 = gen.compiled().generate([q1], backend)
+    m2 = gen.compiled().generate([q2], backend)
     rec = datum_to_value(read("((age 50) (dept sales))"))
     print(
         f"\ntwo filters in one machine: adult={m1.run([rec])},"

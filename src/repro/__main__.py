@@ -130,11 +130,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.compiler import ObjectCodeBackend, compile_program
+from repro.compiler import compile_program
 from repro.interp import run_program
 from repro.lang import parse_program, unparse_def, unparse_program
 from repro.lang.prelude import with_prelude
-from repro.pe import SourceBackend, Specializer, analyze
+from repro.pe import analyze
 from repro.pe.errors import PEError
 from repro.lang.prims import write_value
 from repro.runtime.errors import SchemeError
@@ -167,18 +167,24 @@ def cmd_interp(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_specialize(args: argparse.Namespace) -> int:
-    program = _load(args.file, args.goal, args.prelude)
-    result = analyze(
+def _extension(program, args: argparse.Namespace):
+    """The generating extension for ``program`` under ``--sig`` and the
+    analysis hints."""
+    from repro.rtcg import GeneratingExtension
+
+    return GeneratingExtension(
         program,
         args.sig,
         memo_hints=args.memo or (),
         unfold_hints=args.unfold or (),
     )
-    spec = Specializer(
-        result.annotated, SourceBackend(), dif_strategy=args.dif_strategy
+
+
+def cmd_specialize(args: argparse.Namespace) -> int:
+    program = _load(args.file, args.goal, args.prelude)
+    residual = _extension(program, args).to_source(
+        _data(args.static or []), dif_strategy=args.dif_strategy
     )
-    residual = spec.run(_data(args.static or []))
     for d in unparse_program(residual.program):
         print(write(d))
     print(
@@ -191,20 +197,14 @@ def cmd_specialize(args: argparse.Namespace) -> int:
 
 def cmd_rtcg(args: argparse.Namespace) -> int:
     program = _load(args.file, args.goal, args.prelude)
-    result = analyze(
-        program,
-        args.sig,
-        memo_hints=args.memo or (),
-        unfold_hints=args.unfold or (),
+    residual = _extension(program, args).to_object_code(
+        _data(args.static or []),
+        dif_strategy=args.dif_strategy,
+        verify=args.verify,
     )
-    backend = ObjectCodeBackend(verify=args.verify)
-    spec = Specializer(
-        result.annotated, backend, dif_strategy=args.dif_strategy
-    )
-    residual = spec.run(_data(args.static or []))
     if args.disassemble:
-        for name, template in backend.templates.items():
-            print(disassemble(template), file=sys.stderr)
+        for closure in residual.machine.globals.values():
+            print(disassemble(closure.template), file=sys.stderr)
     if args.dynamic is not None:
         print(write_value(residual.run(_data(args.dynamic))))
     return 0

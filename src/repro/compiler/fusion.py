@@ -46,6 +46,7 @@ from repro.compiler.annotated import (
     make_residual_variable,
 )
 from repro.compiler.cenv import CompileTimeEnv
+from repro.lang.gensym import Gensym
 from repro.lang.prims import PRIMITIVES
 from repro.pe.backend import ResidualProgram
 from repro.pe.errors import SpecializationError
@@ -109,6 +110,8 @@ class ObjectCodeBackend:
     def __init__(self, verify: bool = True, optimize: bool = True) -> None:
         self.machine = Machine()
         self.templates: dict[Symbol, Template] = {}
+        # Residual function names: one machine, one namespace.
+        self.names = Gensym("f")
         self.verify = verify
         self.optimize = optimize
         # Wall-clock spent in the optimizer, for the caller's stage

@@ -6,15 +6,20 @@ Subsystems:
 * :mod:`repro.pe.backend` — the residual-code constructor interface (the
   "syntax constructors" that deforestation replaces, §5.4) and the source
   backend that builds residual CS programs;
+* :mod:`repro.pe.runstate` — the state and staged actions of one
+  specialization run, shared by both engines (memoization, budgets,
+  let-insertion, lifting, dynamic conditionals);
 * :mod:`repro.pe.specializer` — the continuation-based specializer of
-  Fig. 3 with standard memoization [30, 60];
+  Fig. 3 with standard memoization [30, 60], interpreting annotations
+  (the A3 baseline);
 * :mod:`repro.pe.fig3` — a literal, expression-level transliteration of
   Fig. 3 used to validate the production engine;
 * :mod:`repro.pe.bta` — binding-time analysis with a closure analysis;
 * :mod:`repro.pe.check` — the independent congruence linter over the
   BTA's output (well-annotatedness re-checked after the fact);
 * :mod:`repro.pe.annotate` — producing Annotated Core Scheme;
-* :mod:`repro.pe.cogen` — generating extensions (compiled specializers).
+* :mod:`repro.pe.cogen` — generating extensions (compiled specializers),
+  the engine :class:`~repro.rtcg.GeneratingExtension` runs.
 """
 
 from repro.pe.annprog import (

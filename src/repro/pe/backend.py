@@ -18,7 +18,9 @@ Handle disciplines a backend must obey (the specializer relies on them):
 * ``prim``/``call`` produce *serious* handles, which the specializer
   immediately puts into ``let`` or ``tail`` position (the ANF discipline);
 * ``let``/``if_``/``ret``/``tail`` produce *body* handles;
-* ``define`` consumes a body for one residual top-level function.
+* ``define`` consumes a body for one residual top-level function, named
+  from the backend's own supply (``names``);
+* ``finish`` wraps the definitions up as a :class:`ResidualProgram`.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from repro.lang.ast import (
     Program,
     Var,
 )
+from repro.lang.gensym import Gensym
 from repro.runtime.values import value_to_datum
 from repro.sexp.datum import Symbol
 
@@ -49,6 +52,11 @@ class Backend(Protocol):
     #: (``"source"``, ``"object"``, ...).  Residual programs generated
     #: through different kinds must never share a memo-cache entry.
     kind: str
+
+    #: The supply of residual function names.  The backend owns the
+    #: namespace its definitions land in, so every run into one backend
+    #: draws distinct names from it.
+    names: Gensym
 
     def const(self, value: Any) -> Any: ...
 
@@ -71,6 +79,10 @@ class Backend(Protocol):
     def tail(self, serious: Any) -> Any: ...
 
     def define(self, name: Symbol, params: Sequence[Symbol], body: Any) -> None: ...
+
+    def finish(
+        self, goal: Symbol, goal_params: tuple[Symbol, ...]
+    ) -> "ResidualProgram": ...
 
 
 @dataclass
@@ -188,6 +200,7 @@ class SourceBackend:
 
     def __init__(self) -> None:
         self.defs: list[Def] = []
+        self.names = Gensym("f")
 
     # -- trivial constructors ------------------------------------------------
 

@@ -14,18 +14,19 @@ from repro import obs
 
 from repro.compiler.fusion import ObjectCodeBackend
 from repro.lang.ast import Program
-from repro.lang.gensym import Gensym
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.image.remote import TieredStore
     from repro.image.store import ImageStore
-    from repro.pe.cogen import CompiledGeneratingExtension
 from repro.lang.parser import parse_program
 from repro.pe.backend import ResidualProgram, SourceBackend
 from repro.pe.bta import BTAResult, analyze as bta_analyze
+from repro.pe.cogen import (
+    CompiledGeneratingExtension,
+    compile_generating_extension,
+)
 from repro.pe.errors import BudgetExceeded
 from repro.pe.residual_cache import ResidualCache
-from repro.pe.specializer import Specializer
 from repro.pe.values import freeze_static
 
 
@@ -160,21 +161,24 @@ class GeneratingExtension:
     """A generating extension p-gen for a program p (§3).
 
     Built once from a program and a binding-time signature (the expensive
-    part: front end + binding-time analysis), then applied any number of
-    times to static inputs, producing residual programs — as source
-    (``to_source``) or directly as executable object code
-    (``to_object_code``), the paper's run-time code generation.
+    part: front end + binding-time analysis, then compiling the annotated
+    program into a generating extension, :mod:`repro.pe.cogen`), then
+    applied any number of times to static inputs, producing residual
+    programs — as source (``to_source``) or directly as executable
+    object code (``to_object_code``), the paper's run-time code
+    generation.
 
     Applications are memoized in a bounded, thread-safe LRU **residual
     cache** keyed by ``(frozen static args, dif strategy, backend
     kind)``: re-applying the extension to structurally equal static
     input returns the already-generated residual program instead of
-    re-running the specializer (the paper's "built once ... applied any
-    number of times", with the application side amortized too).
-    ``cache_size=0`` disables the cache.  The extension is safe to share
-    between threads: the cache is single-flight (concurrent misses on
-    one key generate once), every generation run gets private gensym
-    state, so repeated generation for one static input is byte-identical.
+    re-running the generating extension (the paper's "built once ...
+    applied any number of times", with the application side amortized
+    too).  ``cache_size=0`` disables the cache.  The extension is safe to
+    share between threads: the cache is single-flight (concurrent misses
+    on one key generate once), and every generation run builds into a
+    fresh backend, which owns its residual names, so repeated generation
+    for one static input is byte-identical.
 
     ``store_dir`` adds an **L2 tier** beneath the in-memory cache: a
     content-addressed on-disk image store (:mod:`repro.image.store`).  A
@@ -280,9 +284,13 @@ class GeneratingExtension:
                     + str(self.analysis_report),
                     stacklevel=2,
                 )
+        # Compile the generating extension once (Fig. 8's "Load"); every
+        # generation runs it.
+        t0 = time.perf_counter()
+        self._compiled = compile_generating_extension(self.bta.annotated)
+        self._add_stage("load", time.perf_counter() - t0)
         self.max_unfold_depth = max_unfold_depth
         self.max_residual_size = max_residual_size
-        self._cache_size = cache_size
         self.cache = ResidualCache(cache_size)
         self.verify_on_load = verify_on_load
         self.store: "ImageStore | TieredStore | None" = None
@@ -326,18 +334,15 @@ class GeneratingExtension:
         self._tier_promotions = 0
         self._tier_failures = 0
 
-    def compiled(self) -> "CompiledGeneratingExtension":
-        """Compile this generating extension (the cogen path, [59]).
+    def compiled(self) -> CompiledGeneratingExtension:
+        """The compiled generating extension (the cogen path, [59]).
 
-        The returned object maps static input to residual code without
-        re-traversing the annotated program; building it corresponds to
-        Fig. 8's "Load" column (loading/compiling the generator).
+        Built once, at construction (timed as the ``load`` stage, Fig. 8's
+        "Load" column); it maps static input to residual code without
+        re-traversing the annotated program, and every generation of this
+        extension runs it.  It caches nothing itself.
         """
-        from repro.pe.cogen import compile_generating_extension
-
-        return compile_generating_extension(
-            self.bta.annotated, cache_size=self._cache_size
-        )
+        return self._compiled
 
     # -- generation -------------------------------------------------------------
 
@@ -502,20 +507,19 @@ class GeneratingExtension:
                 if loaded is not None:
                     loaded.stats["disk_hit"] = True
                     return loaded
-            # A private name supply per run keeps residual naming
-            # deterministic (byte-identical regeneration) and isolates
-            # concurrent runs from each other.
+            # A fresh backend per run owns a fresh name supply, which
+            # keeps residual naming deterministic (byte-identical
+            # regeneration) and isolates concurrent runs from each other.
             t0 = time.perf_counter()
             backend = make_backend()
             try:
-                residual = Specializer(
-                    self.bta.annotated,
+                residual = self._compiled.generate(
+                    static_args,
                     backend,
                     dif_strategy=dif_strategy,
-                    name_gensym=Gensym("f"),
                     max_unfold_depth=self.max_unfold_depth,
                     max_residual_size=self.max_residual_size,
-                ).run(static_args)
+                )
             except BudgetExceeded:
                 with self._spec_lock:
                     self._budget_trips += 1
@@ -717,39 +721,12 @@ class GeneratingExtension:
             close(flush=flush, timeout=timeout)
 
 
-def make_generating_extension(
-    program: Program | str,
-    signature: str,
-    goal: str | None = None,
-    memo_hints: Iterable[str] = (),
-    unfold_hints: Iterable[str] = (),
-    cache_size: int = 128,
-    store_dir: Any = None,
-    store_max_bytes: int | None = None,
-    remote_store: Any = None,
-    verify_on_load: bool = True,
-    analyze: str = "warn",
-    max_unfold_depth: int = 5_000,
-    max_residual_size: int = 1_000_000,
-    tier_threshold: int | None = None,
-    tier_max_fused: int = 8,
-    bta: str = "poly",
-    max_variants: int = 8,
-) -> GeneratingExtension:
-    """Build a generating extension (BTA happens here, once)."""
-    return GeneratingExtension(
-        program, signature, goal=goal, memo_hints=memo_hints,
-        unfold_hints=unfold_hints, cache_size=cache_size,
-        store_dir=store_dir, store_max_bytes=store_max_bytes,
-        remote_store=remote_store,
-        verify_on_load=verify_on_load, analyze=analyze,
-        max_unfold_depth=max_unfold_depth,
-        max_residual_size=max_residual_size,
-        tier_threshold=tier_threshold,
-        tier_max_fused=tier_max_fused,
-        bta=bta,
-        max_variants=max_variants,
-    )
+def make_generating_extension(*args: Any, **kwargs: Any) -> GeneratingExtension:
+    """Build a generating extension (BTA happens here, once).
+
+    A pass-through: the arguments are :class:`GeneratingExtension`'s.
+    """
+    return GeneratingExtension(*args, **kwargs)
 
 
 def specialize_to_source(

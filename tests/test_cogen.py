@@ -3,7 +3,7 @@
 import pytest
 
 from repro.compiler import ObjectCodeBackend
-from repro.lang import Gensym, parse_program, unparse_program
+from repro.lang import parse_program, unparse_program
 from repro.pe import SourceBackend, Specializer, analyze
 from repro.pe.cogen import compile_generating_extension
 from repro.pe.errors import SpecializationError
@@ -18,11 +18,9 @@ def both_paths(src, signature, static_args, goal=None, **kw):
     """Residual programs from the specializer and the compiled extension."""
     program = parse_program(src, goal=goal)
     res = analyze(program, signature, **kw)
-    rp_spec = Specializer(
-        res.annotated, SourceBackend(), name_gensym=Gensym("f")
-    ).run(static_args)
+    rp_spec = Specializer(res.annotated, SourceBackend()).run(static_args)
     extension = compile_generating_extension(res.annotated)
-    rp_cogen = extension.generate(static_args, name_gensym=Gensym("f"))
+    rp_cogen = extension.generate(static_args)
     return rp_spec, rp_cogen, extension
 
 

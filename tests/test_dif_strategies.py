@@ -5,6 +5,9 @@ value position that duplicates the residual continuation, exponentially
 for chains of conditionals.  The ``join`` strategy binds the continuation
 once as a residual join-point lambda.  Both strategies must agree
 semantically; only their residual sizes differ.
+
+Every check runs on both engines: the interpretive specializer and the
+compiled generating extension (``GeneratingExtension.compiled()``).
 """
 
 import pytest
@@ -13,7 +16,10 @@ from repro.anf import is_anf_program
 from repro.compiler import ObjectCodeBackend
 from repro.lang import count_nodes, parse_program
 from repro.pe import SourceBackend, Specializer, analyze
+from repro.pe.cogen import compile_generating_extension
 from repro.runtime.values import scheme_equal
+
+ENGINES = ("specializer", "compiled")
 
 
 def make_chain(n: int) -> str:
@@ -28,12 +34,20 @@ def make_chain(n: int) -> str:
     return f"(define (chain d) {body})"
 
 
-def specialize_with(src, signature, static_args, strategy, goal=None):
+def run_engine(engine, annotated, static_args, strategy, backend=None):
+    if engine == "specializer":
+        return Specializer(
+            annotated, backend, dif_strategy=strategy
+        ).run(static_args)
+    return compile_generating_extension(annotated).generate(
+        static_args, backend, dif_strategy=strategy
+    )
+
+
+def specialize_with(src, signature, static_args, strategy, engine, goal=None):
     program = parse_program(src, goal=goal)
     res = analyze(program, signature)
-    return Specializer(
-        res.annotated, SourceBackend(), dif_strategy=strategy
-    ).run(static_args)
+    return run_engine(engine, res.annotated, static_args, strategy)
 
 
 class TestSemanticAgreement:
@@ -57,21 +71,33 @@ class TestSemanticAgreement:
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_same_results(self, case):
         src, sig, static, dyn = self.CASES[case]
-        rp_dup = specialize_with(src, sig, static, "duplicate")
-        rp_join = specialize_with(src, sig, static, "join")
-        assert scheme_equal(rp_dup.run(dyn), rp_join.run(dyn))
+        for engine in ENGINES:
+            rp_dup = specialize_with(src, sig, static, "duplicate", engine)
+            rp_join = specialize_with(src, sig, static, "join", engine)
+            assert scheme_equal(rp_dup.run(dyn), rp_join.run(dyn)), engine
 
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_join_residual_is_anf(self, case):
         src, sig, static, dyn = self.CASES[case]
-        rp = specialize_with(src, sig, static, "join")
-        assert is_anf_program(rp.program)
+        for engine in ENGINES:
+            rp = specialize_with(src, sig, static, "join", engine)
+            assert is_anf_program(rp.program), engine
 
 
 class TestSizeBehaviour:
     def _sizes(self, n, strategy):
-        rp = specialize_with(make_chain(n), "D", [], strategy)
-        return sum(count_nodes(d.body) for d in rp.program.defs)
+        """The residual size of an ``n``-chain, equal in both engines."""
+        sizes = {
+            engine: sum(
+                count_nodes(d.body)
+                for d in specialize_with(
+                    make_chain(n), "D", [], strategy, engine
+                ).program.defs
+            )
+            for engine in ENGINES
+        }
+        assert len(set(sizes.values())) == 1, sizes
+        return sizes["specializer"]
 
     def test_duplication_grows_exponentially(self):
         s4 = self._sizes(4, "duplicate")
@@ -93,25 +119,23 @@ class TestSizeBehaviour:
         # In tail position no duplication happens, so both strategies
         # produce the same residual program.
         src = "(define (f d) (if (zero? d) 'a 'b))"
-        a = specialize_with(src, "D", [], "duplicate")
-        b = specialize_with(src, "D", [], "join")
-
-        # Modulo fresh names: compare shapes via node counts.
-        assert sum(count_nodes(d.body) for d in a.program.defs) == sum(
-            count_nodes(d.body) for d in b.program.defs
-        )
+        for engine in ENGINES:
+            a = specialize_with(src, "D", [], "duplicate", engine)
+            b = specialize_with(src, "D", [], "join", engine)
+            assert a.fingerprint() == b.fingerprint(), engine
 
 
 class TestJoinWithObjectBackend:
     def test_fused_backend_supports_joins(self):
         program = parse_program(make_chain(5), goal="chain")
         res = analyze(program, "D")
-        rp = Specializer(
-            res.annotated, ObjectCodeBackend(), dif_strategy="join"
-        ).run([])
         baseline = Specializer(res.annotated, SourceBackend()).run([])
-        for d in (0, 6, 30, 209):
-            assert rp.run([d]) == baseline.run([d])
+        for engine in ENGINES:
+            rp = run_engine(
+                engine, res.annotated, [], "join", ObjectCodeBackend()
+            )
+            for d in (0, 6, 30, 209):
+                assert rp.run([d]) == baseline.run([d]), engine
 
     def test_rtcg_api_exposes_strategy(self):
         from repro.rtcg import make_generating_extension
@@ -124,5 +148,6 @@ class TestJoinWithObjectBackend:
     def test_bad_strategy_rejected(self):
         program = parse_program(make_chain(1), goal="chain")
         res = analyze(program, "D")
-        with pytest.raises(ValueError):
-            Specializer(res.annotated, dif_strategy="nope")
+        for engine in ENGINES:
+            with pytest.raises(ValueError):
+                run_engine(engine, res.annotated, [], "nope")

@@ -20,18 +20,12 @@ from repro.vm import disassemble
 
 
 def both_routes(src, signature, static_args, goal=None, **kw):
-    from repro.lang import Gensym
-
     program = parse_program(src, goal=goal)
     res = analyze(program, signature, **kw)
-    rp_src = Specializer(
-        res.annotated, SourceBackend(), name_gensym=Gensym("f")
-    ).run(static_args)
+    rp_src = Specializer(res.annotated, SourceBackend()).run(static_args)
     compiled = compile_program(rp_src.program, compiler="anf")
     be = ObjectCodeBackend()
-    rp_obj = Specializer(res.annotated, be, name_gensym=Gensym("f")).run(
-        static_args
-    )
+    rp_obj = Specializer(res.annotated, be).run(static_args)
     return program, rp_src, compiled, rp_obj, be
 
 

@@ -221,16 +221,6 @@ class TestExtensionCache:
         gen.to_object_code([5])
         assert gen.cache_stats()["misses"] == 2
 
-    def test_cogen_path_caches_when_asked(self):
-        gen = GeneratingExtension(POWER, "DS", goal="power")
-        ext = gen.compiled()
-        r1 = ext.generate([5], use_cache=True)
-        r2 = ext.generate([5], use_cache=True)
-        assert r2.program is r1.program
-        assert r2.stats["cache_hit"] and not r1.stats["cache_hit"]
-        # Default stays uncached (benchmarks measure real generation).
-        assert ext.generate([5]).program is not r1.program
-
 
 class TestForwarding:
     def test_run_specialized_forwards_dif_strategy(self):

@@ -28,7 +28,6 @@ from repro.lang.ast import (
     Prim,
     Var,
 )
-from repro.lang.gensym import Gensym
 from repro.pe.annprog import D, S, AnnDef, AnnotatedProgram
 from repro.pe.cogen import compile_generating_extension
 from repro.pe.errors import BindingTimeError, BudgetExceeded
@@ -218,9 +217,7 @@ def test_section7_residuals_are_unchanged(key):
     static = WORKLOADS[workload][3]()
     if strategy == "cogen":
         backend = ObjectCodeBackend() if route == "object" else None
-        residual = gen.compiled().generate(
-            [static], backend=backend, name_gensym=Gensym("f")
-        )
+        residual = gen.compiled().generate([static], backend=backend)
     else:
         make = gen.to_object_code if route == "object" else gen.to_source
         residual = make([static], dif_strategy=strategy, use_cache=False)
@@ -235,10 +232,8 @@ def test_section7_residuals_are_unchanged(key):
 
 def _run(engine: str, annotated: AnnotatedProgram, statics: list):
     if engine == "specializer":
-        return Specializer(annotated, name_gensym=Gensym("f")).run(statics)
-    return compile_generating_extension(annotated).generate(
-        statics, name_gensym=Gensym("f")
-    )
+        return Specializer(annotated).run(statics)
+    return compile_generating_extension(annotated).generate(statics)
 
 
 def _annotate(source: str) -> AnnotatedProgram:
@@ -263,13 +258,7 @@ SPEC_TIME_ERRORS = {
     ),
 }
 
-PREFIX = {
-    "specializer": "specialization-time error",
-    "cogen": "generation-time error",
-}
-
-
-@pytest.mark.parametrize("engine", sorted(PREFIX))
+@pytest.mark.parametrize("engine", ["cogen", "specializer"])
 @pytest.mark.parametrize("case", sorted(SPEC_TIME_ERRORS))
 def test_static_primitive_error_message(engine, case):
     from repro.pe.errors import SpecializationError
@@ -277,7 +266,9 @@ def test_static_primitive_error_message(engine, case):
     source, statics, prim, message = SPEC_TIME_ERRORS[case]
     with pytest.raises(SpecializationError) as exc:
         _run(engine, _annotate(source), statics)
-    assert str(exc.value) == f"{PREFIX[engine]} in ({prim} ...): {message}"
+    assert str(exc.value) == (
+        f"specialization-time error in ({prim} ...): {message}"
+    )
 
 
 def _ill_annotated() -> dict:
@@ -308,13 +299,13 @@ BINDING_TIME_MESSAGES = {
     ("prim", "specializer"): "dynamic argument to static primitive +",
     ("prim", "cogen"): "dynamic argument to static primitive +",
     ("if", "specializer"): "dynamic test in a static conditional",
-    ("if", "cogen"): "dynamic test in static conditional",
+    ("if", "cogen"): "dynamic test in a static conditional",
     ("prim-under-dynamic-prim", "specializer"):
         "dynamic argument to static primitive car",
     ("prim-under-dynamic-prim", "cogen"):
         "dynamic argument to static primitive car",
     ("if-under-lift", "specializer"): "dynamic test in a static conditional",
-    ("if-under-lift", "cogen"): "dynamic test in static conditional",
+    ("if-under-lift", "cogen"): "dynamic test in a static conditional",
     ("prim-in-static-unfold", "specializer"):
         "dynamic argument to static primitive +",
     ("prim-in-static-unfold", "cogen"):
