@@ -274,59 +274,6 @@ def fig8(store_root=None) -> None:
     print()
 
 
-def fig9() -> None:
-    print("## Figure 9 (ours) — Superinstruction dispatch speed")
-    print()
-    print(
-        "| workload | dispatches (base) | dispatches (fused) | reduction |"
-        " run base (ms) | run fused (ms) | fused ops |"
-    )
-    print("|---|---|---|---|---|---|---|")
-    from repro.vm import VMProfile, call_named_profiled
-    from repro.vm.superinst import fuse_machine, select_superinstructions
-
-    cases = {
-        "MIXWELL": (
-            mixwell_interpreter(),
-            MIXWELL_SIGNATURE,
-            mixwell_tm_program(),
-            [datum_to_value([1, 0, 1, 1, 0, 1])],
-        ),
-        "LAZY": (lazy_interpreter(), LAZY_SIGNATURE, lazy_primes_program(), [4]),
-    }
-    for name, (interp, sig, static, dyn_args) in cases.items():
-        gen = make_generating_extension(interp, sig)
-        base = gen.to_object_code([static])
-        base_profile = VMProfile()
-        base.run_profiled(list(dyn_args), base_profile)
-        plan = select_superinstructions(base_profile, max_fused=8)
-        fused = fuse_machine(base.machine, plan, validate=True)
-        fused_profile = VMProfile()
-        call_named_profiled(
-            fused, base.goal, list(dyn_args), fused_profile
-        )
-        before = sum(base_profile.opcode_counts.values())
-        after = sum(fused_profile.opcode_counts.values())
-        t_base = best_of(
-            lambda: base.machine.call_named(base.goal, list(dyn_args))
-        )
-        t_fused = best_of(
-            lambda: fused.call_named(base.goal, list(dyn_args))
-        )
-        print(
-            f"| {name} | {before} | {after} |"
-            f" {(before - after) / before * 100:.1f}% |"
-            f" {ms(t_base)} | {ms(t_fused)} | {len(plan.fused)} |"
-        )
-    print()
-    print(
-        "(no paper analogue: the paper's evaluation stops at generation"
-        " and compilation speed; this table extends it to the dynamic"
-        " dispatch cost of the residual code)"
-    )
-    print()
-
-
 def fig10() -> None:
     print("## Figure 10 (ours) — Specialization service latency")
     print()
@@ -501,7 +448,6 @@ def main() -> None:
     fig6()
     fig7()
     fig8()
-    fig9()
     fig10()
     fig11()
     ablations()

@@ -231,7 +231,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 def _cfg_entry(template) -> list[dict]:
     """JSON-ready basic-block summary of a template's CFG."""
     from repro.vm.cfg import build_cfg
-    from repro.vm.dispatch import opcode_name
+    from repro.vm.instructions import opcode_name
 
     cfg = build_cfg(template)
     preds = cfg.predecessors()
@@ -367,141 +367,6 @@ def _opt_differential(run_pairs) -> tuple[dict, bool]:
     return runs, agree
 
 
-def _superinst_report(
-    machine, goal, dynamics, max_fused: int
-) -> tuple[dict, bool]:
-    """Profile → plan → fuse → validate one machine; report plus ok flag.
-
-    The profiled base run supplies both the adjacency counts the
-    selection scores and the baseline value; the fused machine is then
-    run twice — on the production loop (differential check against the
-    baseline) and on the counting loop (the dispatch-retired
-    comparison the report is about).
-    """
-    from repro.vm.profile import VMProfile, call_named_profiled
-    from repro.vm.superinst import (
-        FusionValidationError,
-        fuse_machine,
-        fusion_table,
-        select_superinstructions,
-    )
-
-    base_profile = VMProfile()
-    base_value = call_named_profiled(
-        machine, goal, list(dynamics), base_profile
-    )
-    before = sum(base_profile.opcode_counts.values())
-    plan = select_superinstructions(base_profile, max_fused=max_fused)
-    report: dict = {
-        "dispatches_before": before,
-        "superinstructions": [],
-        "dispatches_after": before,
-        "dispatch_reduction": 0.0,
-    }
-    if not plan:
-        report["note"] = "no fusion candidates in the profile"
-        return report, True
-    sites: dict[str, int] = {}
-    try:
-        fused = fuse_machine(machine, plan, validate=True, stats=sites)
-    except FusionValidationError as exc:
-        report["error"] = str(exc)
-        return report, False
-    report["superinstructions"] = fusion_table(plan, sites)
-    fused_value = fused.call_named(goal, list(dynamics))
-    fused_profile = VMProfile()
-    counting_value = call_named_profiled(
-        fused, goal, list(dynamics), fused_profile
-    )
-    after = sum(fused_profile.opcode_counts.values())
-    base_repr = write_value(base_value)
-    agree = (
-        base_repr == write_value(fused_value)
-        and base_repr == write_value(counting_value)
-    )
-    report["dispatches_after"] = after
-    report["dispatch_reduction"] = (before - after) / before if before else 0.0
-    report["differential"] = {
-        "base": base_repr,
-        "fused": write_value(fused_value),
-        "fused_counting": write_value(counting_value),
-        "agree": agree,
-    }
-    return report, agree
-
-
-def _cmd_opt_superinstructions(args, spec_targets, plain_file) -> int:
-    """The ``opt --superinstructions`` mode: the profile-guided pass."""
-    import json
-
-    target_reports: dict[str, dict] = {}
-    ok = True
-
-    if plain_file:
-        if not args.dynamic:
-            print(
-                "error: opt --superinstructions FILE needs --dynamic"
-                " arguments to profile",
-                file=sys.stderr,
-            )
-            return 2
-        program = _load(plain_file, args.goal, args.prelude)
-        compiled = compile_program(program, compiler="auto", optimize=True)
-        report, t_ok = _superinst_report(
-            compiled.machine(), compiled.goal, _data(args.dynamic),
-            args.max_fused,
-        )
-        target_reports[plain_file] = report
-        ok = ok and t_ok
-
-    if spec_targets:
-        from repro.rtcg import GeneratingExtension
-
-        for label, program, sig, goal, statics, dynamics in spec_targets:
-            gen = GeneratingExtension(program, sig, goal=goal)
-            base = gen.to_object_code(
-                statics, dif_strategy=args.dif_strategy
-            )
-            report, t_ok = _superinst_report(
-                base.machine, base.goal, dynamics, args.max_fused
-            )
-            target_reports[label] = report
-            ok = ok and t_ok
-
-    if args.json:
-        print(json.dumps({"targets": target_reports, "ok": ok}, indent=2))
-        return 0 if ok else 1
-
-    for label, report in target_reports.items():
-        print(f";; {label}")
-        if "error" in report:
-            print(f";;   validation FAILED: {report['error']}")
-        for row in report["superinstructions"]:
-            print(
-                f";;   {row['name']}: {row['sites']} site(s),"
-                f" saves {row['dispatches_saved_per_execution']}"
-                " dispatch(es) per execution"
-            )
-        if "note" in report:
-            print(f";;   {report['note']}")
-        if "differential" in report:
-            run = report["differential"]
-            verdict = (
-                f"ok (result: {run['fused']})" if run["agree"]
-                else f"MISMATCH ({run['base']} vs {run['fused']}"
-                f" / {run['fused_counting']})"
-            )
-            print(f";;   differential: {verdict}")
-        print(
-            f";;   dispatches: {report['dispatches_before']} ->"
-            f" {report['dispatches_after']}"
-            f"  (-{report['dispatch_reduction'] * 100:.1f}%)"
-        )
-        print()
-    print(";; opt: ok" if ok else ";; opt: FAILED")
-    return 0 if ok else 1
-
-
 def cmd_opt(args: argparse.Namespace) -> int:
     import json
 
@@ -521,9 +386,6 @@ def cmd_opt(args: argparse.Namespace) -> int:
         args.file = plain_file
     if not spec_targets and not plain_file:
         raise ValueError("opt needs FILE [--sig SIG], and/or --builtin")
-
-    if args.superinstructions:
-        return _cmd_opt_superinstructions(args, spec_targets, plain_file)
 
     target_reports: dict[str, dict] = {}
     ok = True
@@ -1774,16 +1636,6 @@ def main(argv: list[str] | None = None) -> int:
         help="dataflow-optimize templates, with translation validation",
     )
     observability(p)
-    p.add_argument(
-        "--superinstructions", action="store_true",
-        help="run the profile-guided superinstruction pass instead of"
-        " the dataflow optimizer: profile a run, fuse the hottest"
-        " adjacent opcode runs, validate, and compare dispatch counts",
-    )
-    p.add_argument(
-        "--max-fused", type=int, default=8, dest="max_fused",
-        help="superinstructions to synthesize at most (default: 8)",
-    )
     p.add_argument(
         "--json", action="store_true",
         help="emit per-template deltas and differential results as JSON",

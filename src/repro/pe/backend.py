@@ -107,24 +107,9 @@ class ResidualProgram:
     program: Program | None = None      # source backend
     machine: Any = None                 # object-code backend
     stats: dict = field(default_factory=dict)
-    #: Optional tiering delegate (``run(residual, args)``), attached by
-    #: ``GeneratingExtension`` when ``tier_threshold`` is set.  It lives
-    #: on the per-call views, never on the cached object itself, so the
-    #: immutability contract below is untouched; shared promotion state
-    #: is keyed inside the extension.
-    tier: Any = field(default=None, repr=False, compare=False)
 
     def run(self, args: Sequence[Any]) -> Any:
-        """Run the residual program on dynamic arguments.
-
-        With a tiering delegate attached, the run is routed through it:
-        cold residuals interpret on the base machine while the delegate
-        counts runs, and hot ones (past the extension's
-        ``tier_threshold``) execute on a validated
-        superinstruction-fused machine.
-        """
-        if self.tier is not None:
-            return self.tier.run(self, args)
+        """Run the residual program on dynamic arguments."""
         if self.machine is not None:
             return self.machine.call_named(self.goal, list(args))
         from repro.interp import run_program

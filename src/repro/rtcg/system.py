@@ -96,67 +96,6 @@ def object_kind(verify: bool = True, optimize: bool = True) -> str:
     return kind
 
 
-class _TierState:
-    """Shared promotion state for one residual cache key.
-
-    Every per-call view of the same residual program routes its runs
-    here, so the run counter crosses the threshold regardless of which
-    view the caller holds.  ``machine`` is the promoted
-    superinstruction machine (``None`` while cold), ``failed`` latches
-    a validation failure or an empty plan — the residual then stays on
-    the base machine permanently.
-    """
-
-    __slots__ = ("lock", "runs", "machine", "failed", "promoting", "plan")
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.runs = 0
-        self.machine: Any = None
-        self.failed = False
-        self.promoting = False
-        self.plan: Any = None
-
-
-class _TierHook:
-    """The per-residual tiering delegate attached to ``ResidualProgram.tier``.
-
-    Interpret cold, promote hot: below the threshold (and while another
-    thread is promoting, or after a failed promotion) runs go to the
-    base machine; the run that crosses the threshold re-specializes the
-    residual through the superinstruction pass (profile → plan → fuse →
-    translation validation → differential check) and installs the fused
-    machine for every subsequent run.
-    """
-
-    __slots__ = ("_ext", "_state")
-
-    def __init__(self, ext: "GeneratingExtension", state: _TierState):
-        self._ext = ext
-        self._state = state
-
-    def run(self, residual: ResidualProgram, args: Sequence[Any]) -> Any:
-        state = self._state
-        promote = False
-        with state.lock:
-            state.runs += 1
-            machine = state.machine
-            if (
-                machine is None
-                and not state.failed
-                and not state.promoting
-                and state.runs >= self._ext.tier_threshold
-            ):
-                state.promoting = True
-                promote = True
-        if machine is not None:
-            obs.count("rtcg.tier.hot_run")
-            return machine.call_named(residual.goal, list(args))
-        if promote:
-            return self._ext._tier_promote(state, residual, args)
-        return residual.machine.call_named(residual.goal, list(args))
-
-
 class GeneratingExtension:
     """A generating extension p-gen for a program p (§3).
 
@@ -219,8 +158,6 @@ class GeneratingExtension:
         analyze: str = "warn",
         max_unfold_depth: int = 5_000,
         max_residual_size: int = 1_000_000,
-        tier_threshold: int | None = None,
-        tier_max_fused: int = 8,
         bta: str = "poly",
         max_variants: int = 8,
     ):
@@ -228,10 +165,6 @@ class GeneratingExtension:
             raise ValueError(f"unknown analyze mode {analyze!r}")
         if bta not in ("mono", "poly"):
             raise ValueError(f"unknown bta mode {bta!r} (use 'mono' or 'poly')")
-        if tier_threshold is not None and tier_threshold < 1:
-            raise ValueError(
-                f"tier_threshold must be >= 1, got {tier_threshold}"
-            )
         if isinstance(program, str):
             program = parse_program(program, goal=goal)
         self.program = program
@@ -324,15 +257,6 @@ class GeneratingExtension:
         self._spec_lock = threading.Lock()
         self._specializer_runs = 0
         self._budget_trips = 0
-        # Tiering (interpret cold, promote hot through the
-        # superinstruction pass): per-cache-key promotion state, shared
-        # by every per-call view of the same residual program.
-        self.tier_threshold = tier_threshold
-        self.tier_max_fused = tier_max_fused
-        self._tier_lock = threading.Lock()
-        self._tier_states: dict[Any, _TierState] = {}
-        self._tier_promotions = 0
-        self._tier_failures = 0
 
     def compiled(self) -> CompiledGeneratingExtension:
         """The compiled generating extension (the cogen path, [59]).
@@ -370,100 +294,6 @@ class GeneratingExtension:
             entry["count"] += 1
             entry["seconds"] += seconds
 
-    def _tier_state_for(self, key: Any) -> _TierState:
-        with self._tier_lock:
-            state = self._tier_states.get(key)
-            if state is None:
-                state = self._tier_states[key] = _TierState()
-            return state
-
-    def _tier_promote(
-        self, state: _TierState, residual: ResidualProgram, args: Sequence[Any]
-    ) -> Any:
-        """Re-specialize a hot residual through the superinstruction pass.
-
-        The promotion run doubles as the caller's run: it executes on
-        the counting loop (collecting the pair/triple profile) and its
-        value is returned.  A fused machine is installed only after the
-        full trust chain passes — per-template translation validation
-        (round-trip lowering + base-ISA re-verification, inside
-        ``fuse_machine``) and a differential execution of the fused
-        twin against the profiled baseline value.  Any validation
-        failure (or an empty plan) latches ``state.failed``: the
-        residual stays on the base machine for good, never half-fused.
-        """
-        from repro.lang.prims import write_value
-        from repro.runtime.errors import SchemeError
-        from repro.vm.profile import VMProfile, call_named_profiled
-        from repro.vm.superinst import (
-            FusionValidationError,
-            fuse_machine,
-            select_superinstructions,
-        )
-
-        goal = residual.goal
-        base_machine = residual.machine
-        profile = VMProfile()
-        try:
-            # The semantic run: user errors propagate to the caller
-            # exactly as a base-machine run would raise them.
-            value = call_named_profiled(
-                base_machine, goal, list(args), profile
-            )
-        except BaseException:
-            with state.lock:
-                state.promoting = False
-            raise
-        t0 = time.perf_counter()
-        try:
-            with obs.span("rtcg.tier_promote", goal=str(goal)) as sp:
-                plan = select_superinstructions(
-                    profile, max_fused=self.tier_max_fused
-                )
-                if not plan:
-                    with state.lock:
-                        state.failed = True
-                        state.promoting = False
-                    obs.count("rtcg.tier.no_candidates")
-                    return value
-                try:
-                    fused_sites: dict[str, int] = {}
-                    machine = fuse_machine(
-                        base_machine, plan, validate=True, stats=fused_sites
-                    )
-                    check = machine.call_named(goal, list(args))
-                    if write_value(check) != write_value(value):
-                        raise FusionValidationError(
-                            f"{goal}: fused twin disagrees with the"
-                            f" baseline on the promotion arguments"
-                        )
-                except (FusionValidationError, SchemeError):
-                    # Trust anchor: any doubt and the residual stays on
-                    # the base-ISA machine, permanently.
-                    with state.lock:
-                        state.failed = True
-                        state.promoting = False
-                    with self._spec_lock:
-                        self._tier_failures += 1
-                    obs.count("rtcg.tier.validation_failure")
-                    return value
-                with state.lock:
-                    state.machine = machine
-                    state.plan = plan
-                    state.promoting = False
-                with self._spec_lock:
-                    self._tier_promotions += 1
-                obs.count("rtcg.tier.promotion")
-                sp.set(
-                    fused=len(plan.fused),
-                    sites=sum(fused_sites.values()),
-                )
-                return value
-        finally:
-            self._add_stage("tier_promote", time.perf_counter() - t0)
-            with state.lock:
-                state.promoting = False
-
     def _generate(
         self,
         static_args: Sequence[Any],
@@ -475,11 +305,7 @@ class GeneratingExtension:
         store = self.store
         frozen = None
         persist_key = None
-        if (
-            store is not None
-            or (use_cache and self.cache.maxsize > 0)
-            or self.tier_threshold is not None
-        ):
+        if store is not None or (use_cache and self.cache.maxsize > 0):
             frozen = tuple(freeze_static(a) for a in static_args)
         if store is not None and frozen is not None:
             persist_key = self._persist_key(frozen, dif_strategy, kind)
@@ -548,35 +374,17 @@ class GeneratingExtension:
             "rtcg.generate", kind=kind, goal=str(self.program.goal)
         ) as sp:
             if not use_cache or self.cache.maxsize <= 0:
-                result = produce()
-            else:
-                key = (frozen, dif_strategy, kind, self._bta_key)
-                cached, hit = self.cache.get_or_generate(key, produce)
-                sp.set(cache_hit=hit)
-                # The cached object is shared between every caller that
-                # hits this key (and every waiter of its single flight),
-                # so the per-call facts must not be written into it:
-                # return a shallow view owning its own stats dict instead.
-                result = cached.with_call_stats(
-                    cache_hit=hit, cache=self.cache.stats()
-                )
-            if (
-                self.tier_threshold is not None
-                and frozen is not None
-                and kind.startswith("object")
-                and result.machine is not None
-            ):
-                # ``result`` is caller-owned on both paths (a fresh
-                # produce() object or a with_call_stats view), so the
-                # delegate attaches without mutating the shared cached
-                # object; the promotion *state* is keyed per cache key
-                # inside the extension, so every view of one residual
-                # shares the same run counter and promoted machine.
-                state = self._tier_state_for(
-                    (frozen, dif_strategy, kind, self._bta_key)
-                )
-                result.tier = _TierHook(self, state)
-            return result
+                return produce()
+            key = (frozen, dif_strategy, kind, self._bta_key)
+            cached, hit = self.cache.get_or_generate(key, produce)
+            sp.set(cache_hit=hit)
+            # The cached object is shared between every caller that
+            # hits this key (and every waiter of its single flight),
+            # so the per-call facts must not be written into it:
+            # return a shallow view owning its own stats dict instead.
+            return cached.with_call_stats(
+                cache_hit=hit, cache=self.cache.stats()
+            )
 
     def to_source(
         self,
@@ -657,7 +465,7 @@ class GeneratingExtension:
         ``specializer_runs == 0`` with ``store.hits > 0``.
 
         The returned dict is a **deep-copied snapshot**: every nested
-        dict (``stages``, ``store``, ``tiering``) is detached from the
+        dict (``stages``, ``store``) is detached from the
         extension's live state, so a concurrent reader — the
         specialization server snapshots stats while worker threads are
         mid-request — never observes a dict mutated under it.
@@ -673,29 +481,6 @@ class GeneratingExtension:
             }
         if self.store is not None:
             stats["store"] = self.store.stats()
-        if self.tier_threshold is not None:
-            with self._tier_lock:
-                states = list(self._tier_states.values())
-            runs = promoted = failed = 0
-            for st in states:
-                with st.lock:
-                    runs += st.runs
-                    if st.machine is not None:
-                        promoted += 1
-                    if st.failed:
-                        failed += 1
-            with self._spec_lock:
-                promotions = self._tier_promotions
-                failures = self._tier_failures
-            stats["tiering"] = {
-                "threshold": self.tier_threshold,
-                "tracked": len(states),
-                "runs": runs,
-                "promoted": promoted,
-                "failed": failed,
-                "promotions": promotions,
-                "validation_failures": failures,
-            }
         # Every sub-dict above is already a fresh copy taken under its
         # owning lock; the deepcopy is the guarantee that stays true as
         # the structure grows (snapshot-safety is part of the contract).

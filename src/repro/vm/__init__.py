@@ -10,14 +10,6 @@ resolved, literals interned — into an executable template by
 
 from repro.vm.assembler import assemble
 from repro.vm.disasm import disassemble
-from repro.vm.dispatch import (
-    FUSABLE_OPS,
-    FusionPlan,
-    Superinstruction,
-    build_loop,
-    opcode_name,
-    superinstruction,
-)
 from repro.vm.fragments import (
     EMPTY,
     Fragment,
@@ -31,23 +23,13 @@ from repro.vm.fragments import (
     make_label,
     sequentially,
 )
-from repro.vm.instructions import Op
+from repro.vm.instructions import Op, opcode_name
 from repro.vm.machine import Machine, VmClosure, VMError
 from repro.vm.profile import (
     TemplateIdent,
     VMProfile,
     call_named_profiled,
     call_profiled,
-)
-from repro.vm.superinst import (
-    FusionValidationError,
-    SuperMachine,
-    fuse_machine,
-    fuse_template,
-    lower_template,
-    plan_from_template,
-    select_superinstructions,
-    validate_fusion,
 )
 from repro.vm.template import Template
 from repro.vm.verify import (
@@ -62,18 +44,13 @@ from repro.vm.verify import (
 
 __all__ = [
     "EMPTY",
-    "FUSABLE_OPS",
     "Fragment",
-    "FusionPlan",
-    "FusionValidationError",
     "Instr",
     "Label",
     "Lit",
     "Machine",
     "Op",
     "Seq",
-    "SuperMachine",
-    "Superinstruction",
     "Template",
     "TemplateIdent",
     "VerificationError",
@@ -85,23 +62,15 @@ __all__ = [
     "VmClosure",
     "assemble",
     "attach_label",
-    "build_loop",
     "call_named_profiled",
     "call_profiled",
     "check_template",
     "disassemble",
-    "fuse_machine",
-    "fuse_template",
     "instruction",
     "instruction_using_label",
-    "lower_template",
     "make_label",
     "opcode_name",
-    "plan_from_template",
-    "select_superinstructions",
     "sequentially",
-    "superinstruction",
-    "validate_fusion",
     "verify_template",
     "verify_templates",
 ]

@@ -8,6 +8,7 @@ from repro.vm.instructions import (
     LITERAL_COUNT_OPS,
     LITERAL_OPERAND_OPS,
     OP_NAMES,
+    opcode_name,
 )
 from repro.vm.template import Template
 
@@ -38,10 +39,7 @@ def render_instruction(
     op = instr[0]
     name = OP_NAMES.get(op)
     if name is None:
-        # A fused superinstruction (run-time-only representation):
-        # render its interned name and raw operands.
-        from repro.vm.dispatch import opcode_name
-
+        # Not in the ISA: render the raw opcode and operands.
         return " ".join([opcode_name(op), *(str(x) for x in instr[1:])])
     rendered = [name]
     if op in LITERAL_OPERAND_OPS:

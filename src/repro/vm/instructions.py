@@ -39,6 +39,12 @@ class Op(IntEnum):
 #: the vocabulary of compilers, tables and disassembly.
 OP_NAMES: dict[int, str] = {op.value: op.name for op in Op}
 
+
+def opcode_name(op: int) -> str:
+    """Human-readable name for an opcode value, in the ISA or not."""
+    return OP_NAMES.get(op) or f"OP_{int(op)}"
+
+
 # Plain-int opcode constants for the readers' hot paths.
 CONST = Op.CONST.value
 LOCAL = Op.LOCAL.value

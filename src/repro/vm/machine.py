@@ -73,8 +73,6 @@ class Machine:
     # Generated from the declarative instruction table in
     # ``repro.vm.dispatch`` — do not edit by hand.  Regenerate with
     # ``python -m repro.vm.dispatch --write`` (CI runs ``--check``).
-    # ``repro.vm.dispatch.build_loop`` execs the same rendering at run
-    # time, extended with fused handlers for superinstruction plans.
 
     # --- BEGIN GENERATED DISPATCH: production loop ---
     def _run(self, template, locals_, closed):

@@ -941,24 +941,3 @@ def optimize_template(
         assume_verified=assume_verified,
     ).template
 
-
-# -- the superinstruction pass ----------------------------------------------
-#
-# The profile-guided dynamic-speed half of the optimizer lives in
-# ``repro.vm.superinst`` (it needs the dispatch-loop generator, which
-# the static passes above do not); it is re-exported here because the
-# two are one optimizer surface: static passes shrink the residual code,
-# the superinstruction pass shrinks the dispatches the survivors retire,
-# and both use the same translation-validation discipline.
-
-from repro.vm.superinst import (  # noqa: E402  (deliberate re-export)
-    FusionPlan as FusionPlan,
-    FusionValidationError as FusionValidationError,
-    SuperMachine as SuperMachine,
-    fuse_machine as fuse_machine,
-    fuse_template as fuse_template,
-    lower_template as lower_template,
-    plan_from_template as plan_from_template,
-    select_superinstructions as select_superinstructions,
-    validate_fusion as validate_fusion,
-)

@@ -5,12 +5,10 @@ hot path of everything this system produces, so it carries no
 instrumentation at all — not even a disabled-check per instruction.
 Profiling instead runs the program through :func:`call_profiled`, a
 separate dispatch loop that is semantically identical (the VM edge-case
-suite runs through both loops, plus the superinstruction-enabled ones)
-but counts as it goes:
+suite runs through both loops) but counts as it goes:
 
-* per-opcode execution counts (fused opcodes included, by fused id),
+* per-opcode execution counts,
 * per-template invocation counts and instruction counts,
-* adjacent opcode pair/triple frequencies (superinstruction candidates),
 * total instructions retired,
 
 collected into a :class:`VMProfile`, whose :meth:`~VMProfile.hot_templates`
@@ -30,18 +28,11 @@ Attribution identity
 
 Counts are keyed by :class:`TemplateIdent` — ``(name, content digest)``
 — not by bare name.  Distinct templates that share a name (every nested
-``anonymous`` closure, re-specialized twins) keep separate rows, which
-matters because tier promotion decides from this ranking; structurally
-identical twins (e.g. memo-shared copies) merge, which is the right
-answer for "where does the time go".  ``report()``/``to_json()`` still
+``anonymous`` closure, re-specialized twins) keep separate rows;
+structurally identical twins (e.g. memo-shared copies) merge, which is
+the right answer for "where does the time go".  ``report()``/``to_json()`` still
 render human-readable names, adding a short digest suffix only when a
 name is ambiguous within the profile.
-
-Pair/triple adjacency is *dynamic*: consecutive retired instructions
-within one frame, with the chain reset across frame switches and after
-any branching opcode (taken or not).  Runs that span a basic-block
-leader may therefore count a pair the fuser cannot fuse — harmless, the
-selection is a heuristic and every fused template is still validated.
 """
 
 from __future__ import annotations
@@ -50,8 +41,7 @@ from typing import Any, NamedTuple, Sequence
 
 from repro.lang.prims import PrimSpec
 from repro.sexp.datum import Symbol
-from repro.vm.dispatch import FUSABLE_OPS as _FUSABLE
-from repro.vm.dispatch import opcode_name
+from repro.vm.instructions import opcode_name
 from repro.vm.machine import Machine, VmClosure, VMError
 from repro.vm.template import Template
 
@@ -72,12 +62,10 @@ class VMProfile:
     """Execution counts collected by the profiled dispatch loop."""
 
     def __init__(self) -> None:
-        # Opcode keys are plain ints, base and fused opcodes alike.
-        self.opcode_counts: dict[Any, int] = {}
+        # Opcode keys are plain ints, as in template code.
+        self.opcode_counts: dict[int, int] = {}
         self.template_invocations: dict[TemplateIdent, int] = {}
         self.template_instructions: dict[TemplateIdent, int] = {}
-        self.pair_counts: dict[tuple, int] = {}
-        self.triple_counts: dict[tuple, int] = {}
         self.calls = 0                 # top-level call_profiled entries
         # id(template) -> TemplateIdent.  The digest is content-stable,
         # but the id-keyed fast path must never dangle: ``_pinned``
@@ -134,17 +122,6 @@ class VMProfile:
             for ident, instrs in ranked[:n]
         ]
 
-    def hot_pairs(self, n: int = 10) -> list[tuple[str, int]]:
-        """``("A;B", count)`` adjacent-opcode runs by dynamic frequency."""
-        ranked = sorted(
-            self.pair_counts.items(),
-            key=lambda item: (-item[1], tuple(int(op) for op in item[0])),
-        )
-        return [
-            (";".join(opcode_name(op) for op in seq), count)
-            for seq, count in ranked[:n]
-        ]
-
     def to_json(self) -> dict[str, Any]:
         """Machine-readable profile; empty profiles render as empty maps,
 
@@ -174,9 +151,6 @@ class VMProfile:
                     key=lambda item: (-item[1], int(item[0])),
                 )
             },
-            "pairs": {
-                pair: count for pair, count in self.hot_pairs(len(self.pair_counts))
-            },
             "templates": templates,
         }
 
@@ -199,13 +173,6 @@ class VMProfile:
         if not self.opcode_counts:
             lines.append("  (none)")
         lines.append("")
-        lines.append(f"hot opcode pairs (top {top}):")
-        pairs = self.hot_pairs(top)
-        for pair, count in pairs:
-            lines.append(f"  {pair:<28} {count:10d}")
-        if not pairs:
-            lines.append("  (none)")
-        lines.append("")
         lines.append(f"hot templates (top {top} by instructions):")
         for name, instrs, invocations in self.hot_templates(top):
             lines.append(
@@ -223,9 +190,7 @@ def call_profiled(
     """Apply a VM procedure under the counting dispatch loop.
 
     Mirrors :meth:`Machine.call`; results and raised errors are
-    identical to the unprofiled loop.  Machines that carry a fusion
-    plan (``SuperMachine``) expose a plan-aware counting loop as
-    ``_counting_loop``; plain machines use the checked-in base loop.
+    identical to the unprofiled loop.
     """
     if not isinstance(fn, VmClosure):
         raise VMError(f"attempt to apply non-procedure {fn!r}")
@@ -237,8 +202,7 @@ def call_profiled(
         )
     locals_ = list(args) + [None] * (template.nlocals - template.arity)
     profile.calls += 1
-    loop = getattr(machine, "_counting_loop", None) or _run_counting
-    return loop(machine, template, locals_, fn.env, profile)
+    return _run_counting(machine, template, locals_, fn.env, profile)
 
 
 def call_named_profiled(
@@ -258,15 +222,11 @@ def _run_counting(machine, template, locals_, closed, profile):
     Generated from the instruction table in
     ``repro.vm.dispatch`` -- semantics match the
     production loop by construction; the only additions
-    are the count updates (opcodes, per-template
-    attribution by content identity, and adjacent
-    pair/triple frequencies feeding superinstruction
-    selection)."""
+    are the count updates (opcodes and per-template
+    attribution by content identity)."""
     opcode_counts = profile.opcode_counts
     tmpl_instrs = profile.template_instructions
     tmpl_invocations = profile.template_invocations
-    pair_counts = profile.pair_counts
-    triple_counts = profile.triple_counts
     code = template.code
     literals = template.literals
     tkey = profile._ident(template)
@@ -276,22 +236,12 @@ def _run_counting(machine, template, locals_, closed, profile):
     stack = []
     conts = []
     globals_ = machine.globals
-    prev1 = None
-    prev2 = None
     while True:
         instr = code[pc]
         op = instr[0]
         pc += 1
         opcode_counts[op] = opcode_counts.get(op, 0) + 1
         tmpl_instrs[tkey] = tmpl_instrs.get(tkey, 0) + 1
-        if prev1 is not None:
-            pair = (prev1, op)
-            pair_counts[pair] = pair_counts.get(pair, 0) + 1
-            if prev2 is not None:
-                run3 = (prev2, prev1, op)
-                triple_counts[run3] = triple_counts.get(run3, 0) + 1
-        prev2 = prev1
-        prev1 = op if op in _FUSABLE else None
         if op == 1:  # CONST
             val = literals[instr[1]]
         elif op == 2:  # LOCAL

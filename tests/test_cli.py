@@ -591,60 +591,6 @@ class TestOptCommand:
         assert "error:" in capsys.readouterr().err
 
 
-class TestOptSuperinstructions:
-    def test_builtin_workload_json_gate(self, capsys):
-        import json
-
-        assert main([
-            "opt", "--superinstructions", "--builtin", "workloads",
-            "--json",
-        ]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["ok"] is True
-        for target in report["targets"].values():
-            assert target["dispatches_after"] < target["dispatches_before"]
-            assert target["dispatch_reduction"] > 0.15
-            assert target["differential"]["agree"] is True
-            assert target["superinstructions"]
-            # A selected pair can be shadowed by a longer triple at
-            # every static site, so only the aggregate must be > 0.
-            assert sum(
-                row["sites"] for row in target["superinstructions"]
-            ) > 0
-            for row in target["superinstructions"]:
-                assert row["dispatches_saved_per_execution"] == (
-                    row["length"] - 1
-                )
-
-    def test_text_report(self, power_file, capsys):
-        assert main([
-            "opt", "--superinstructions", power_file, "--goal", "power",
-            "--sig", "DS", "--static", "5", "--dynamic", "2",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert ";; opt: ok" in out
-        assert "dispatches:" in out
-        assert "differential: ok" in out
-
-    def test_plain_file_needs_dynamics(self, power_file, capsys):
-        assert main(["opt", "--superinstructions", power_file]) == 2
-        assert "--dynamic" in capsys.readouterr().err
-
-    def test_plain_file_with_dynamics(self, tmp_path, capsys):
-        import json
-
-        f = tmp_path / "sq.scm"
-        f.write_text("(define (main d) (* (+ d 1) (+ d 1)))")
-        assert main([
-            "opt", "--superinstructions", str(f), "--dynamic", "6",
-            "--json",
-        ]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["ok"] is True
-        (target,) = report["targets"].values()
-        assert target["differential"]["fused"] == "49"
-
-
 class TestProfileEmptyRun:
     def test_repeat_zero_json_exits_zero(self, power_file, capsys):
         import json
@@ -666,7 +612,7 @@ class TestProfileEmptyRun:
         ]) == 0
         out = capsys.readouterr().out
         assert "(not run)" in out
-        assert out.count("(none)") == 3
+        assert out.count("(none)") == 2
 
 
 class TestErrorPaths:

@@ -1,9 +1,8 @@
 """Template code carries plain-int opcodes end to end.
 
-Every producer of ``Template.code`` — the assembler, the optimizer, the
-image decoder and the superinstruction fuser — emits ``int`` opcodes;
-``Op`` stays the vocabulary of compilers, tables and disassembly.  The
-representation is invisible from outside: content digests and encoded
+Every producer of ``Template.code`` — the assembler, the optimizer and
+the image decoder — emits ``int`` opcodes; ``Op`` stays the vocabulary
+of compilers, tables and disassembly.  The representation is invisible from outside: content digests and encoded
 image bytes are pinned to their values from when opcodes were ``Op``
 members.
 """
@@ -23,14 +22,11 @@ from repro.vm import (
     Template,
     assemble,
     attach_label,
-    fuse_template,
     instruction,
     instruction_using_label,
     make_label,
-    plan_from_template,
     sequentially,
 )
-from repro.vm.dispatch import FUSED_BASE
 from repro.vm.opt import optimize_template
 
 POWER = "(define (power x n) (if (zero? n) 1 (* x (power x (- n 1)))))"
@@ -110,13 +106,6 @@ class TestProducersEmitInts:
     def test_codec_decode(self):
         decoded = decode_template(encode_template(_pinned_template()))
         assert _all_int(decoded)
-
-    def test_fuser(self):
-        template = _power_template()
-        fused = fuse_template(template, plan_from_template(template))
-        assert fused is not template
-        assert any(op >= FUSED_BASE for op in _opcodes(fused))
-        assert _all_int(fused)
 
 
 class TestRepresentationIsInvisible:

@@ -1,8 +1,7 @@
 """Shared instruction tuples (``repro.vm.template.intern_code``).
 
-Every producer of template code -- the assembler, the optimizer, the
-image codec and the superinstruction fuser -- builds its code vector
-through ``intern_code``, so equal instructions are one object across
+Every producer of template code -- the assembler, the optimizer and the
+image codec -- builds its code vector through ``intern_code``, so equal instructions are one object across
 templates and residuals.  Sharing must be invisible: equality, digests
 and generated code are unchanged, and the table is bounded.
 """

@@ -118,85 +118,3 @@ class TestAllDynamicIsSemanticPreserving:
         rp_src = gen.to_source([a])
         rp_obj = gen.to_object_code([a])
         assert scheme_equal(rp_src.run([b]), rp_obj.run([b]))
-
-
-class TestTiering:
-    """Interpret cold, promote hot: the superinstruction tier."""
-
-    def test_threshold_crossing_promotes(self):
-        gen = make_generating_extension(
-            POWER, "DS", goal="power", tier_threshold=3
-        )
-        rp = gen.to_object_code([8])
-        assert rp.tier is not None
-        # Results are identical across the cold runs, the promoting run,
-        # and the hot (fused) runs.
-        assert [rp.run([2]) for _ in range(5)] == [256] * 5
-        stats = gen.cache_stats()
-        tiering = stats["tiering"]
-        assert tiering["threshold"] == 3
-        assert tiering["tracked"] == 1
-        assert tiering["runs"] == 5
-        assert tiering["promoted"] == 1
-        assert tiering["promotions"] == 1
-        assert tiering["failed"] == 0
-        assert tiering["validation_failures"] == 0
-        assert "tier_promote" in stats["stages"]
-
-    def test_promoted_machine_shared_across_cache_views(self):
-        gen = make_generating_extension(
-            POWER, "DS", goal="power", tier_threshold=2
-        )
-        first = gen.to_object_code([6])
-        assert [first.run([2]) for _ in range(3)] == [64] * 3
-        assert gen.cache_stats()["tiering"]["promotions"] == 1
-        # A second view of the same cached residual shares the shared
-        # promotion state: it starts hot, without promoting again.
-        second = gen.to_object_code([6])
-        assert second.tier is not None
-        assert second.run([2]) == 64
-        tiering = gen.cache_stats()["tiering"]
-        assert tiering["promotions"] == 1
-        assert tiering["tracked"] == 1
-
-    def test_tiering_off_by_default(self):
-        gen = make_generating_extension(POWER, "DS", goal="power")
-        rp = gen.to_object_code([4])
-        assert rp.tier is None
-        assert "tiering" not in gen.cache_stats()
-
-    def test_threshold_must_be_positive(self):
-        import pytest
-
-        with pytest.raises(ValueError, match="tier_threshold"):
-            make_generating_extension(
-                POWER, "DS", goal="power", tier_threshold=0
-            )
-
-    def test_source_residuals_are_not_tiered(self):
-        gen = make_generating_extension(
-            POWER, "DS", goal="power", tier_threshold=1
-        )
-        rp = gen.to_source([3])
-        assert rp.tier is None
-        assert rp.run([2]) == 8
-
-    def test_empty_plan_latches_base_machine(self, monkeypatch):
-        import repro.vm.superinst as superinst
-        from repro.vm.dispatch import FusionPlan
-
-        monkeypatch.setattr(
-            superinst, "select_superinstructions",
-            lambda profile, max_fused=8, min_count=2: FusionPlan(),
-        )
-        gen = make_generating_extension(
-            POWER, "DS", goal="power", tier_threshold=2
-        )
-        rp = gen.to_object_code([5])
-        # Promotion finds nothing to fuse; runs keep answering on the
-        # base machine and the state latches failed (no retry storm).
-        assert [rp.run([2]) for _ in range(4)] == [32] * 4
-        tiering = gen.cache_stats()["tiering"]
-        assert tiering["failed"] == 1
-        assert tiering["promoted"] == 0
-        assert tiering["promotions"] == 0

@@ -1,14 +1,12 @@
-"""VM dispatch edge cases, run through EVERY generated dispatch loop.
+"""VM dispatch edge cases, run through BOTH generated dispatch loops.
 
-These lock in the semantics all loops generated from the instruction
+These lock in the semantics the loops generated from the instruction
 table (:mod:`repro.vm.dispatch`) must preserve: first-class ``PrimSpec``
 in non-tail ``CALL`` position, ``TAIL_CALL`` of a prim with an empty
 continuation stack, and ``JUMP_IF_FALSE`` treating only ``#f`` as false.
-Every test is parametrized over ``Machine.call`` (the production loop),
-:func:`~repro.vm.profile.call_profiled` (the counting twin), and a
-superinstruction-fused :class:`~repro.vm.superinst.SuperMachine` (the
-template statically fused under its own plan), so a divergence between
-any pair of generated loops fails here by construction.
+Every test is parametrized over ``Machine.call`` (the production loop)
+and :func:`~repro.vm.profile.call_profiled` (the counting twin), so a
+divergence between the two fails here by construction.
 """
 
 import pytest
@@ -25,16 +23,13 @@ from repro.vm import (
     VmClosure,
     assemble,
     call_profiled,
-    fuse_template,
     instruction,
     instruction_using_label,
     attach_label,
     make_label,
-    plan_from_template,
     sequentially,
     Lit,
 )
-from repro.vm.superinst import SuperMachine
 
 
 def run_plain(template, args=(), globals_=None):
@@ -52,20 +47,9 @@ def run_counting(template, args=(), globals_=None):
     return result
 
 
-def run_super(template, args=(), globals_=None):
-    # Fuse the template under its own static plan (every fusable
-    # adjacent run in its blocks) and run it on the fused dispatch
-    # loop — the superinstruction arms plus all base arms.
-    plan = plan_from_template(template)
-    fused = fuse_template(template, plan)
-    machine = SuperMachine(globals_, plan=plan)
-    return machine.call(VmClosure(fused, ()), list(args))
-
-
 RUNNERS = [
     pytest.param(run_plain, id="production-loop"),
     pytest.param(run_counting, id="counting-loop"),
-    pytest.param(run_super, id="superinstruction-loop"),
 ]
 
 
@@ -295,12 +279,11 @@ class TestCountingLoopAccounting:
         # story in text and JSON — "(none)" sections and empty maps.
         profile = VMProfile()
         report = profile.report()
-        assert report.count("(none)") == 3
+        assert report.count("(none)") == 2
         json_form = profile.to_json()
         assert json_form["calls"] == 0
         assert json_form["total_instructions"] == 0
         assert json_form["opcodes"] == {}
-        assert json_form["pairs"] == {}
         assert json_form["templates"] == {}
 
     def test_results_identical_to_production_loop(self):
