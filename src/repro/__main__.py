@@ -1005,8 +1005,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
             print(
                 f"remote tier:         {rs['remote_hits']} hit(s),"
                 f" {rs['remote_misses']} miss(es),"
-                f" {rs['wb_flushed']} pushed,"
-                f" {rs['wb_dropped']} dropped at {rs['endpoint']}"
+                f" {rs['write_behind.flush']} pushed,"
+                f" {rs['write_behind.drop']} dropped at {rs['endpoint']}"
                 f"{' [down]' if rs['down'] else ''}"
             )
     return 0
@@ -1022,7 +1022,7 @@ def _resolve_digest(store, prefix: str) -> str:
     """Resolve a (possibly abbreviated) content digest in the store."""
     matches = []
     try:
-        for shard in sorted(store.objects_dir.iterdir()):
+        for shard in sorted(store.backend.objects_dir.iterdir()):
             if not shard.is_dir():
                 continue
             for obj in sorted(shard.iterdir()):

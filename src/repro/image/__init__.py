@@ -9,7 +9,7 @@ residual code: a versioned, pickle-free binary codec for
 :class:`~repro.pe.backend.ResidualProgram`s
 (:mod:`repro.image.codec`), a content-addressed store with atomic,
 fsync-durable writes, advisory locking, and a size-bounded garbage
-collector behind the :class:`~repro.image.store.StoreBackend` protocol
+collector over :class:`~repro.image.store.LocalStoreBackend`
 (:mod:`repro.image.store`), and a remote L3 tier — TCP object server,
 retrying client, and a read-through/write-behind
 :class:`~repro.image.remote.TieredStore` — so a fleet of workers shares
@@ -45,7 +45,6 @@ from repro.image.store import (
     ImageStore,
     LocalStoreBackend,
     ObjectStat,
-    StoreBackend,
     StoreKey,
     UnpersistableKey,
     plausible_digest,
@@ -63,7 +62,6 @@ __all__ = [
     "ObjectStat",
     "RemoteStoreClient",
     "RemoteStoreError",
-    "StoreBackend",
     "StoreKey",
     "TieredStore",
     "UnpersistableKey",

@@ -23,16 +23,16 @@ frame types:
     The full inventory — object stats plus the ref index — powering
     bulk ``image sync`` (push) and ``image prefetch`` (pull).
 
-``RemoteStoreClient`` speaks this protocol and implements the
-:class:`~repro.image.store.StoreBackend` protocol, so
-``ImageStore(backend=RemoteStoreClient(...))`` works directly; all its
-failures surface as :class:`RemoteStoreError` (an ``OSError``, so store
-code treats transport trouble exactly like disk trouble).  The client
-keeps one connection open, resets it on any transport error (a stream
-that died mid-frame may hold half a message — reusing it would desync),
-and retries idempotent exchanges with bounded exponential backoff.
+``RemoteStoreClient`` speaks this protocol, one method per frame type;
+all its failures surface as :class:`RemoteStoreError` (an ``OSError``,
+so store code treats transport trouble exactly like disk trouble).  The
+client keeps one connection open, resets it on any transport error (a
+stream that died mid-frame may hold half a message — reusing it would
+desync), and retries idempotent exchanges with bounded exponential
+backoff.
 
-``TieredStore`` composes L2 (local ``ImageStore``) over L3 (remote):
+``TieredStore`` is the one way an image store reaches L3: it composes L2
+(local ``ImageStore``) over L3 (remote):
 
 * **read-through** — an L2 miss probes L3; a hit is decoded, verified,
   counted, and *replicated down* into L2 so the next process on this
@@ -55,14 +55,15 @@ import base64
 import hashlib
 import threading
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from pathlib import Path
 from queue import Empty, Queue
-from typing import Any, ContextManager, Iterator
+from typing import Any, Iterator
 
 from repro import obs
 from repro.image.codec import CodecError, decode_residual, encode_residual
 from repro.image.store import (
+    STORE_COUNTERS,
     ImageStore,
     LocalStoreBackend,
     ObjectStat,
@@ -152,7 +153,7 @@ class ObjectServer(FrameServer):
     ACCEPTED = "connections"
     COUNTERS = (
         "get_hits", "get_misses", "puts", "dedups", "ref_writes",
-        "stats_probes",
+        "stats_probes", "corrupt", "digest_mismatch",
     )
 
     def __init__(
@@ -202,20 +203,20 @@ class ObjectServer(FrameServer):
         }
         digest = self._resolve_digest(frame)
         if digest is None:
-            self.count("get_misses")
+            self.metrics.count("get_misses")
             return miss
         try:
             data = self.backend.read_object(digest)
         except OSError:
-            self.count("get_misses")
+            self.metrics.count("get_misses")
             return miss
         if hashlib.sha256(data).hexdigest() != digest:
             # Corrupt at rest: serve a miss, leave repair to fsck.
-            self.count("get_misses")
-            obs.count("image.l3.server.corrupt")
+            self.metrics.count("get_misses")
+            self.metrics.count("corrupt")
             return miss
         self.backend.touch_object(digest)
-        self.count("get_hits")
+        self.metrics.count("get_hits")
         return {
             "type": "obj_result", "v": PROTOCOL_VERSION,
             "found": True, "digest": digest, "data": _b64(data),
@@ -248,7 +249,7 @@ class ObjectServer(FrameServer):
                 deduped = True
             elif present:
                 deduped = True
-                self.count("dedups")
+                self.metrics.count("dedups")
             else:
                 try:
                     data = _unb64(raw)
@@ -257,20 +258,20 @@ class ObjectServer(FrameServer):
                 if hashlib.sha256(data).hexdigest() != digest:
                     # The content-address check is the server's whole
                     # trust model: refuse, don't quarantine-later.
-                    obs.count("image.l3.server.digest_mismatch")
+                    self.metrics.count("digest_mismatch")
                     raise Refusal(
                         E_BAD_REQUEST,
                         f"payload does not hash to {digest[:12]}...",
                     )
                 self.backend.write_object(digest, data)
                 stored = True
-                self.count("puts")
+                self.metrics.count("puts")
                 obs.observe("image.l3.server.bytes", len(data))
             indexed = False
             if key is not None:
                 self.backend.write_ref(key, digest)
                 indexed = True
-                self.count("ref_writes")
+                self.metrics.count("ref_writes")
         return {
             "type": "obj_put_result", "v": PROTOCOL_VERSION,
             "stored": stored, "deduped": deduped,
@@ -278,7 +279,7 @@ class ObjectServer(FrameServer):
         }
 
     def _handle_stat(self, frame: dict[str, Any]) -> dict[str, Any]:
-        self.count("stats_probes")
+        self.metrics.count("stats_probes")
         digest = self._resolve_digest(frame)
         miss = {
             "type": "obj_stat_result", "v": PROTOCOL_VERSION,
@@ -330,8 +331,8 @@ class ObjectServer(FrameServer):
 
 
 class RemoteStoreClient(FrameClient):
-    """A :class:`~repro.image.store.StoreBackend` over the object-server
-    protocol.
+    """The object-server protocol's client: ``fetch``, ``push``,
+    ``stat`` and ``inventory``, one per frame type.
 
     ``RemoteStoreClient(host, port, timeout=5.0, retries=2,
     backoff=0.05, max_frame_bytes=MAX_FRAME_BYTES)`` — the
@@ -342,7 +343,6 @@ class RemoteStoreClient(FrameClient):
     exponential backoff before :class:`RemoteStoreError` escapes.
     """
 
-    writable = True
     OBS_PREFIX = "image.l3"
 
     def location(self) -> str:
@@ -469,94 +469,29 @@ class RemoteStoreClient(FrameClient):
         }
         return objects, refs
 
-    def remote_stats(self) -> dict[str, Any]:
-        response = self._expect(
-            {"type": "stats", "v": PROTOCOL_VERSION}, "stats_result"
-        )
-        stats = response.get("stats")
-        return stats if isinstance(stats, dict) else {}
-
-    # -- the StoreBackend protocol --------------------------------------------
-
-    def locked(self) -> ContextManager[None]:
-        return nullcontext()  # the server serializes its own writes
-
-    def read_object(self, digest: str) -> bytes:
-        hit = self.fetch(digest=digest)
-        if hit is None:
-            raise FileNotFoundError(
-                f"object {digest[:12]}... not on {self.location()}"
-            )
-        return hit[1]
-
-    def write_object(
-        self, digest: str, data: bytes, durable: bool = True
-    ) -> None:
-        # durable is a local-disk concern; the server owns its fsyncs
-        self.push(digest, data)
-
-    def has_object(self, digest: str) -> bool:
-        return self.stat(digest=digest) is not None
-
-    def stat_object(self, digest: str) -> ObjectStat:
-        st = self.stat(digest=digest)
-        if st is None:
-            raise FileNotFoundError(
-                f"object {digest[:12]}... not on {self.location()}"
-            )
-        return st
-
-    def touch_object(self, digest: str) -> None:
-        pass  # the server touches on every served get
-
-    def delete_object(self, digest: str) -> bool:
-        return False  # the remote tier never deletes on request
-
-    def quarantine_object(self, digest: str) -> bool:
-        return False  # fsck runs server-side, on the server's store
-
-    def list_objects(self) -> list[ObjectStat]:
-        return self.inventory()[0]
-
-    def read_ref(self, key: str) -> str:
-        st = self.stat(key=key)
-        if st is None:
-            raise FileNotFoundError(
-                f"key {key[:12]}... not on {self.location()}"
-            )
-        return st.digest
-
-    def write_ref(
-        self, key: str, digest: str, durable: bool = True
-    ) -> None:
-        result = self.push(digest, None, key=key)
-        if result.get("missing"):
-            raise RemoteStoreError(
-                f"cannot index {key[:12]}...: object {digest[:12]}..."
-                f" is not on {self.location()} (upload it first)",
-                retryable=False,
-            )
-
-    def delete_ref(self, key: str) -> bool:
-        return False
-
-    def list_ref_keys(self) -> list[str]:
-        return sorted(self.inventory()[1])
-
 
 # -- the tiered store -------------------------------------------------------
+
+
+#: The counters of :class:`TieredStore` — the keys of its
+#: ``stats()["remote"]``, reported to ``obs`` as ``image.l3.<key>``.
+TIER_COUNTERS = (
+    "remote_hits", "remote_misses", "remote_errors",
+    "remote_verify_failures", "negative_hits", "skipped_down",
+    "marked_down", "replicated", "write_behind.enqueue",
+    "write_behind.flush", "write_behind.dedup", "write_behind.drop",
+    "write_behind.retry",
+)
 
 
 class TieredStore:
     """L2 (local) over L3 (remote) with read-through, negative caching,
     circuit breaking, and asynchronous write-behind.
 
-    Drop-in for :class:`~repro.image.store.ImageStore` where the
-    generating extension is concerned (``get``/``put``/``stats``/
-    ``gc``/``ls``); everything byte-level on the local side still goes
-    through the local store's backend.  ``local`` may be ``None``
-    (remote-only worker: every read is an L3 probe, every put only
-    write-behind).
+    Stands in for :class:`~repro.image.store.ImageStore` where the
+    generating extension is concerned (``get``/``put``/``stats``);
+    ``local`` may be ``None`` (remote-only worker: every read is an L3
+    probe, every put only write-behind).
     """
 
     def __init__(
@@ -572,21 +507,8 @@ class TieredStore:
         self.negative_ttl = negative_ttl
         self.retry_interval = retry_interval
         self.max_queue = max_queue
+        self.metrics = obs.Counters("image.l3", TIER_COUNTERS)
         self._lock = threading.Lock()
-        self._counters = {
-            "remote_hits": 0,
-            "remote_misses": 0,
-            "remote_errors": 0,
-            "remote_verify_failures": 0,
-            "negative_hits": 0,
-            "skipped_down": 0,
-            "replicated": 0,
-            "wb_enqueued": 0,
-            "wb_flushed": 0,
-            "wb_deduped": 0,
-            "wb_dropped": 0,
-            "wb_retries": 0,
-        }
         self._negative: dict[str, float] = {}
         self._down_until = 0.0
         self._queue: Queue = Queue()
@@ -595,64 +517,49 @@ class TieredStore:
 
     # -- plumbing -------------------------------------------------------------
 
-    def _count(self, name: str, n: int = 1) -> None:
-        with self._lock:
-            self._counters[name] += n
-
     def _mark_down(self) -> None:
         with self._lock:
             self._down_until = time.monotonic() + self.retry_interval
-        obs.count("image.l3.down")
+        self.metrics.count("marked_down")
 
     def _mark_up(self) -> None:
         with self._lock:
             self._down_until = 0.0
 
-    def _is_down(self) -> bool:
-        with self._lock:
-            return time.monotonic() < self._down_until
-
     # -- reads ----------------------------------------------------------------
 
     def get(
-        self,
-        key: StoreKey,
-        verify: bool = True,
-        check_fingerprint: bool = True,
+        self, key: StoreKey, verify: bool = True
     ) -> "ResidualProgram | None":
         if self.local is not None:
-            residual = self.local.get(
-                key, verify=verify, check_fingerprint=check_fingerprint
-            )
+            residual = self.local.get(key, verify=verify)
             if residual is not None:
                 return residual
-        return self._get_remote(
-            key, verify=verify, check_fingerprint=check_fingerprint
-        )
+        return self._get_remote(key, verify=verify)
 
     def _get_remote(
-        self, key: StoreKey, verify: bool, check_fingerprint: bool
+        self, key: StoreKey, verify: bool
     ) -> "ResidualProgram | None":
         now = time.monotonic()
+        skip: str | None = None
         with self._lock:
             expiry = self._negative.get(key.digest)
             if expiry is not None:
                 if now < expiry:
-                    self._counters["negative_hits"] += 1
-                    obs.count("image.l3.negative_hit")
-                    return None
-                del self._negative[key.digest]
-            if now < self._down_until:
-                self._counters["skipped_down"] += 1
-                obs.count("image.l3.skipped_down")
-                return None
+                    skip = "negative_hits"
+                else:
+                    del self._negative[key.digest]
+            if skip is None and now < self._down_until:
+                skip = "skipped_down"
+        if skip is not None:
+            self.metrics.count(skip)
+            return None
         with obs.span("image.l3.fetch", key=key.digest[:12]) as sp:
             try:
                 hit = self.remote.fetch(key=key.digest)
             except RemoteStoreError:
                 self._mark_down()
-                self._count("remote_errors")
-                obs.count("image.l3.error")
+                self.metrics.count("remote_errors")
                 return None
             self._mark_up()
             if hit is None:
@@ -660,51 +567,30 @@ class TieredStore:
                     self._negative[key.digest] = (
                         time.monotonic() + self.negative_ttl
                     )
-                self._count("remote_misses")
-                obs.count("image.l3.miss")
+                self.metrics.count("remote_misses")
                 return None
             digest, data = hit
-            if hashlib.sha256(data).hexdigest() != digest:
-                self._count("remote_errors")
-                obs.count("image.l3.error")
-                return None
             try:
-                residual = decode_residual(
-                    data, check_fingerprint=check_fingerprint
-                )
+                if hashlib.sha256(data).hexdigest() != digest:
+                    raise CodecError("remote payload misses its digest")
+                residual = decode_residual(data)
                 if verify:
                     with obs.span("image.verify_on_load"):
                         verify_residual(residual)
             except CodecError:
-                self._count("remote_errors")
-                obs.count("image.l3.error")
+                self.metrics.count("remote_errors")
                 return None
             except VerificationError:
-                self._count("remote_verify_failures")
-                obs.count("image.l3.verify_failure")
+                self.metrics.count("remote_verify_failures")
                 return None
             sp.set(hit=True)
         residual.stats["image_digest"] = digest
         residual.stats["l3_hit"] = True
         if self.local is not None and self.local.writable:
             if self.local.adopt(key, digest, data):
-                self._count("replicated")
-                obs.count("image.tier.replicate")
-        self._count("remote_hits")
-        obs.count("image.l3.hit")
+                self.metrics.count("replicated")
+        self.metrics.count("remote_hits")
         return residual
-
-    def load(
-        self,
-        digest: str,
-        verify: bool = True,
-        check_fingerprint: bool = True,
-    ) -> ResidualProgram:
-        if self.local is None:
-            raise FileNotFoundError(digest)
-        return self.local.load(
-            digest, verify=verify, check_fingerprint=check_fingerprint
-        )
 
     # -- writes ---------------------------------------------------------------
 
@@ -732,22 +618,20 @@ class TieredStore:
         with self._lock:
             if self._stop.is_set():
                 return
-            if self._queue.qsize() >= self.max_queue:
-                # Saturated: the specializer never blocks on the
-                # network.  L2 already has the image; sync picks up
-                # anything dropped here.
-                self._counters["wb_dropped"] += 1
-                obs.count("image.l3.write_behind.drop")
-                return
-            self._queue.put((key_digest, digest, data))
-            self._counters["wb_enqueued"] += 1
-            obs.count("image.l3.write_behind.enqueue")
-            if self._worker is None or not self._worker.is_alive():
-                self._worker = threading.Thread(
-                    target=self._worker_loop,
-                    name="repro-store-write-behind", daemon=True,
-                )
-                self._worker.start()
+            # Saturated: the specializer never blocks on the network.
+            # L2 already has the image; sync picks up anything dropped.
+            dropped = self._queue.qsize() >= self.max_queue
+            if not dropped:
+                self._queue.put((key_digest, digest, data))
+                if self._worker is None or not self._worker.is_alive():
+                    self._worker = threading.Thread(
+                        target=self._worker_loop,
+                        name="repro-store-write-behind", daemon=True,
+                    )
+                    self._worker.start()
+        self.metrics.count(
+            "write_behind.drop" if dropped else "write_behind.enqueue"
+        )
 
     def _worker_loop(self) -> None:
         while True:
@@ -781,18 +665,15 @@ class TieredStore:
                     result = self.remote.push(digest, data, key=key_digest)
             except RemoteStoreError as exc:
                 if not exc.retryable:
-                    self._count("wb_dropped")
-                    obs.count("image.l3.write_behind.drop")
+                    self.metrics.count("write_behind.drop")
                     return
                 self._mark_down()
-                self._count("wb_retries")
-                obs.count("image.l3.write_behind.retry")
+                self.metrics.count("write_behind.retry")
                 continue
             self._mark_up()
             if result.get("deduped"):
-                self._count("wb_deduped")
-            self._count("wb_flushed")
-            obs.count("image.l3.write_behind.flush")
+                self.metrics.count("write_behind.dedup")
+            self.metrics.count("write_behind.flush")
             return
 
     def flush(self, timeout: float = 10.0) -> bool:
@@ -817,54 +698,14 @@ class TieredStore:
             worker.join(timeout=timeout)
         self.remote.close()
 
-    # -- bulk movement --------------------------------------------------------
-
-    def sync(self) -> dict[str, Any]:
-        """Push every local object and ref to L3, synchronously."""
-        if self.local is None:
-            raise ValueError("sync needs a local store tier")
-        self.flush()
-        return sync_stores(self.local, self.remote)
-
-    def prefetch(self) -> dict[str, Any]:
-        """Pull the remote inventory down into L2."""
-        if self.local is None:
-            raise ValueError("prefetch needs a local store tier")
-        return prefetch_store(self.local, self.remote)
-
-    # -- parity with ImageStore ----------------------------------------------
-
-    def ls(self, strict: bool = False) -> list[dict[str, Any]]:
-        return self.local.ls(strict=strict) if self.local else []
-
-    def gc(
-        self, max_bytes: "int | None" = None, dry_run: bool = False
-    ) -> dict[str, Any]:
-        if self.local is None:
-            return {
-                "removed_objects": 0, "removed_refs": 0,
-                "bytes_before": 0, "bytes_after": 0,
-            }
-        return self.local.gc(max_bytes=max_bytes, dry_run=dry_run)
-
-    @property
-    def writable(self) -> bool:
-        # Write-behind makes the tier writable even without a local
-        # store; with one, its verdict wins (put lands there first).
-        return self.local.writable if self.local is not None else True
-
     def stats(self) -> dict[str, Any]:
+        base: dict[str, Any]
         if self.local is not None:
             base = self.local.stats()
         else:
-            base = {
-                "hits": 0, "misses": 0, "writes": 0, "write_errors": 0,
-                "read_errors": 0, "verify_failures": 0, "adopts": 0,
-                "gc_removed_objects": 0, "gc_removed_refs": 0,
-                "fsck_corrupt": 0, "writable": True, "root": None,
-            }
+            base = {**dict.fromkeys(STORE_COUNTERS, 0),
+                    "writable": True, "root": None}
         with self._lock:
-            counters = dict(self._counters)
             down = time.monotonic() < self._down_until
             negative_entries = len(self._negative)
         base["remote"] = {
@@ -872,7 +713,7 @@ class TieredStore:
             "down": down,
             "queue_depth": self._queue.qsize(),
             "negative_entries": negative_entries,
-            **counters,
+            **self.metrics.snapshot(),
         }
         return base
 

@@ -10,11 +10,13 @@ backend kind)`` — to the content address.  A fresh process (or another
 process on the same machine) warm-starts by hitting the index instead of
 re-running the specializer.
 
-Byte-level storage is behind the :class:`StoreBackend` protocol:
-:class:`LocalStoreBackend` is the original content-addressed directory
-layout, and :class:`repro.image.remote.RemoteStoreClient` speaks the same
-protocol over TCP so stores can be tiered across machines
-(:class:`repro.image.remote.TieredStore`).
+:class:`ImageStore` is the policy — integrity, trust, counters and
+eviction — over :class:`LocalStoreBackend`, which moves the bytes of the
+content-addressed directory layout.  The L3 object server
+(:class:`repro.image.remote.ObjectServer`) serves a store directory
+through the same backend class, and
+:class:`repro.image.remote.TieredStore` is the one way to put it behind
+an ``ImageStore``.
 
 Robustness properties:
 
@@ -46,11 +48,10 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, ContextManager, Iterator, Protocol, runtime_checkable
+from typing import Any, Iterator
 
 from repro import obs
 from repro.image.codec import (
@@ -188,74 +189,9 @@ def verify_residual(residual: ResidualProgram) -> None:
             verify_template(value.template)
 
 
-@runtime_checkable
-class StoreBackend(Protocol):
-    """Byte-level storage behind :class:`ImageStore`.
-
-    A backend stores opaque object payloads keyed by SHA-256 content
-    digest plus a flat ``key digest -> object digest`` reference index.
-    All methods raise :class:`OSError` (or a subclass — the remote
-    backend's transport error is one) on storage failure; ``ImageStore``
-    maps those to misses and error counters.  Backends do **not**
-    decode, hash-check, or verify payloads — integrity and trust stay in
-    ``ImageStore``, so a hostile or corrupt backend can never hand the
-    process unverified code.
-    """
-
-    writable: bool
-
-    def location(self) -> str:
-        """Human-readable backend address (path or host:port)."""
-        ...
-
-    def locked(self) -> ContextManager[None]:
-        """Exclusive advisory lock spanning a write/gc critical section."""
-        ...
-
-    def read_object(self, digest: str) -> bytes:
-        """Return the payload stored at ``digest``; raise ``OSError``
-        (``FileNotFoundError`` for a missing object) otherwise."""
-        ...
-
-    def write_object(
-        self, digest: str, data: bytes, durable: bool = True
-    ) -> None:
-        """Store ``data`` at ``digest``.  ``durable=False`` may skip
-        crash-durability (fsync) — callers use it only for payloads that
-        are reconstructible from another tier."""
-        ...
-
-    def has_object(self, digest: str) -> bool: ...
-
-    def stat_object(self, digest: str) -> ObjectStat: ...
-
-    def touch_object(self, digest: str) -> None:
-        """Mark ``digest`` recently used (LRU recency); best-effort."""
-        ...
-
-    def delete_object(self, digest: str) -> bool: ...
-
-    def quarantine_object(self, digest: str) -> bool:
-        """Move a corrupt object out of the addressable namespace (or
-        delete it when the backend has no quarantine area)."""
-        ...
-
-    def list_objects(self) -> list[ObjectStat]: ...
-
-    def read_ref(self, key: str) -> str: ...
-
-    def write_ref(
-        self, key: str, digest: str, durable: bool = True
-    ) -> None: ...
-
-    def delete_ref(self, key: str) -> bool: ...
-
-    def list_ref_keys(self) -> list[str]: ...
-
-
 class LocalStoreBackend:
-    """The content-addressed directory layout, extracted from the
-    original ``ImageStore`` unchanged except for durability::
+    """The content-addressed directory layout beneath an
+    :class:`ImageStore` and an L3 object server::
 
         <root>/objects/<aa>/<digest>   opaque payload (content address)
         <root>/index/<key digest>      text file naming an object digest
@@ -266,6 +202,9 @@ class LocalStoreBackend:
     fsynced before ``os.replace``, and the parent directory is fsynced
     after (best-effort), so a crash right after a "successful" write
     cannot resurrect as a zero-length or torn object.
+
+    Every storage failure is an :class:`OSError`; the backend moves
+    bytes only and never decodes, hashes or verifies them.
     """
 
     def __init__(self, root: str | os.PathLike):
@@ -286,7 +225,8 @@ class LocalStoreBackend:
         return str(self.root)
 
     @contextmanager
-    def _locked_cm(self) -> Iterator[None]:
+    def locked(self) -> Iterator[None]:
+        """Exclusive advisory lock spanning a write/gc critical section."""
         if fcntl is None:
             yield
             return
@@ -303,9 +243,6 @@ class LocalStoreBackend:
                 fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
             finally:
                 fh.close()
-
-    def locked(self) -> ContextManager[None]:
-        return self._locked_cm()
 
     def _object_path(self, digest: str) -> Path:
         return self.objects_dir / digest[:2] / digest
@@ -443,76 +380,34 @@ class LocalStoreBackend:
         )
 
 
+#: The counters of :class:`ImageStore` — its ``stats()`` keys, reported
+#: to ``obs`` as ``image.l2.<key>``.
+STORE_COUNTERS = (
+    "hits", "misses", "writes", "write_errors", "read_errors",
+    "verify_failures", "adopts", "gc_removed_objects", "gc_removed_refs",
+    "fsck_corrupt",
+)
+
+
 class ImageStore:
     """A content-addressed store of residual-code images.
 
     Integrity, trust, counters, and eviction policy live here; byte
-    storage is delegated to a :class:`StoreBackend`
-    (:class:`LocalStoreBackend` over ``root`` by default).
+    storage is the :class:`LocalStoreBackend` over ``root``.
 
     ``max_bytes`` (optional) bounds the total object payload; exceeding
     it triggers an LRU :meth:`gc` after each write.
     """
 
-    def __init__(
-        self,
-        root: str | os.PathLike | None = None,
-        max_bytes: int | None = None,
-        backend: StoreBackend | None = None,
-    ):
-        if backend is None:
-            if root is None:
-                raise ValueError("ImageStore needs a root or a backend")
-            backend = LocalStoreBackend(root)
-        self.backend = backend
-        self.root = Path(root) if root is not None else Path(
-            backend.location()
-        )
+    def __init__(self, root: str | os.PathLike, max_bytes: int | None = None):
+        self.backend = LocalStoreBackend(root)
+        self.root = self.backend.root
         self.max_bytes = max_bytes
-        self._counter_lock = threading.Lock()
-        self._counters = {
-            "hits": 0,
-            "misses": 0,
-            "writes": 0,
-            "write_errors": 0,
-            "read_errors": 0,
-            "verify_failures": 0,
-            "adopts": 0,
-            "gc_removed_objects": 0,
-            "gc_removed_refs": 0,
-            "fsck_corrupt": 0,
-        }
+        self.metrics = obs.Counters("image.l2", STORE_COUNTERS)
 
     @property
     def writable(self) -> bool:
         return self.backend.writable
-
-    # -- local-backend conveniences (tests and the CLI reach for these) -------
-
-    @property
-    def objects_dir(self) -> Path:
-        return self.backend.objects_dir  # type: ignore[attr-defined]
-
-    @property
-    def index_dir(self) -> Path:
-        return self.backend.index_dir  # type: ignore[attr-defined]
-
-    def _object_path(self, digest: str) -> Path:
-        return self.backend._object_path(digest)  # type: ignore[attr-defined]
-
-    def _atomic_write(self, path: Path, data: bytes) -> None:
-        self.backend._atomic_write(path, data)  # type: ignore[attr-defined]
-
-    # -- internals ------------------------------------------------------------
-
-    def _count(self, name: str, n: int = 1) -> None:
-        with self._counter_lock:
-            self._counters[name] += n
-
-    @contextmanager
-    def _locked(self) -> Iterator[None]:
-        with self.backend.locked():
-            yield
 
     # -- the store API --------------------------------------------------------
 
@@ -525,29 +420,17 @@ class ImageStore:
         """
         with obs.span("image.put", key=key.digest[:12]):
             if not self.writable:
-                self._count("write_errors")
-                obs.count("image.l2.write_error")
+                self.metrics.count("write_errors")
                 return None
             try:
                 data = encode_residual(residual)
             except CodecError:
-                self._count("write_errors")
-                obs.count("image.l2.write_error")
+                self.metrics.count("write_errors")
                 return None
             digest = hashlib.sha256(data).hexdigest()
-            try:
-                with self._locked():
-                    if not self.backend.has_object(digest):
-                        self.backend.write_object(digest, data)
-                    self.backend.write_ref(key.digest, digest)
-                    if self.max_bytes is not None:
-                        self._gc_locked(self.max_bytes)
-            except OSError:
-                self._count("write_errors")
-                obs.count("image.l2.write_error")
+            if not self._write(key, digest, data, durable=True):
                 return None
-            self._count("writes")
-            obs.count("image.l2.write")
+            self.metrics.count("writes")
             obs.observe("image.l2.bytes", len(data))
             return digest
 
@@ -564,26 +447,29 @@ class ImageStore:
         from, every load re-checks the content address anyway, and the
         fsyncs would otherwise tax the remote *read* path.
         """
-        if not self.writable:
-            self._count("write_errors")
+        if not self.writable or hashlib.sha256(data).hexdigest() != digest:
+            self.metrics.count("write_errors")
             return False
-        if hashlib.sha256(data).hexdigest() != digest:
-            self._count("write_errors")
-            obs.count("image.l2.write_error")
+        if not self._write(key, digest, data, durable=False):
             return False
+        self.metrics.count("adopts")
+        return True
+
+    def _write(
+        self, key: StoreKey, digest: str, data: bytes, durable: bool
+    ) -> bool:
+        """Store ``data`` at ``digest`` and index it under ``key``;
+        a storage failure counts a write error and returns ``False``."""
         try:
-            with self._locked():
+            with self.backend.locked():
                 if not self.backend.has_object(digest):
-                    self.backend.write_object(digest, data, durable=False)
-                self.backend.write_ref(key.digest, digest, durable=False)
+                    self.backend.write_object(digest, data, durable=durable)
+                self.backend.write_ref(key.digest, digest, durable=durable)
                 if self.max_bytes is not None:
                     self._gc_locked(self.max_bytes)
         except OSError:
-            self._count("write_errors")
-            obs.count("image.l2.write_error")
+            self.metrics.count("write_errors")
             return False
-        self._count("adopts")
-        obs.count("image.l2.adopt")
         return True
 
     def read_object(self, digest: str) -> bytes | None:
@@ -597,12 +483,7 @@ class ImageStore:
             return None
         return data
 
-    def get(
-        self,
-        key: StoreKey,
-        verify: bool = True,
-        check_fingerprint: bool = True,
-    ) -> ResidualProgram | None:
+    def get(self, key: StoreKey, verify: bool = True) -> ResidualProgram | None:
         """Look ``key`` up; decode, and (by default) verify, on a hit.
 
         Returns ``None`` on a miss *or* on any integrity failure — a
@@ -614,53 +495,29 @@ class ImageStore:
             try:
                 ref = self.backend.read_ref(key.digest)
             except OSError:
-                self._count("misses")
-                obs.count("image.l2.miss")
-                return None
-            if not plausible_digest(ref):
-                # A torn ref write; gc() will prune it.
-                self._count("read_errors")
-                self._count("misses")
-                obs.count("image.l2.read_error")
-                obs.count("image.l2.miss")
+                self.metrics.count("misses")
                 return None
             try:
-                residual = self.load(
-                    ref, verify=verify, check_fingerprint=check_fingerprint
-                )
+                if not plausible_digest(ref):
+                    # A torn ref write (gc() prunes it): a read error.
+                    raise CodecError(f"torn index ref {ref[:16]!r}")
+                residual = self.load(ref, verify=verify)
             except FileNotFoundError:
-                self._count("misses")
-                obs.count("image.l2.miss")
+                self.metrics.count("misses")
                 return None
-            except OSError:
-                self._count("read_errors")
-                self._count("misses")
-                obs.count("image.l2.read_error")
-                obs.count("image.l2.miss")
-                return None
-            except CodecError:
-                self._count("read_errors")
-                self._count("misses")
-                obs.count("image.l2.read_error")
-                obs.count("image.l2.miss")
+            except (OSError, CodecError):
+                self.metrics.count("read_errors")
+                self.metrics.count("misses")
                 return None
             except VerificationError:
-                self._count("verify_failures")
-                self._count("misses")
-                obs.count("image.l2.verify_failure")
-                obs.count("image.l2.miss")
+                self.metrics.count("verify_failures")
+                self.metrics.count("misses")
                 return None
-            self._count("hits")
-            obs.count("image.l2.hit")
+            self.metrics.count("hits")
             sp.set(hit=True)
             return residual
 
-    def load(
-        self,
-        digest: str,
-        verify: bool = True,
-        check_fingerprint: bool = True,
-    ) -> ResidualProgram:
+    def load(self, digest: str, verify: bool = True) -> ResidualProgram:
         """Load an image by content digest.  Raises on any failure:
         :class:`FileNotFoundError`, :class:`CodecError` (corruption,
         staleness, content-address mismatch), or
@@ -674,19 +531,13 @@ class ImageStore:
                     f"content-address mismatch: object named {digest[:12]}..."
                     f" hashes to {actual[:12]}..."
                 )
-            residual = decode_residual(
-                data, check_fingerprint=check_fingerprint
-            )
+            residual = decode_residual(data)
             if verify:
                 with obs.span("image.verify_on_load"):
-                    self._verify(residual)
+                    verify_residual(residual)
         residual.stats["image_digest"] = digest
         self.backend.touch_object(digest)  # LRU recency for gc()
         return residual
-
-    @staticmethod
-    def _verify(residual: ResidualProgram) -> None:
-        verify_residual(residual)
 
     def ls(self, strict: bool = False) -> list[dict[str, Any]]:
         """Describe every indexed image: key, object digest, size,
@@ -740,7 +591,7 @@ class ImageStore:
         ``bytes_after`` at the projected post-gc size).
         """
         limit = self.max_bytes if max_bytes is None else max_bytes
-        with self._locked():
+        with self.backend.locked():
             return self._gc_locked(limit, dry_run=dry_run)
 
     def _gc_locked(
@@ -800,9 +651,9 @@ class ImageStore:
                     removed_refs += 1
         if not dry_run:
             if removed:
-                self._count("gc_removed_objects", removed)
+                self.metrics.count("gc_removed_objects", removed)
             if removed_refs:
-                self._count("gc_removed_refs", removed_refs)
+                self.metrics.count("gc_removed_refs", removed_refs)
         report = {
             "removed_objects": removed,
             "removed_refs": removed_refs,
@@ -824,7 +675,7 @@ class ImageStore:
         index refs pointing at it are pruned, so later gets miss cleanly
         instead of paying a read error forever.
         """
-        with self._locked():
+        with self.backend.locked():
             checked = 0
             corrupt: list[str] = []
             try:
@@ -864,8 +715,7 @@ class ImageStore:
                     if self.backend.delete_ref(key):
                         removed_refs += 1
         if corrupt:
-            self._count("fsck_corrupt", len(corrupt))
-            obs.count("image.l2.fsck_corrupt", len(corrupt))
+            self.metrics.count("fsck_corrupt", len(corrupt))
         return {
             "checked": checked,
             "corrupt": corrupt,
@@ -876,8 +726,7 @@ class ImageStore:
 
     def stats(self) -> dict[str, Any]:
         """A snapshot of the store counters."""
-        with self._counter_lock:
-            snapshot: dict[str, Any] = dict(self._counters)
+        snapshot: dict[str, Any] = self.metrics.snapshot()
         snapshot["writable"] = self.writable
         snapshot["root"] = str(self.root)
         return snapshot

@@ -43,13 +43,14 @@ import functools
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.trace import SpanRecord, Tracer
 
 __all__ = [
     "Counter",
+    "Counters",
     "Histogram",
     "MetricsRegistry",
     "SpanRecord",
@@ -107,6 +108,35 @@ def count(name: str, n: int = 1) -> None:
     metrics = _metrics
     if metrics is not None:
         metrics.count(name, n)
+
+
+class Counters:
+    """One component's event counters, always on.
+
+    :meth:`count` records an event in the component's own registry,
+    which its ``stats()`` reads through :meth:`snapshot`, and — when a
+    registry is installed — in that one as ``<prefix>.<key>``.  So an
+    event is counted by one call under one spelling: the stats key is
+    the ``obs`` suffix.  ``keys`` are shown from zero.
+    """
+
+    __slots__ = ("prefix", "registry")
+
+    def __init__(self, prefix: str, keys: Iterable[str] = ()):
+        self.prefix = prefix
+        self.registry = MetricsRegistry()
+        for key in keys:
+            self.registry.count(key, 0)
+
+    def count(self, key: str, n: int = 1) -> None:
+        self.registry.count(key, n)
+        metrics = _metrics
+        if metrics is not None:
+            metrics.count(f"{self.prefix}.{key}", n)
+
+    def snapshot(self) -> dict[str, int]:
+        """Every counter by key, zeros included."""
+        return self.registry.snapshot()["counters"]
 
 
 def observe(name: str, value: float) -> None:

@@ -65,16 +65,17 @@ class AdmissionController:
     across tenants — a verdict is a property of the (program, signature,
     hints) triple, not of who asked.  Thread-safe; concurrent first
     requests for one digest may race the analysis, which is harmless
-    (same verdict, last writer wins).
+    (same verdict, last writer wins).  Its counters reach ``obs`` as
+    ``serve.admission.<key>``.
     """
 
     def __init__(self, max_entries: int = 1024):
         self.max_entries = max_entries
         self._lock = threading.Lock()
         self._verdicts: dict[str, AnalysisReport] = {}
-        self._analyzed = 0
-        self._hits = 0
-        self._denied = 0
+        self.metrics = obs.Counters(
+            "serve.admission", ("analyzed", "cache_hits", "denied")
+        )
 
     def check(
         self,
@@ -94,10 +95,8 @@ class AdmissionController:
         """
         with self._lock:
             report = self._verdicts.get(digest)
-            if report is not None:
-                self._hits += 1
         if report is not None:
-            obs.count("serve.admission.cache_hit")
+            self.metrics.count("cache_hits")
             return report
         with obs.span("serve.admission.analyze", digest=digest[:12]):
             result = bta_analyze(
@@ -118,7 +117,7 @@ class AdmissionController:
                 )
                 division = compare_divisions(result, mono)
             report = analyze_bta(result, division=division)
-        obs.count("serve.admission.analyzed")
+        self.metrics.count("analyzed")
         with self._lock:
             if len(self._verdicts) >= self.max_entries:
                 # Verdict cache overflow: drop the oldest insertions.
@@ -127,7 +126,6 @@ class AdmissionController:
                 for stale in list(self._verdicts)[: self.max_entries // 2]:
                     del self._verdicts[stale]
             self._verdicts[digest] = report
-            self._analyzed += 1
         return report
 
     def verdict(self, digest: str) -> AnalysisReport | None:
@@ -136,15 +134,9 @@ class AdmissionController:
             return self._verdicts.get(digest)
 
     def record_denial(self) -> None:
-        with self._lock:
-            self._denied += 1
-        obs.count("serve.admission.denied")
+        self.metrics.count("denied")
 
     def stats(self) -> dict[str, Any]:
         with self._lock:
-            return {
-                "cached_verdicts": len(self._verdicts),
-                "analyzed": self._analyzed,
-                "cache_hits": self._hits,
-                "denied": self._denied,
-            }
+            cached = len(self._verdicts)
+        return {"cached_verdicts": cached, **self.metrics.snapshot()}

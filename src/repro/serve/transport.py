@@ -7,8 +7,8 @@ server (:mod:`repro.image.remote`) speak the frame protocol of
 :class:`FrameServer` owns the listener, start/stop, the accept loop, the
 bounded connection pool and its ``BUSY`` policy, the per-connection
 recv→dispatch→send loop, the typed-frame boundary, the built-in
-``ping``/``stats`` frames and one :class:`~repro.obs.MetricsRegistry` of
-transport and request counters; a concrete server is a handler table
+``ping``/``stats`` frames and one :class:`~repro.obs.Counters` registry
+of transport and request counters; a concrete server is a handler table
 (frame type → method) plus its domain state.  :class:`FrameClient` owns
 one reusable connection, the exchange and retry with backoff.
 """
@@ -21,7 +21,6 @@ import time
 from typing import Any, Callable, TypeVar
 
 from repro import obs
-from repro.obs import MetricsRegistry
 from repro.serve.protocol import (
     E_BAD_FRAME,
     E_BAD_REQUEST,
@@ -84,7 +83,7 @@ class FrameServer:
     connection carries any number of sequential exchanges.
 
     A subclass passes its handler table to ``__init__`` and names
-    ``OBS_PREFIX`` (the ``obs`` namespace of :meth:`count`), ``COUNTERS``
+    ``OBS_PREFIX`` (the ``obs`` namespace of its counters), ``COUNTERS``
     (its domain counters, shown from zero) and, if it differs,
     ``ACCEPTED`` (its admitted-connection counter).
     """
@@ -109,21 +108,15 @@ class FrameServer:
         self._handlers: dict[str, Handler] = {
             "ping": self._handle_ping, "stats": self._handle_stats, **handlers,
         }
-        self.metrics = MetricsRegistry()
-        for key in (self.ACCEPTED, *TRANSPORT_COUNTERS, *self.COUNTERS):
-            self.metrics.count(key, 0)
+        self.metrics = obs.Counters(
+            self.OBS_PREFIX, (self.ACCEPTED, *TRANSPORT_COUNTERS, *self.COUNTERS)
+        )
         self._lock = threading.Lock()
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._threads: set[threading.Thread] = set()
         self._connections: set[socket.socket] = set()
         self._closing = threading.Event()
-
-    def count(self, key: str, n: int = 1) -> None:
-        """Record an event in the registry and mirror it to ``obs`` as
-        ``<OBS_PREFIX>.<key>``."""
-        self.metrics.count(key, n)
-        obs.count(f"{self.OBS_PREFIX}.{key}", n)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -179,7 +172,7 @@ class FrameServer:
                 # Graceful degradation at the pool boundary: a typed,
                 # retryable BUSY frame, then close — never a socket
                 # that neither answers nor disconnects.
-                self.count("connections_rejected_busy")
+                self.metrics.count("connections_rejected_busy")
                 self._send_quietly(conn, error_frame(
                     E_BUSY,
                     f"server connection pool is full"
@@ -188,7 +181,7 @@ class FrameServer:
                 ))
                 _shut(conn)
                 continue
-            self.count(self.ACCEPTED)
+            self.metrics.count(self.ACCEPTED)
             thread = threading.Thread(
                 target=self._serve_connection, args=(conn,), daemon=True,
                 name=f"{type(self).__name__}-conn",
@@ -214,7 +207,7 @@ class FrameServer:
                 except FrameError as exc:
                     # A peer speaking garbage: answer once, typed, and
                     # drop the connection (framing is unrecoverable).
-                    self.count("frame_errors")
+                    self.metrics.count("frame_errors")
                     self._send_quietly(conn, error_frame(E_BAD_FRAME, str(exc)))
                     return
                 except OSError:
@@ -243,7 +236,7 @@ class FrameServer:
 
     def _dispatch(self, frame: dict[str, Any]) -> dict[str, Any]:
         """Answer one decoded request frame: the typed-frame boundary."""
-        self.count("requests")
+        self.metrics.count("requests")
         kind = frame.get("type")
         handler = self._handlers.get(kind) if isinstance(kind, str) else None
         try:
@@ -259,17 +252,17 @@ class FrameServer:
             # non-retryable INTERNAL frame instead of killing the
             # connection thread; an OSError (disk or network trouble on
             # the server) is worth a retry.
-            self.count("internal_errors")
+            self.metrics.count("internal_errors")
             response = error_frame(
                 E_INTERNAL, f"{type(exc).__name__}: {exc}",
                 retryable=isinstance(exc, OSError),
             )
         if response.get("type") != "error":
-            self.count("responses_ok")
+            self.metrics.count("responses_ok")
         else:
-            self.count("responses_error")
+            self.metrics.count("responses_error")
             if response.get("code") == E_BAD_REQUEST:
-                self.count("bad_requests")
+                self.metrics.count("bad_requests")
         return response
 
     def _handle_ping(self, frame: dict[str, Any]) -> dict[str, Any]:
@@ -288,7 +281,7 @@ class FrameServer:
             "port": self.port,
             "max_connections": self.max_connections,
             "active_connections": active,
-            "counters": self.metrics.snapshot()["counters"],
+            "counters": self.metrics.snapshot(),
         }
 
 

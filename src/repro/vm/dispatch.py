@@ -296,19 +296,9 @@ def counting_loop_source(indent: int = 0) -> str:
 # Checked-in loop regions: drift gate
 # --------------------------------------------------------------------------
 
-_GENERATED_TARGETS: tuple[tuple[str, str, int, Callable[[], str]], ...] = (
-    (
-        "machine.py",
-        "production loop",
-        8,
-        lambda: production_loop_source(indent=4),
-    ),
-    (
-        "profile.py",
-        "counting loop",
-        0,
-        lambda: counting_loop_source(indent=0),
-    ),
+_GENERATED_TARGETS: tuple[tuple[str, str, Callable[[], str]], ...] = (
+    ("machine.py", "production loop", lambda: production_loop_source(indent=4)),
+    ("profile.py", "counting loop", lambda: counting_loop_source(indent=0)),
 )
 
 
@@ -344,7 +334,7 @@ def check_drift() -> list[str]:
     """
     here = Path(__file__).resolve().parent
     problems: list[str] = []
-    for filename, label, _marker_indent, render in _GENERATED_TARGETS:
+    for filename, label, render in _GENERATED_TARGETS:
         path = here / filename
         text = path.read_text(encoding="utf-8")
         try:
@@ -366,7 +356,7 @@ def write_generated() -> list[str]:
     """Regenerate the checked-in loop regions; returns rewritten files."""
     here = Path(__file__).resolve().parent
     rewritten: list[str] = []
-    for filename, label, _marker_indent, render in _GENERATED_TARGETS:
+    for filename, label, render in _GENERATED_TARGETS:
         path = here / filename
         text = path.read_text(encoding="utf-8")
         head, body, tail = _split_region(text, label, filename)

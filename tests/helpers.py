@@ -46,3 +46,22 @@ def assert_all_ways_equal(source: str, args: Sequence[Any], expected: Any) -> No
         assert scheme_equal(result, expected), (
             f"got {result!r}, expected {expected!r}"
         )
+
+
+def unsound_residual(gen: Any, static: Any = 5) -> Any:
+    """``gen``'s object code for ``static`` with its first template
+    replaced by a well-framed but unsound one (a branch past the end of
+    the code): an image of it encodes and decodes, and fails the
+    verifier."""
+    from repro.vm.instructions import Op
+    from repro.vm.machine import VmClosure
+    from repro.vm.template import Template
+
+    rp = gen.to_object_code([static])
+    name = next(iter(rp.machine.globals))
+    bad = Template(
+        code=((Op.JUMP, 99), (Op.RETURN,)), literals=(), arity=1,
+        nlocals=1, name=rp.machine.globals[name].template.name,
+    )
+    rp.machine.globals[name] = VmClosure(bad, ())
+    return rp

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 
 import pytest
 
+from repro import obs
 from repro.image.codec import CodecError, encode_residual
 from repro.image.store import (
+    STORE_COUNTERS,
     ImageStore,
     StoreKey,
     UnpersistableKey,
@@ -18,6 +21,7 @@ from repro.pe.values import freeze_static
 from repro.rtcg import make_generating_extension, program_digest
 from repro.sexp.datum import Char, sym
 from repro.vm.verify import VerificationError
+from tests.helpers import unsound_residual
 
 POWER = "(define (power x n) (if (zero? n) 1 (* x (power x (- n 1)))))"
 
@@ -115,7 +119,7 @@ class TestPutGet:
     def test_corrupt_object_behaves_like_a_miss(self, tmp_path, gen):
         store = ImageStore(tmp_path / "store")
         digest = store.put(_key(), gen.to_object_code([5]))
-        path = store._object_path(digest)
+        path = store.backend._object_path(digest)
         data = bytearray(path.read_bytes())
         data[20] ^= 0xFF
         path.write_bytes(bytes(data))
@@ -125,14 +129,14 @@ class TestPutGet:
     def test_dangling_ref_is_a_miss(self, tmp_path, gen):
         store = ImageStore(tmp_path / "store")
         digest = store.put(_key(), gen.to_object_code([5]))
-        store._object_path(digest).unlink()
+        store.backend._object_path(digest).unlink()
         assert store.get(_key()) is None
 
     def test_load_rejects_mislabeled_object(self, tmp_path, gen):
         store = ImageStore(tmp_path / "store")
         data = encode_residual(gen.to_object_code([5]))
         fake = "0" * 64
-        store._atomic_write(store._object_path(fake), data)
+        store.backend._atomic_write(store.backend._object_path(fake), data)
         with pytest.raises(CodecError, match="content-address"):
             store.load(fake)
 
@@ -154,21 +158,7 @@ class TestVerifyOnLoad:
     def _poison(self, store: ImageStore, gen) -> str:
         """Store an image whose template is well-framed (valid CRC) but
         unsound bytecode: a branch target past the end of the code."""
-        from repro.vm.machine import VmClosure
-        from repro.vm.instructions import Op
-        from repro.vm.template import Template
-
-        rp = gen.to_object_code([5])
-        bad = Template(
-            code=((Op.JUMP, 99), (Op.RETURN,)),
-            literals=(),
-            arity=1,
-            nlocals=1,
-            name=next(iter(rp.machine.globals.values())).template.name,
-        )
-        name = next(iter(rp.machine.globals))
-        rp.machine.globals[name] = VmClosure(bad, ())
-        digest = store.put(_key(), rp)
+        digest = store.put(_key(), unsound_residual(gen))
         assert digest is not None
         return digest
 
@@ -198,7 +188,7 @@ class TestGc:
         digests = []
         for n in range(4):
             digests.append(store.put(_key(n), gen.to_object_code([n])))
-        paths = [store._object_path(d) for d in digests]
+        paths = [store.backend._object_path(d) for d in digests]
         # Age the first two objects, then keep only enough budget for two.
         for i, p in enumerate(paths):
             os.utime(p, (1000 + i, 1000 + i))
@@ -215,7 +205,7 @@ class TestGc:
         store = ImageStore(tmp_path / "store")
         d0 = store.put(_key(0), gen.to_object_code([0]))
         d1 = store.put(_key(1), gen.to_object_code([1]))
-        p0, p1 = store._object_path(d0), store._object_path(d1)
+        p0, p1 = store.backend._object_path(d0), store.backend._object_path(d1)
         os.utime(p0, (1000, 1000))
         os.utime(p1, (2000, 2000))
         store.load(d0)  # touch: now most recent
@@ -225,7 +215,7 @@ class TestGc:
     def test_gc_drops_dangling_refs(self, tmp_path, gen):
         store = ImageStore(tmp_path / "store")
         digest = store.put(_key(), gen.to_object_code([5]))
-        store._object_path(digest).unlink()
+        store.backend._object_path(digest).unlink()
         report = store.gc()
         assert report["removed_refs"] == 1
         assert store.ls() == []
@@ -258,7 +248,7 @@ class TestLs:
     def test_ls_reports_corrupt_entries(self, tmp_path, gen):
         store = ImageStore(tmp_path / "store")
         digest = store.put(_key(), gen.to_object_code([5]))
-        store._object_path(digest).write_bytes(b"junk")
+        store.backend._object_path(digest).write_bytes(b"junk")
         (entry,) = store.ls()
         assert "error" in entry
 
@@ -400,7 +390,7 @@ class TestDurability:
         store = ImageStore(tmp_path / "store")
         digest = store.put(_key(), gen.to_object_code([5]))
         # simulate a torn write: truncate the object in place
-        store._object_path(digest).write_bytes(b"")
+        store.backend._object_path(digest).write_bytes(b"")
         report = store.fsck()
         assert report["checked"] == 1
         assert report["corrupt"] == [digest]
@@ -409,7 +399,7 @@ class TestDurability:
         assert not report["ok"]
         assert store.stats()["fsck_corrupt"] == 1
         # the torn object is quarantined aside, not silently served
-        assert not store._object_path(digest).exists()
+        assert not store.backend._object_path(digest).exists()
         assert (store.backend.quarantine_dir / digest).exists()
         # later gets miss cleanly
         assert store.get(_key()) is None
@@ -431,7 +421,7 @@ class TestTornRefs:
     `get()` raise and survived `gc()` forever."""
 
     def _torn_ref(self, store: ImageStore, name: str = "deadbeef") -> None:
-        (store.index_dir / name).write_text("")
+        (store.backend.index_dir / name).write_text("")
 
     def test_get_on_torn_ref_is_a_miss_not_an_error(self, tmp_path):
         store = ImageStore(tmp_path / "store")
@@ -444,7 +434,7 @@ class TestTornRefs:
         store = ImageStore(tmp_path / "store")
         store.put(_key(), gen.to_object_code([5]))
         self._torn_ref(store, "torn-empty")
-        (store.index_dir / "torn-garbage").write_text("not a digest\n")
+        (store.backend.index_dir / "torn-garbage").write_text("not a digest\n")
         report = store.gc()  # no size pressure: pure ref hygiene
         assert report["removed_objects"] == 0
         assert report["removed_refs"] == 2
@@ -455,7 +445,7 @@ class TestTornRefs:
     def test_gc_prunes_refs_to_missing_objects(self, tmp_path, gen):
         store = ImageStore(tmp_path / "store")
         digest = store.put(_key(), gen.to_object_code([5]))
-        store._object_path(digest).unlink()
+        store.backend._object_path(digest).unlink()
         report = store.gc()
         assert report["removed_refs"] == 1
         assert store.ls() == []
@@ -475,7 +465,7 @@ class TestConcurrentGetVsGc:
 
         def racing_read(d):
             # the "concurrent gc" wins the race just before the load
-            path = store._object_path(d)
+            path = store.backend._object_path(d)
             if path.exists():
                 path.unlink()
             return real_read(d)
@@ -484,7 +474,7 @@ class TestConcurrentGetVsGc:
         assert store.get(_key()) is None
         stats = store.stats()
         assert stats["misses"] == 1
-        assert store._object_path(digest).exists() is False
+        assert store.backend._object_path(digest).exists() is False
 
     def test_threaded_get_vs_gc_hammer(self, tmp_path, gen):
         import threading
@@ -526,3 +516,106 @@ class TestConcurrentGetVsGc:
         for t in threads:
             t.join(timeout=5)
         assert errors == []
+
+
+def _unwritable(tmp_path) -> ImageStore:
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    return ImageStore(blocker / "store")
+
+
+def _stored(tmp_path, gen) -> tuple[ImageStore, str]:
+    store = ImageStore(tmp_path / "store")
+    return store, store.put(_key(), gen.to_object_code([5]))
+
+
+def _image(gen) -> tuple[str, bytes]:
+    data = encode_residual(gen.to_object_code([5]))
+    return hashlib.sha256(data).hexdigest(), data
+
+
+def _case_put(tmp_path, gen):
+    store, rp = ImageStore(tmp_path / "store"), gen.to_object_code([5])
+    return store, lambda: store.put(_key(), rp)
+
+
+def _case_adopt(tmp_path, gen):
+    store, (digest, data) = ImageStore(tmp_path / "store"), _image(gen)
+    return store, lambda: store.adopt(_key(), digest, data)
+
+
+def _case_hit(tmp_path, gen):
+    store, _digest = _stored(tmp_path, gen)
+    return store, lambda: store.get(_key())
+
+
+def _case_miss(tmp_path, gen):
+    store = ImageStore(tmp_path / "store")
+    return store, lambda: store.get(_key())
+
+
+def _case_torn_ref(tmp_path, gen):
+    store = ImageStore(tmp_path / "store")
+    (store.backend.index_dir / _key().digest).write_text("")
+    return store, lambda: store.get(_key())
+
+
+def _case_read_error(tmp_path, gen):
+    store, digest = _stored(tmp_path, gen)
+    store.backend._object_path(digest).write_bytes(b"torn")
+    return store, lambda: store.get(_key())
+
+
+def _case_verify_failure(tmp_path, gen):
+    store = ImageStore(tmp_path / "store")
+    store.put(_key(), unsound_residual(gen))
+    return store, lambda: store.get(_key())
+
+
+def _case_unwritable_put(tmp_path, gen):
+    store, rp = _unwritable(tmp_path), gen.to_object_code([5])
+    return store, lambda: store.put(_key(), rp)
+
+
+def _case_unwritable_adopt(tmp_path, gen):
+    store, (digest, data) = _unwritable(tmp_path), _image(gen)
+    return store, lambda: store.adopt(_key(), digest, data)
+
+
+def _case_gc(tmp_path, gen):
+    store, digest = _stored(tmp_path, gen)
+    return store, lambda: store.gc(max_bytes=0)
+
+
+def _case_fsck(tmp_path, gen):
+    store, digest = _stored(tmp_path, gen)
+    store.backend._object_path(digest).write_bytes(b"")
+    return store, store.fsck
+
+
+@pytest.mark.parametrize("case, key", [
+    (_case_put, "writes"),
+    (_case_adopt, "adopts"),
+    (_case_hit, "hits"),
+    (_case_miss, "misses"),
+    (_case_torn_ref, "read_errors"),
+    (_case_read_error, "read_errors"),
+    (_case_verify_failure, "verify_failures"),
+    (_case_unwritable_put, "write_errors"),
+    (_case_unwritable_adopt, "write_errors"),
+    (_case_gc, "gc_removed_objects"),
+    (_case_fsck, "fsck_corrupt"),
+], ids=lambda v: v.__name__[6:] if callable(v) else v)
+def test_each_event_counts_once_in_stats_and_obs(tmp_path, gen, case, key):
+    """Every store event moves its stats key and the installed ``obs``
+    counter ``image.l2.<key>`` by the same amount, and no other."""
+    store, action = case(tmp_path, gen)
+    before = store.stats()
+    with obs.tracing() as (_tracer, metrics):
+        action()
+    after = store.stats()
+    moved = {k: after[k] - before[k] for k in STORE_COUNTERS}
+    assert moved[key] >= 1
+    assert moved == {
+        k: metrics.counter_value(f"image.l2.{k}") for k in STORE_COUNTERS
+    }

@@ -266,9 +266,9 @@ class TestPipelineInstrumentation:
         assert "image.put" in names
         assert "image.load" in names
         assert "image.verify_on_load" in names
-        assert metrics.counter_value("image.l2.write") == 1
-        assert metrics.counter_value("image.l2.hit") == 1
-        assert metrics.counter_value("image.l2.miss") >= 1
+        assert metrics.counter_value("image.l2.writes") == 1
+        assert metrics.counter_value("image.l2.hits") == 1
+        assert metrics.counter_value("image.l2.misses") >= 1
 
     def test_single_flight_wait_counter(self):
         from repro.pe.residual_cache import ResidualCache

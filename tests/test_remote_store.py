@@ -16,8 +16,10 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.image.codec import encode_residual
 from repro.image.remote import (
+    TIER_COUNTERS,
     ObjectServer,
     RemoteStoreClient,
     RemoteStoreError,
@@ -26,8 +28,9 @@ from repro.image.remote import (
     prefetch_store,
     sync_stores,
 )
-from repro.image.store import ImageStore, StoreKey, store_key
+from repro.image.store import STORE_COUNTERS, ImageStore, StoreKey, store_key
 from repro.rtcg import make_generating_extension
+from tests.helpers import unsound_residual
 
 POWER = "(define (power x n) (if (zero? n) 1 (* x (power x (- n 1)))))"
 
@@ -147,25 +150,6 @@ class TestProtocol:
         server.backend._object_path(digest).write_bytes(b"torn")
         assert client.fetch(digest=digest) is None
 
-    def test_read_object_raises_filenotfound_on_miss(self, client):
-        with pytest.raises(FileNotFoundError):
-            client.read_object("ab" * 32)
-
-    def test_write_ref_to_missing_object_refused(self, client):
-        with pytest.raises(RemoteStoreError) as exc:
-            client.write_ref(_key().digest, "ab" * 32)
-        assert not exc.value.retryable
-
-    def test_client_is_a_store_backend(self, gen, client):
-        """The client satisfies the full StoreBackend protocol, so
-        ImageStore can run directly against the network."""
-        store = ImageStore(backend=client)
-        rp = gen.to_object_code([5])
-        digest = store.put(_key(), rp)
-        assert digest is not None
-        out = store.get(_key())
-        assert out is not None and out.run([2]) == 32
-
 
 class TestClientRetry:
     def test_unreachable_raises_retryable(self):
@@ -273,13 +257,13 @@ class TestTieredStore:
         assert digest is not None
         # nobody is listening yet: the put queues, the worker retries
         deadline = time.monotonic() + 5
-        while ts.stats()["remote"]["wb_retries"] == 0:
+        while ts.stats()["remote"]["write_behind.retry"] == 0:
             assert time.monotonic() < deadline, "worker never probed"
             time.sleep(0.01)
         with ObjectServer(tmp_path / "l3", port=port):
             assert ts.flush(timeout=10.0)
             rs = ts.stats()["remote"]
-            assert rs["wb_flushed"] == 1 and rs["wb_dropped"] == 0
+            assert rs["write_behind.flush"] == 1 and rs["write_behind.drop"] == 0
             c = RemoteStoreClient("127.0.0.1", port)
             assert c.fetch(key=_key().digest) == (
                 digest, local.read_object(digest)
@@ -297,8 +281,8 @@ class TestTieredStore:
             ts.put(_key(n), gen.to_object_code([n]))
         rs = ts.stats()["remote"]
         # the specializer never blocked: beyond the bound, writes drop
-        assert rs["wb_dropped"] >= 1
-        assert rs["wb_enqueued"] + rs["wb_dropped"] == 3
+        assert rs["write_behind.drop"] >= 1
+        assert rs["write_behind.enqueue"] + rs["write_behind.drop"] == 3
         # L2 kept every image regardless
         assert all(local.get(_key(n)) is not None for n in (3, 4, 5))
         ts.close(flush=False)
@@ -337,10 +321,6 @@ class TestSecondMachine:
         """L3 is untrusted: a well-framed image whose bytecode is
         unsound (wire tampering, hostile peer) must be rejected by
         verify-on-load — the worker re-specializes instead."""
-        from repro.vm.instructions import Op
-        from repro.vm.machine import VmClosure
-        from repro.vm.template import Template
-
         gen1 = make_generating_extension(
             POWER, "DS", goal="power", store_dir=tmp_path / "m1",
             remote_store=("127.0.0.1", server.port),
@@ -351,13 +331,7 @@ class TestSecondMachine:
         gen1.close_store()
 
         # forge an unsound image and overwrite the shared ref with it
-        name = next(iter(rp.machine.globals))
-        bad = Template(
-            code=((Op.JUMP, 99), (Op.RETURN,)), literals=(), arity=1,
-            nlocals=1, name=rp.machine.globals[name].template.name,
-        )
-        rp.machine.globals[name] = VmClosure(bad, ())
-        poison = encode_residual(rp)
+        poison = encode_residual(unsound_residual(gen))
         poison_digest = hashlib.sha256(poison).hexdigest()
         c = RemoteStoreClient("127.0.0.1", server.port)
         c.push(poison_digest, poison, key=key_digest)
@@ -408,3 +382,114 @@ class TestBulkMovement:
         with pytest.raises(RemoteStoreError):
             sync_stores(a, c)
         c.close()
+
+
+def _push(server, gen, key: StoreKey, rp=None) -> None:
+    data = encode_residual(rp if rp is not None else gen.to_object_code([5]))
+    c = RemoteStoreClient("127.0.0.1", server.port)
+    c.push(hashlib.sha256(data).hexdigest(), data, key=key.digest)
+    c.close()
+
+
+def _tier(tmp_path, port: int, **kwargs) -> TieredStore:
+    remote = RemoteStoreClient("127.0.0.1", port, timeout=0.5, retries=0)
+    return TieredStore(ImageStore(tmp_path / "l2"), remote, **kwargs)
+
+
+def _wait_for(ts: TieredStore, key: str) -> None:
+    deadline = time.monotonic() + 5
+    while ts.stats()["remote"][key] == 0:
+        assert time.monotonic() < deadline, f"{key} never counted"
+        time.sleep(0.01)
+
+
+def _case_hit(tmp_path, server, gen):
+    _push(server, gen, _key())
+    ts = _tier(tmp_path, server.port)
+    return ts, lambda: ts.get(_key())
+
+
+def _case_miss(tmp_path, server, gen):
+    ts = _tier(tmp_path, server.port)
+    return ts, lambda: ts.get(_key())
+
+
+def _case_negative_hit(tmp_path, server, gen):
+    ts = _tier(tmp_path, server.port, negative_ttl=60.0)
+    ts.get(_key())
+    return ts, lambda: ts.get(_key())
+
+
+def _case_down(tmp_path, server, gen):
+    ts = _tier(tmp_path, _free_port(), retry_interval=30.0)
+    return ts, lambda: ts.get(_key())
+
+
+def _case_skipped_down(tmp_path, server, gen):
+    ts = _tier(tmp_path, _free_port(), retry_interval=30.0)
+    ts.get(_key())
+    return ts, lambda: ts.get(_key(2))
+
+
+def _case_verify_failure(tmp_path, server, gen):
+    _push(server, gen, _key(), unsound_residual(gen))
+    ts = _tier(tmp_path, server.port)
+    return ts, lambda: ts.get(_key())
+
+
+def _case_flush(tmp_path, server, gen):
+    ts, rp = _tier(tmp_path, server.port), gen.to_object_code([5])
+    return ts, lambda: (ts.put(_key(), rp), ts.flush())
+
+
+def _case_dedup(tmp_path, server, gen):
+    _push(server, gen, _key())
+    ts, rp = _tier(tmp_path, server.port), gen.to_object_code([5])
+    return ts, lambda: (ts.put(_key(2), rp), ts.flush())
+
+
+def _case_drop(tmp_path, server, gen):
+    ts, rp = _tier(tmp_path, server.port, max_queue=0), gen.to_object_code([5])
+    return ts, lambda: ts.put(_key(), rp)
+
+
+def _case_retry(tmp_path, server, gen):
+    ts = _tier(tmp_path, _free_port(), retry_interval=0.05)
+    rp = gen.to_object_code([5])
+    return ts, lambda: (ts.put(_key(), rp), _wait_for(ts, "write_behind.retry"))
+
+
+@pytest.mark.parametrize("case, key", [
+    (_case_hit, "remote_hits"),
+    (_case_hit, "replicated"),
+    (_case_miss, "remote_misses"),
+    (_case_negative_hit, "negative_hits"),
+    (_case_down, "remote_errors"),
+    (_case_down, "marked_down"),
+    (_case_skipped_down, "skipped_down"),
+    (_case_verify_failure, "remote_verify_failures"),
+    (_case_flush, "write_behind.enqueue"),
+    (_case_flush, "write_behind.flush"),
+    (_case_dedup, "write_behind.dedup"),
+    (_case_drop, "write_behind.drop"),
+    (_case_retry, "write_behind.retry"),
+], ids=lambda v: v.__name__[6:] if callable(v) else v)
+def test_each_event_counts_once_in_stats_and_obs(
+    tmp_path, server, gen, case, key
+):
+    """Every tier event moves its stats key and the installed ``obs``
+    counter ``image.l3.<key>`` (``image.l2.<key>`` for the local tier)
+    by the same amount, and no other."""
+    ts, action = case(tmp_path, server, gen)
+    before = ts.stats()
+    with obs.tracing() as (_tracer, metrics):
+        action()
+        ts.close(flush=False)  # the worker has stopped counting
+    after = ts.stats()
+    moved = {f"image.l2.{k}": after[k] - before[k] for k in STORE_COUNTERS}
+    moved.update(
+        (f"image.l3.{k}", after["remote"][k] - before["remote"][k])
+        for k in TIER_COUNTERS
+    )
+    assert moved[f"image.l3.{key}"] >= 1
+    assert moved == {name: metrics.counter_value(name) for name in moved}

@@ -88,11 +88,7 @@ class TestWarmStartInProcess:
         calls = []
         import repro.image.store as store_mod
 
-        monkeypatch.setattr(
-            store_mod.ImageStore,
-            "_verify",
-            staticmethod(lambda residual: calls.append(residual)),
-        )
+        monkeypatch.setattr(store_mod, "verify_residual", calls.append)
         _gen(store_dir).to_object_code([5])
         assert len(calls) == 1
         _gen(store_dir, verify_on_load=False).to_object_code([5])
