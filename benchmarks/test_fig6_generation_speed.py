@@ -253,7 +253,7 @@ class TestFig6Shape:
         of fig6 uses for cold starts — ``gen.to_object_code`` after
         ``gen.cache_clear()``, with the optimizer pinned off.  The
         optimizer's own cost is read back from the pipeline's stage
-        accounting (``cache_stats()["stages"]["optimize"]``) on an
+        accounting (``cache_stats()["stages"]["vm.optimize"]``) on an
         identical cold run with the default ``optimize=True``, with the
         content memo cleared so every template is optimized from
         scratch.  Both quantities are min-of-5 per workload and summed
@@ -283,9 +283,9 @@ class TestFig6Shape:
                 gen.cache_clear()
                 opt.clear_memo()
                 stages = gen.cache_stats()["stages"]
-                before = stages.get("optimize", {}).get("seconds", 0.0)
+                before = stages.get("vm.optimize", {}).get("seconds", 0.0)
                 gen.to_object_code([static])
-                after = gen.cache_stats()["stages"]["optimize"]["seconds"]
+                after = gen.cache_stats()["stages"]["vm.optimize"]["seconds"]
                 opts.append(after - before)
             t_cold += min(colds)
             t_opt += min(opts)

@@ -848,7 +848,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.rtcg import GeneratingExtension
 
     targets = _runnable_targets(args)
-    extensions = []
     with obs.tracing() as (tracer, metrics):
         for label, program, sig, goal, statics, dynamics in targets:
             with obs.span("pipeline", target=label):
@@ -858,7 +857,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
                 )
                 with obs.span("vm.run", target=label):
                     residual.run(dynamics)
-            extensions.append((label, gen))
     if args.json:
         trace = tracer.chrome_trace()
         if args.out:
@@ -879,14 +877,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     print(";; metrics")
     for line in metrics.report().splitlines():
         print(";; " + line)
-    for label, gen in extensions:
-        stages = gen.cache_stats()["stages"]
-        print(f";; stages[{label}]")
-        for name, entry in stages.items():
-            print(
-                f";;   {name:<28} x{entry['count']:<4}"
-                f" {entry['seconds'] * 1e3:9.3f} ms"
-            )
     if args.out:
         with open(args.out, "w") as fh:
             tracer.write_chrome_trace(fh)
@@ -989,10 +979,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
         f"cache:               {stats['hits']} hit(s),"
         f" {stats['misses']} miss(es), {stats['evictions']} eviction(s),"
         f" {stats['entries']}/{stats['maxsize']} entries"
-    )
-    print(
-        f"generation time:     {stats['generation_seconds'] * 1e3:.3f} ms"
-        " total in cache misses"
     )
     if "store" in stats:
         ss = stats["store"]

@@ -29,7 +29,6 @@ immediate execution by the run-time system" (§8.2).
 
 from __future__ import annotations
 
-import time
 from typing import Any, Callable, Sequence
 
 from repro.compiler.annotated import (
@@ -58,6 +57,21 @@ from repro.vm.template import Template
 from repro.vm.verify import verify_template
 
 _EMPTY: frozenset = frozenset()
+
+
+def object_kind(verify: bool = True, optimize: bool = True) -> str:
+    """The backend-kind cache discriminator for object-code generation.
+
+    Residual programs generated with different verify/optimize knobs
+    never share a residual-cache entry or an on-disk image (a hit skips
+    generation, and with it generation-time verification and
+    optimization); the service layer's ``probe`` builds the same key to
+    inspect the cache.
+    """
+    kind = "object" if verify else "object-unverified"
+    if not optimize:
+        kind += "-noopt"
+    return kind
 
 
 class TrivCode:
@@ -114,17 +128,7 @@ class ObjectCodeBackend:
         self.names = Gensym("f")
         self.verify = verify
         self.optimize = optimize
-        # Wall-clock spent in the optimizer, for the caller's stage
-        # accounting (it runs inside the specialize span otherwise).
-        self.optimize_seconds = 0.0
-        # Cache-key discriminator: verified/unverified and optimized/
-        # unoptimized generation must not share residual-cache entries
-        # (a hit skips generation, and with it generation-time
-        # verification and optimization).
-        kind = "object" if verify else "object-unverified"
-        if not optimize:
-            kind += "-noopt"
-        self.kind = kind
+        self.kind = object_kind(verify, optimize)
 
     # -- trivial constructors ----------------------------------------------------
 
@@ -215,11 +219,9 @@ class ObjectCodeBackend:
         if self.verify:
             verify_template(template)
         if self.optimize:
-            t0 = time.perf_counter()
             template = optimize_template(
                 template, assume_verified=self.verify
             )
-            self.optimize_seconds += time.perf_counter() - t0
         self.templates[name] = template
         self.machine.define(name, VmClosure(template, ()))
 

@@ -597,17 +597,14 @@ class TieredStore:
     def put(
         self, key: StoreKey, residual: ResidualProgram
     ) -> "str | None":
-        digest: str | None = None
-        data: bytes | None = None
-        if self.local is not None:
-            digest = self.local.put(key, residual)
-            if digest is not None:
-                data = self.local.read_object(digest)
-        if data is None:
+        written = None if self.local is None else self.local._put(key, residual)
+        if written is not None:
+            digest, data = written
+        else:
             try:
                 data = encode_residual(residual)
             except CodecError:
-                return digest
+                return None
             digest = hashlib.sha256(data).hexdigest()
         with self._lock:
             self._negative.pop(key.digest, None)

@@ -418,6 +418,14 @@ class ImageStore:
         unwritable or the program is not imageable — persistence
         failures never propagate into specialization.
         """
+        written = self._put(key, residual)
+        return written[0] if written is not None else None
+
+    def _put(
+        self, key: StoreKey, residual: ResidualProgram
+    ) -> tuple[str, bytes] | None:
+        """:meth:`put`, returning the digest with the bytes written (the
+        tiered store pushes the same bytes behind to L3)."""
         with obs.span("image.put", key=key.digest[:12]):
             if not self.writable:
                 self.metrics.count("write_errors")
@@ -432,7 +440,7 @@ class ImageStore:
                 return None
             self.metrics.count("writes")
             obs.observe("image.l2.bytes", len(data))
-            return digest
+            return digest, data
 
     def adopt(self, key: StoreKey, digest: str, data: bytes) -> bool:
         """Adopt already-encoded image bytes (e.g. replicated down from
@@ -474,7 +482,7 @@ class ImageStore:
 
     def read_object(self, digest: str) -> bytes | None:
         """Raw framed image bytes for ``digest`` (content-checked), or
-        ``None`` — used by the tiered store's write-behind path."""
+        ``None`` — used by :func:`~repro.image.remote.sync_stores`."""
         try:
             data = self.backend.read_object(digest)
         except OSError:

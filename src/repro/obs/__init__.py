@@ -1,22 +1,24 @@
 """Observability for the RTCG pipeline: spans, metrics, and profiling.
 
-Every stage of the pipeline — parse, BTA, congruence lint, safety
-analysis, specialize/cogen, assemble, bytecode-verify, residual-cache
-L1, image-store L2, and the VM's profiled dispatch — is instrumented
-through this module's *module-level* facade:
+Every stage of the pipeline — BTA, congruence lint, safety analysis,
+compiling the generating extension, specialize, assemble,
+bytecode-verify, optimize, residual-cache L1, image-store L2/L3, and the
+VM's profiled dispatch — is instrumented through this module's
+*module-level* facade:
 
     from repro import obs
 
     with obs.span("pe.bta", goal="power"):
         ...
-    obs.count("cache.l1.hit")
+    obs.count("cache.l1.hits")
 
 The facade is a **no-op by default**: until a tracer/registry is
-installed, :func:`span` returns a shared do-nothing context manager and
-:func:`count`/:func:`observe` return after one global load and a
-``None`` test.  The disabled path is benchmarked (< 3% of a fig6 cold
-generation; see ``benchmarks/test_obs_overhead.py``), which is why the
-instrumentation can stay in the production code paths unconditionally.
+installed (and outside a :func:`recording` binding), :func:`span`
+returns a shared do-nothing context manager and :func:`count`/
+:func:`observe` return after one global load and a ``None`` test.  The
+disabled path is benchmarked (< 3% of a fig6 cold generation; see
+``benchmarks/test_obs_overhead.py``), which is why the instrumentation
+can stay in the production code paths unconditionally.
 
 Enable collection for a region with :func:`tracing`::
 
@@ -31,6 +33,14 @@ Installation is process-global (all threads trace into the installed
 tracer — concurrent generation is precisely what needs watching) and
 reentrant: nested :func:`tracing` blocks restore the outer collectors on
 exit.
+
+Per-component stage totals come from the same spans.  Inside
+``with obs.recording(registry):`` every span opened *on that thread*
+also observes its duration into ``registry`` as a histogram named after
+the span, whether or not a tracer is installed; :func:`stage_totals`
+reads them back.  A generating extension binds its own registry around
+construction and generation, so ``cache_stats()["stages"]`` is the
+extension's share of what a tracer would report.
 
 The CLI exposes this as ``python -m repro trace`` (pipeline spans) and
 ``python -m repro profile`` (VM opcode/template execution counts via
@@ -61,8 +71,9 @@ __all__ = [
     "enabled",
     "install",
     "observe",
+    "recording",
     "span",
-    "time_histogram",
+    "stage_totals",
     "traced",
     "tracing",
     "uninstall",
@@ -95,12 +106,80 @@ class _NoopSpan:
 _NOOP_SPAN = _NoopSpan()
 
 
+class _Binding(threading.local):
+    """The registry :func:`recording` bound on this thread, if any."""
+
+    registry: MetricsRegistry | None = None
+
+
+_bound = _Binding()
+
+
+class _RecordedSpan:
+    """A span that also observes its duration into a bound registry.
+
+    It wraps whatever the installed tracer hands out (or the no-op) and
+    relies only on that object's ``set``/``__enter__``/``__exit__``.
+    """
+
+    __slots__ = ("registry", "name", "inner", "_t0")
+
+    def __init__(self, registry: MetricsRegistry, name: str, inner: Any):
+        self.registry = registry
+        self.name = name
+        self.inner = inner
+
+    def __enter__(self) -> "_RecordedSpan":
+        self.inner.__enter__()
+        self._t0 = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.registry.observe(self.name, time.perf_counter() - self._t0)
+        self.inner.__exit__(*exc)
+
+    def set(self, **attrs: Any) -> None:
+        self.inner.set(**attrs)
+
+
 def span(name: str, **attrs: Any):
-    """A span context manager, or the shared no-op when disabled."""
+    """A span context manager, or the shared no-op when disabled.
+
+    Inside a :func:`recording` binding the span also observes its
+    duration into the bound registry.
+    """
     tracer = _tracer
+    registry = _bound.registry
+    if registry is not None:
+        inner = _NOOP_SPAN if tracer is None else tracer.span(name, **attrs)
+        return _RecordedSpan(registry, name, inner)
     if tracer is None:
         return _NOOP_SPAN
     return tracer.span(name, **attrs)
+
+
+@contextmanager
+def recording(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
+    """Record every span this thread opens in the block into ``registry``.
+
+    Each span's duration is observed as a histogram named after the
+    span; nested spans count in full, as in :meth:`Tracer.stage_totals`.
+    The binding is per thread and restores the previous one on exit.
+    """
+    previous = _bound.registry
+    _bound.registry = registry
+    try:
+        yield registry
+    finally:
+        _bound.registry = previous
+
+
+def stage_totals(registry: MetricsRegistry) -> dict[str, dict[str, float]]:
+    """The spans recorded into ``registry``: ``{name: {count, seconds}}``."""
+    return {
+        name: {"count": h["count"], "seconds": h["sum"]}
+        for name, h in registry.snapshot()["histograms"].items()
+    }
 
 
 def count(name: str, n: int = 1) -> None:
@@ -146,30 +225,6 @@ def observe(name: str, value: float) -> None:
         metrics.observe(name, value)
 
 
-def time_histogram(name: str):
-    """A context manager that observes its own duration into ``name``.
-
-    No-op (without even reading the clock) while metrics are disabled.
-    """
-    if _metrics is None:
-        return _NOOP_SPAN
-    return _TimedBlock(name)
-
-
-class _TimedBlock:
-    __slots__ = ("name", "_t0")
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __enter__(self) -> "_TimedBlock":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        observe(self.name, time.perf_counter() - self._t0)
-
-
 def enabled() -> bool:
     """Is any collector installed?"""
     return _tracer is not None or _metrics is not None
@@ -184,20 +239,21 @@ def current_metrics() -> MetricsRegistry | None:
 
 
 def traced(name: str, **attrs: Any) -> Callable[[_F], _F]:
-    """Decorator: run the function under a span when tracing is enabled.
+    """Decorator: run the function under :func:`span` when tracing or
+    a :func:`recording` binding is active.
 
-    The disabled cost is one global load and a ``None`` test on top of
-    the call — cheap enough for every pipeline stage (never used inside
-    the VM dispatch loop; the profiler has its own counting loop).
+    The disabled cost is a global load, a thread-local read and two
+    ``None`` tests on top of the call — cheap enough for every pipeline
+    stage (never used inside the VM dispatch loop; the profiler has its
+    own counting loop).
     """
 
     def decorate(fn: _F) -> _F:
         @functools.wraps(fn)
         def wrapper(*args: Any, **kwargs: Any) -> Any:
-            tracer = _tracer
-            if tracer is None:
+            if _tracer is None and _bound.registry is None:
                 return fn(*args, **kwargs)
-            with tracer.span(name, **attrs):
+            with span(name, **attrs):
                 return fn(*args, **kwargs)
 
         return wrapper  # type: ignore[return-value]

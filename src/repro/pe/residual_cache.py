@@ -21,12 +21,15 @@ exactly one runs the specializer while the others wait and receive the
 same :class:`~repro.pe.backend.ResidualProgram` object.  This both
 avoids duplicated work and guarantees byte-identical residual code per
 static input under concurrent load.
+
+Its events (hits, misses, evictions, single-flight waits) count through
+one :class:`repro.obs.Counters` under the prefix ``cache.l1``: each
+:meth:`ResidualCache.stats` key is the ``obs`` counter's suffix.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from typing import Any, Callable, Hashable
 
@@ -57,11 +60,9 @@ class ResidualCache:
         self._lock = threading.Lock()
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()
         self._inflight: dict[Hashable, _Flight] = {}
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._generation_seconds = 0.0
-        self._last_generation_seconds = 0.0
+        self.metrics = obs.Counters(
+            "cache.l1", ("hits", "misses", "evictions", "waits")
+        )
 
     def __len__(self) -> int:
         with self._lock:
@@ -87,9 +88,8 @@ class ResidualCache:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
-                self._hits += 1
         if entry is not None:
-            obs.count("cache.l1.hit")
+            self.metrics.count("hits")
         return entry
 
     def get_or_generate(
@@ -109,8 +109,7 @@ class ResidualCache:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
-                self._hits += 1
-                obs.count("cache.l1.hit")
+                self.metrics.count("hits")
                 return entry, True
             flight = self._inflight.get(key)
             if flight is None:
@@ -125,20 +124,16 @@ class ResidualCache:
             # that observes the error re-raises it, while a thread
             # arriving after the pop starts a fresh flight — the key is
             # never poisoned and nobody can deadlock on a dead flight.
-            obs.count("cache.l1.wait")
+            self.metrics.count("waits")
             with obs.span("cache.l1.wait"):
                 flight.done.wait()
             if flight.error is not None:
                 raise flight.error
-            with self._lock:
-                self._hits += 1
-            obs.count("cache.l1.hit")
+            self.metrics.count("hits")
             return flight.result, True
-        obs.count("cache.l1.miss")
+        self.metrics.count("misses")
         try:
-            t0 = time.perf_counter()
             result = produce()
-            elapsed = time.perf_counter() - t0
         except BaseException as exc:
             flight.error = exc
             with self._lock:
@@ -147,30 +142,23 @@ class ResidualCache:
             raise
         flight.result = result
         with self._lock:
-            self._misses += 1
-            self._generation_seconds += elapsed
-            self._last_generation_seconds = elapsed
             self._entries[key] = result
             self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
+            evicted = len(self._entries) - self.maxsize
+            for _ in range(evicted):
                 self._entries.popitem(last=False)
-                self._evictions += 1
             self._inflight.pop(key, None)
         flight.done.set()
+        if evicted > 0:
+            self.metrics.count("evictions", evicted)
         return result, False
 
     def stats(self) -> dict[str, Any]:
         """A snapshot of the cache counters."""
-        with self._lock:
-            return {
-                "hits": self._hits,
-                "misses": self._misses,
-                "evictions": self._evictions,
-                "entries": len(self._entries),
-                "maxsize": self.maxsize,
-                "generation_seconds": self._generation_seconds,
-                "last_generation_seconds": self._last_generation_seconds,
-            }
+        stats: dict[str, Any] = self.metrics.snapshot()
+        stats["entries"] = len(self)
+        stats["maxsize"] = self.maxsize
+        return stats
 
     def clear(self) -> None:
         """Drop all entries (counters are kept)."""

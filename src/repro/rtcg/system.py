@@ -4,15 +4,13 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import threading
-import time
 from typing import Any, Iterable, Sequence
 
 from typing import TYPE_CHECKING
 
 from repro import obs
 
-from repro.compiler.fusion import ObjectCodeBackend
+from repro.compiler.fusion import ObjectCodeBackend, object_kind
 from repro.lang.ast import Program
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -80,20 +78,6 @@ def program_digest(
         h.update(write(d).encode("utf-8"))
         h.update(b"\n")
     return h.hexdigest()
-
-
-def object_kind(verify: bool = True, optimize: bool = True) -> str:
-    """The backend-kind cache discriminator for object-code generation.
-
-    Must stay in lockstep with :meth:`GeneratingExtension.to_object_code`:
-    residual programs generated with different verify/optimize knobs
-    never share a cache entry, and external observers (the service
-    layer's ``probe``) need the same key to inspect the cache.
-    """
-    kind = "object" if verify else "object-unverified"
-    if not optimize:
-        kind += "-noopt"
-    return kind
 
 
 class GeneratingExtension:
@@ -175,53 +159,47 @@ class GeneratingExtension:
         # cache key and on-disk image key (with program_digest): a
         # mono-keyed entry must never satisfy a poly request.
         self._bta_key = bta_cache_key(bta, max_variants)
-        # Per-extension stage timing, always on (one perf_counter pair per
-        # pipeline stage — noise next to the stages themselves); exposed
-        # through ``cache_stats()["stages"]`` and the fig6/fig8 tables.
-        self._stage_lock = threading.Lock()
-        self._stage_seconds: dict[str, dict[str, float]] = {}
-        t0 = time.perf_counter()
-        self.bta: BTAResult = bta_analyze(
-            program, signature, memo_hints=memo_hints,
-            unfold_hints=unfold_hints, bta=bta, max_variants=max_variants,
-        )
-        self._add_stage("bta", time.perf_counter() - t0)
-        if check_congruence:
-            # Re-check the analysis output with the independent linter: a
-            # BTA bug surfaces here as an AnnotationViolation instead of a
-            # mis-specialized program (variant-aware: violations name the
-            # function variant and its originating call sites).
-            from repro.pe.check import verify_annotated
+        # Always-on counters; the spans of construction and of every
+        # generation record into the same registry, which
+        # ``cache_stats()["stages"]`` reads.
+        self.metrics = obs.Counters("rtcg", ("specializer_runs", "budget_trips"))
+        with obs.recording(self.metrics.registry):
+            self.bta: BTAResult = bta_analyze(
+                program, signature, memo_hints=memo_hints,
+                unfold_hints=unfold_hints, bta=bta, max_variants=max_variants,
+            )
+            if check_congruence:
+                # Re-check the analysis output with the independent
+                # linter: a BTA bug surfaces here as an AnnotationViolation
+                # instead of a mis-specialized program (variant-aware:
+                # violations name the function variant and its
+                # originating call sites).
+                from repro.pe.check import verify_annotated
 
-            t0 = time.perf_counter()
-            verify_annotated(self.bta.annotated, self.bta.variants)
-            self._add_stage("congruence", time.perf_counter() - t0)
-        # Specialization-safety analysis, up front: findings either warn
-        # (the runtime budgets below still backstop actual divergence) or
-        # forbid (refuse the program before any specialization runs).
-        self.analysis_report = None
-        if analyze != "off":
-            from repro.analysis import analyze_bta
-            from repro.analysis.report import UnsafeProgramError
+                verify_annotated(self.bta.annotated, self.bta.variants)
+            # Specialization-safety analysis, up front: findings either
+            # warn (the runtime budgets below still backstop actual
+            # divergence) or forbid (refuse the program before any
+            # specialization runs).
+            self.analysis_report = None
+            if analyze != "off":
+                from repro.analysis import analyze_bta
+                from repro.analysis.report import UnsafeProgramError
 
-            t0 = time.perf_counter()
-            self.analysis_report = analyze_bta(self.bta)
-            self._add_stage("safety_analysis", time.perf_counter() - t0)
-            if not self.analysis_report.safe:
-                if analyze == "forbid":
-                    raise UnsafeProgramError(self.analysis_report)
-                import warnings
+                self.analysis_report = analyze_bta(self.bta)
+                if not self.analysis_report.safe:
+                    if analyze == "forbid":
+                        raise UnsafeProgramError(self.analysis_report)
+                    import warnings
 
-                warnings.warn(
-                    "specialization-safety analysis reported findings:\n"
-                    + str(self.analysis_report),
-                    stacklevel=2,
-                )
-        # Compile the generating extension once (Fig. 8's "Load"); every
-        # generation runs it.
-        t0 = time.perf_counter()
-        self._compiled = compile_generating_extension(self.bta.annotated)
-        self._add_stage("load", time.perf_counter() - t0)
+                    warnings.warn(
+                        "specialization-safety analysis reported findings:\n"
+                        + str(self.analysis_report),
+                        stacklevel=2,
+                    )
+            # Compile the generating extension once (Fig. 8's "Load");
+            # every generation runs it.
+            self._compiled = compile_generating_extension(self.bta.annotated)
         self.max_unfold_depth = max_unfold_depth
         self.max_residual_size = max_residual_size
         self.cache = ResidualCache(cache_size)
@@ -254,15 +232,12 @@ class GeneratingExtension:
                 program, signature, memo_hints, unfold_hints,
                 bta=bta, max_variants=max_variants,
             )
-        self._spec_lock = threading.Lock()
-        self._specializer_runs = 0
-        self._budget_trips = 0
 
     def compiled(self) -> CompiledGeneratingExtension:
         """The compiled generating extension (the cogen path, [59]).
 
-        Built once, at construction (timed as the ``load`` stage, Fig. 8's
-        "Load" column); it maps static input to residual code without
+        Built once, at construction (timed as the ``pe.cogen.compile``
+        stage, Fig. 8's "Load" column); it maps static input to residual code without
         re-traversing the annotated program, and every generation of this
         extension runs it.  It caches nothing itself.
         """
@@ -283,16 +258,6 @@ class GeneratingExtension:
             )
         except UnpersistableKey:
             return None
-
-    def _add_stage(self, name: str, seconds: float) -> None:
-        with self._stage_lock:
-            entry = self._stage_seconds.get(name)
-            if entry is None:
-                entry = self._stage_seconds[name] = {
-                    "count": 0, "seconds": 0.0
-                }
-            entry["count"] += 1
-            entry["seconds"] += seconds
 
     def _generate(
         self,
@@ -323,54 +288,37 @@ class GeneratingExtension:
             # specializing; verification is skipped only when the
             # application itself opted out (kind "object-unverified").
             if store is not None and persist_key is not None:
-                t0 = time.perf_counter()
                 loaded = store.get(
                     persist_key,
                     verify=self.verify_on_load
                     and not kind.startswith("object-unverified"),
                 )
-                self._add_stage("store_probe", time.perf_counter() - t0)
                 if loaded is not None:
                     loaded.stats["disk_hit"] = True
                     return loaded
             # A fresh backend per run owns a fresh name supply, which
             # keeps residual naming deterministic (byte-identical
             # regeneration) and isolates concurrent runs from each other.
-            t0 = time.perf_counter()
-            backend = make_backend()
             try:
                 residual = self._compiled.generate(
                     static_args,
-                    backend,
+                    make_backend(),
                     dif_strategy=dif_strategy,
                     max_unfold_depth=self.max_unfold_depth,
                     max_residual_size=self.max_residual_size,
                 )
             except BudgetExceeded:
-                with self._spec_lock:
-                    self._budget_trips += 1
+                self.metrics.count("budget_trips")
                 raise
-            finally:
-                # The bytecode optimizer runs inside backend.define, so
-                # its wall-clock is carved out of the specialize stage —
-                # stage totals stay exhaustive without double counting.
-                elapsed = time.perf_counter() - t0
-                opt_seconds = getattr(backend, "optimize_seconds", 0.0)
-                if opt_seconds:
-                    self._add_stage("optimize", opt_seconds)
-                self._add_stage("specialize", elapsed - opt_seconds)
-            with self._spec_lock:
-                self._specializer_runs += 1
+            self.metrics.count("specializer_runs")
             if store is not None and persist_key is not None:
-                t0 = time.perf_counter()
                 digest = store.put(persist_key, residual)
-                self._add_stage("store_put", time.perf_counter() - t0)
                 if digest is not None:  # write-through succeeded
                     residual.stats["image_digest"] = digest
                     residual.stats["image_key"] = persist_key.digest
             return residual
 
-        with obs.span(
+        with obs.recording(self.metrics.registry), obs.span(
             "rtcg.generate", kind=kind, goal=str(self.program.goal)
         ) as sp:
             if not use_cache or self.cache.maxsize <= 0:
@@ -457,12 +405,15 @@ class GeneratingExtension:
         return self.cache.peek((frozen, dif_strategy, kind, self._bta_key))
 
     def cache_stats(self) -> dict[str, Any]:
-        """Hit/miss/eviction/generation-time counters of the cache.
+        """Hit/miss/eviction/wait counters of the cache.
 
         Includes ``specializer_runs`` — how many times this extension
-        actually ran the specializer — and, when an image store is
-        attached, its counters under ``"store"``.  A warm start shows
-        ``specializer_runs == 0`` with ``store.hits > 0``.
+        actually ran the specializer — ``budget_trips``, the per-span
+        ``stages`` totals of its construction and generations
+        (``{span name: {"count", "seconds"}}``; nested spans count in
+        full), and, when an image store is attached, its counters under
+        ``"store"``.  A warm start shows ``specializer_runs == 0`` with
+        ``store.hits > 0``.
 
         The returned dict is a **deep-copied snapshot**: every nested
         dict (``stages``, ``store``) is detached from the
@@ -471,18 +422,12 @@ class GeneratingExtension:
         mid-request — never observes a dict mutated under it.
         """
         stats = self.cache.stats()
-        with self._spec_lock:
-            stats["specializer_runs"] = self._specializer_runs
-            stats["budget_trips"] = self._budget_trips
-        with self._stage_lock:
-            stats["stages"] = {
-                name: dict(entry)
-                for name, entry in sorted(self._stage_seconds.items())
-            }
+        stats.update(self.metrics.snapshot())
+        stats["stages"] = obs.stage_totals(self.metrics.registry)
         if self.store is not None:
             stats["store"] = self.store.stats()
         # Every sub-dict above is already a fresh copy taken under its
-        # owning lock; the deepcopy is the guarantee that stays true as
+        # owning registry's lock; the deepcopy is the guarantee that stays true as
         # the structure grows (snapshot-safety is part of the contract).
         return copy.deepcopy(stats)
 

@@ -40,9 +40,10 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from repro import obs
+from repro.compiler.fusion import object_kind
 from repro.lang.parser import parse_program
 from repro.pe.errors import BudgetExceeded, PEError
-from repro.rtcg.system import GeneratingExtension, object_kind
+from repro.rtcg.system import GeneratingExtension
 from repro.runtime.errors import SchemeError
 from repro.runtime.values import datum_to_value
 from repro.serve.admission import (
@@ -397,10 +398,10 @@ class SpecializationServer(FrameServer):
             "backend": req["backend"],
             "provenance": provenance,
             "elapsed_ms": (time.perf_counter() - t0) * 1e3,
-            # Cumulative per-stage wall clock for this extension (a
-            # deep-copied snapshot of ``cache_stats()["stages"]`` —
-            # per-extension totals, not per-request figures).
-            "stages": ext.cache_stats()["stages"],
+            # Cumulative per-span wall clock for this extension
+            # (``cache_stats()["stages"]`` — per-extension totals, not
+            # per-request figures).
+            "stages": obs.stage_totals(ext.metrics.registry),
         }
         report = self.admission.verdict(digest)
         if tenant.trusted:

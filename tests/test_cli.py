@@ -237,7 +237,7 @@ class TestTraceCommand:
         ):
             assert stage in out, f"report is missing stage {stage}"
         assert "stage totals" in out
-        assert "cache.l1.miss" in out
+        assert "cache.l1.misses" in out
 
     def test_json_is_valid_chrome_trace(self, power_file, capsys):
         import json

@@ -271,6 +271,32 @@ class TestTieredStore:
             c.close()
         ts.close(flush=False)
 
+    def test_put_pushes_the_bytes_it_wrote_to_l2(
+        self, tmp_path, gen, monkeypatch
+    ):
+        # The write-behind payload comes from the L2 write itself: no
+        # read-back of the object just written.
+        def no_read_back(self, digest):
+            raise AssertionError("put read its own L2 object back")
+
+        monkeypatch.setattr(ImageStore, "read_object", no_read_back)
+        local = ImageStore(tmp_path / "l2")
+        remote = RemoteStoreClient(
+            "127.0.0.1", _free_port(), timeout=0.2, retries=0
+        )
+        ts = TieredStore(local, remote, retry_interval=30.0)
+        enqueued = []
+        monkeypatch.setattr(
+            ts, "_enqueue", lambda *item: enqueued.append(item)
+        )
+        digest = ts.put(_key(), gen.to_object_code([5]))
+        assert digest is not None
+        assert local.stats()["writes"] == 1
+        assert enqueued == [(
+            _key().digest, digest, local.backend.read_object(digest)
+        )]
+        ts.close(flush=False)
+
     def test_write_behind_drops_when_saturated(self, tmp_path, gen):
         local = ImageStore(tmp_path / "l2")
         remote = RemoteStoreClient(

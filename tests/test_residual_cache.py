@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro import obs
 from repro.pe import SourceBackend, Specializer
 from repro.pe.errors import BudgetExceeded
 from repro.pe.limits import RECURSION_FLOOR, ensure_recursion_limit
@@ -57,7 +58,6 @@ class TestResidualCacheUnit:
         assert stats["hits"] == 1
         assert stats["misses"] == 2
         assert stats["entries"] == 2
-        assert stats["generation_seconds"] >= 0.0
 
     def test_disabled_cache_always_generates(self):
         cache = ResidualCache(0)
@@ -129,6 +129,87 @@ class TestResidualCacheUnit:
             assert leader.result(5) == ("value", False)
             assert follower.result(5) == ("value", True)
         assert len(calls) == 1
+
+
+def _case_hit(cache):
+    cache.get_or_generate("k", lambda: "V")
+    return lambda: cache.get_or_generate("k", lambda: "V")
+
+
+def _case_lookup_hit(cache):
+    cache.get_or_generate("k", lambda: "V")
+    return lambda: cache.lookup("k")
+
+
+def _case_miss(cache):
+    return lambda: cache.get_or_generate("k", lambda: "V")
+
+
+def _case_failed_miss(cache):
+    def failing():
+        raise ValueError("boom")
+
+    def action():
+        with pytest.raises(ValueError):
+            cache.get_or_generate("k", failing)
+
+    return action
+
+
+def _case_eviction(cache):
+    for key in ("a", "b"):
+        cache.get_or_generate(key, lambda: key)
+    return lambda: cache.get_or_generate("c", lambda: "C")
+
+
+def _case_wait(cache):
+    started, release = threading.Event(), threading.Event()
+
+    def slow():
+        started.set()
+        release.wait(5)
+        return "V"
+
+    def action():
+        with ThreadPoolExecutor(max_workers=2) as ex:
+            leader = ex.submit(cache.get_or_generate, "k", slow)
+            assert started.wait(5)
+            waiter = ex.submit(cache.get_or_generate, "k", slow)
+            deadline = time.monotonic() + 5
+            while cache.stats()["waits"] == 0 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            release.set()
+            assert leader.result(5) == ("V", False)
+            assert waiter.result(5) == ("V", True)
+
+    return action
+
+
+L1_COUNTERS = ("hits", "misses", "evictions", "waits")
+
+
+@pytest.mark.parametrize("case, key", [
+    (_case_hit, "hits"),
+    (_case_lookup_hit, "hits"),
+    (_case_miss, "misses"),
+    (_case_failed_miss, "misses"),
+    (_case_eviction, "evictions"),
+    (_case_wait, "waits"),
+], ids=lambda v: v.__name__[6:] if callable(v) else v)
+def test_each_event_counts_once_in_stats_and_obs(case, key):
+    """Every L1 event moves its ``stats()`` key and the installed
+    ``obs`` counter ``cache.l1.<key>`` by the same amount, and no other."""
+    cache = ResidualCache(2)
+    action = case(cache)
+    before = cache.stats()
+    with obs.tracing() as (_tracer, metrics):
+        action()
+    after = cache.stats()
+    moved = {k: after[k] - before[k] for k in L1_COUNTERS}
+    assert moved[key] >= 1
+    assert moved == {
+        k: metrics.counter_value(f"cache.l1.{k}") for k in L1_COUNTERS
+    }
 
 
 # -- the generating-extension integration ---------------------------------------
