@@ -178,33 +178,33 @@ def annotated_program(
 # level, paired with a static input on which specialization terminates.
 
 
-@st.composite
-def guarded_descent_programs(draw):  # type: ignore[no-untyped-def]
-    """``(source, signature, goal, static_args)`` of a provably safe
-    recursive program; ``static_args`` are Python values."""
-    n = draw(st.integers(min_value=0, max_value=5))
-    items = draw(st.lists(_INT, max_size=5))
-    filler = draw(st.sampled_from(["(cons 1 d)", "(cdr d)", "d"]))
-    shape = draw(
-        st.sampled_from(
-            ["numeric", "list", "mutual", "accumulator", "dynamic-control"]
-        )
-    )
+GUARDED_DESCENT_SHAPES = (
+    "numeric", "list", "mutual", "accumulator", "dynamic-control",
+)
+GUARDED_DESCENT_FILLERS = ("(cons 1 d)", "(cdr d)", "d")
+
+
+def guarded_descent_source(shape: str, filler: str) -> tuple[str, str, str]:
+    """``(source, signature, goal)`` of one guarded-descent shape.
+
+    ``filler`` is the dynamic argument of the recursive call; the
+    ``accumulator`` and ``dynamic-control`` shapes do not use it.
+    """
     if shape == "numeric":
         # Static countdown under a static guard.
         src = f"(define (f s d) (if (zero? s) d (f (- s 1) {filler})))"
-        return src, "SD", "f", (n,)
+        return src, "SD", "f"
     if shape == "list":
         # Structural descent under a static guard.
         src = f"(define (f s d) (if (null? s) d (f (cdr s) {filler})))"
-        return src, "SD", "f", (items,)
+        return src, "SD", "f"
     if shape == "mutual":
         # The descent spans a two-function cycle.
         src = (
             f"(define (f s d) (if (null? s) d (g (cdr s) {filler})))"
             "(define (g s d) (if (null? s) d (f (cdr s) d)))"
         )
-        return src, "SD", "f", (items,)
+        return src, "SD", "f"
     if shape == "accumulator":
         # One static grows, paid for by the other's descent.
         src = (
@@ -212,7 +212,7 @@ def guarded_descent_programs(draw):  # type: ignore[no-untyped-def]
             " (if (null? s) (cons acc d)"
             " (f (cdr s) (cons (car s) acc) d)))"
         )
-        return src, "SSD", "f", (items, [])
+        return src, "SSD", "f"
     # dynamic-control: the recursive call sits under a *dynamic*
     # conditional, so suppression does not apply — the analyzer must
     # prove the static parameter's structural descent.
@@ -220,4 +220,20 @@ def guarded_descent_programs(draw):  # type: ignore[no-untyped-def]
         "(define (f s d)"
         " (if (null? s) 0 (if (null? d) 1 (f (cdr s) (cdr d)))))"
     )
-    return src, "SD", "f", (items,)
+    return src, "SD", "f"
+
+
+@st.composite
+def guarded_descent_programs(draw):  # type: ignore[no-untyped-def]
+    """``(source, signature, goal, static_args)`` of a provably safe
+    recursive program; ``static_args`` are Python values."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    items = draw(st.lists(_INT, max_size=5))
+    filler = draw(st.sampled_from(list(GUARDED_DESCENT_FILLERS)))
+    shape = draw(st.sampled_from(list(GUARDED_DESCENT_SHAPES)))
+    src, sig, goal = guarded_descent_source(shape, filler)
+    if shape == "numeric":
+        return src, sig, goal, (n,)
+    if shape == "accumulator":
+        return src, sig, goal, (items, [])
+    return src, sig, goal, (items,)

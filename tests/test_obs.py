@@ -313,6 +313,28 @@ class TestPipelineInstrumentation:
         for stage in self.EXPECTED_STAGES:
             assert stage in report
 
+    def test_bta_counts_explain_its_walks(self, monkeypatch):
+        # The dirty-definition schedule walks fewer definitions than a
+        # full sweep per round would: Σ rounds × defs over the solves.
+        from repro.pe.bta import _Analysis
+        from repro.rtcg import GeneratingExtension
+        from repro.workloads import MIXWELL_SIGNATURE, mixwell_interpreter
+
+        full_sweeps = []
+        solve = _Analysis.solve
+
+        def counting_solve(self):
+            before = obs.current_metrics().counter_value("pe.bta.rounds")
+            solve(self)
+            rounds = obs.current_metrics().counter_value("pe.bta.rounds")
+            full_sweeps.append((rounds - before) * len(self.program.defs))
+
+        monkeypatch.setattr(_Analysis, "solve", counting_solve)
+        with obs.tracing() as (_, metrics):
+            GeneratingExtension(mixwell_interpreter(), MIXWELL_SIGNATURE)
+        assert metrics.counter_value("pe.bta.solves") == len(full_sweeps) > 1
+        assert 0 < metrics.counter_value("pe.bta.walks") < sum(full_sweeps)
+
     def test_l1_hit_and_miss_counters(self):
         from repro.rtcg import GeneratingExtension
 
