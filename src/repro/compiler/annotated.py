@@ -30,7 +30,16 @@ sets (§6.3):
   "the recursive calls to the compilation function on the syntactic
   subcomponents have been removed (replaced by the identity)" (§5.3) —
   ``A.compile`` on a subcomponent simply invokes the already-compiled
-  component.
+  component.  The fused backend runs the *printed* form of the same
+  recipes (:mod:`repro.compiler.combinator_source`).
+
+The compilators emit no instruction the bytecode optimizer would delete
+(DESIGN §1 item 7).  Their helpers track what the ``val`` register holds
+(:class:`DepthTracker`), so a read of a value already there compiles to
+nothing, and ``let`` comes in three shapes chosen from static read facts
+of its body (:mod:`repro.compiler.reads`).  The tracking relies on the
+helpers running in execution order: each compilator is one nested
+expression whose arguments every reading evaluates left to right.
 """
 
 from __future__ import annotations
@@ -38,12 +47,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from repro.compiler.cenv import Closed, CompileTimeEnv, Local
+from repro.compiler.cenv import Closed, CompileTimeEnv, Held, Local
+from repro.compiler.reads import HELD, STORED, ReadFacts, let_shape
 from repro.lang.prims import PRIMITIVES, PrimSpec
-from repro.runtime.values import datum_to_value
+from repro.runtime.values import constant_key, datum_to_value
 from repro.sexp.datum import Symbol
 from repro.vm.fragments import (
+    EMPTY,
     Fragment,
+    Label,
     Lit,
     attach_label,
     instruction,
@@ -162,9 +174,8 @@ class DirectAnnotations:
 class GenCenv:
     """The compile-time environment threaded through combinators.
 
-    Wraps the name→location map together with the depth tracker of the
-    template under construction (the tracker records how many local slots
-    the template needs).
+    Wraps the name→location map together with the tracker of the
+    template under construction.
     """
 
     __slots__ = ("env", "tracker")
@@ -175,10 +186,23 @@ class GenCenv:
 
 
 class DepthTracker:
-    __slots__ = ("max_depth",)
+    """The machine state a template's emission has reached.
+
+    ``max_depth`` is how many local slots the template needs.  ``val``
+    is what the ``val`` register holds at the emission point: a local
+    slot number, a :class:`~repro.compiler.cenv.Held` location, a
+    constant's :func:`~repro.runtime.values.constant_key`, or ``None``
+    when unknown.  Code is emitted in execution order, so each helper
+    below reads and updates it as it emits; ``branches`` keeps ``val``
+    at each pending conditional, for its alternative.
+    """
+
+    __slots__ = ("max_depth", "val", "branches")
 
     def __init__(self, initial: int):
         self.max_depth = initial
+        self.val: Any = None
+        self.branches: list = []
 
     def reach(self, depth: int) -> None:
         if depth > self.max_depth:
@@ -186,9 +210,19 @@ class DepthTracker:
 
 
 def bind_local(cenv: GenCenv, var: Symbol, depth: int) -> GenCenv:
-    """Extend the compile-time environment with a let-bound variable."""
-    cenv.tracker.reach(depth + 1)
-    return GenCenv(cenv.env.bind_local(var, depth), cenv.tracker)
+    """Extend the compile-time environment with a let-bound variable,
+    just stored (``SETLOC depth``) from ``val``."""
+    tracker = cenv.tracker
+    tracker.reach(depth + 1)
+    tracker.val = depth
+    return GenCenv(cenv.env.bind_local(var, depth), tracker)
+
+
+def bind_held(cenv: GenCenv, var: Symbol) -> GenCenv:
+    """Bind a let variable whose value stays in ``val`` (no slot)."""
+    held = Held()
+    cenv.tracker.val = held
+    return GenCenv(cenv.env.bind(var, held), cenv.tracker)
 
 
 def inc(depth: int) -> int:
@@ -197,8 +231,17 @@ def inc(depth: int) -> int:
 
 def compile_variable(name: Symbol, cenv: GenCenv) -> Fragment:
     location = cenv.env.lookup(name)
+    tracker = cenv.tracker
     if isinstance(location, Local):
+        if tracker.val == location.index:
+            return EMPTY
+        tracker.val = location.index
         return instruction(Op.LOCAL, location.index)
+    if isinstance(location, Held):
+        if tracker.val is not location:
+            raise AssertionError(f"{name}: held value no longer in val")
+        return EMPTY
+    tracker.val = None
     if isinstance(location, Closed):
         return instruction(Op.CLOSED, location.index)
     spec = PRIMITIVES.get(name)
@@ -207,7 +250,12 @@ def compile_variable(name: Symbol, cenv: GenCenv) -> Fragment:
     return instruction(Op.GLOBAL, Lit(name))
 
 
-def const_instruction(value: Any) -> Fragment:
+def const_instruction(value: Any, cenv: GenCenv) -> Fragment:
+    key = constant_key(value)
+    tracker = cenv.tracker
+    if key is not None and tracker.val == key:
+        return EMPTY
+    tracker.val = key
     return instruction(Op.CONST, Lit(value))
 
 
@@ -227,11 +275,13 @@ def compile_components(
     return tuple(c(cenv, depth) for c in components)
 
 
-def prim_instruction(spec: PrimSpec, n: int) -> Fragment:
+def prim_instruction(spec: PrimSpec, n: int, cenv: GenCenv) -> Fragment:
+    cenv.tracker.val = None
     return instruction(Op.PRIM, Lit(spec), n)
 
 
-def call_instruction(n: int) -> Fragment:
+def call_instruction(n: int, cenv: GenCenv) -> Fragment:
+    cenv.tracker.val = None
     return instruction(Op.CALL, n)
 
 
@@ -245,6 +295,19 @@ def setloc_instruction(depth: int) -> Fragment:
 
 def return_instruction() -> Fragment:
     return instruction(Op.RETURN)
+
+
+def branch_instruction(label: Label, cenv: GenCenv) -> Fragment:
+    """``JUMP_IF_FALSE label``; ``val`` is kept for the alternative."""
+    cenv.tracker.branches.append(cenv.tracker.val)
+    return instruction_using_label(Op.JUMP_IF_FALSE, label)
+
+
+def branch_target(cenv: GenCenv) -> GenCenv:
+    """Enter a conditional's alternative: ``val`` is as at its branch."""
+    tracker = cenv.tracker
+    tracker.val = tracker.branches.pop()
+    return cenv
 
 
 def length_of(xs: Sequence) -> int:
@@ -272,13 +335,9 @@ def emit_captured(captured: Sequence[Symbol], cenv: GenCenv) -> Fragment:
     return emit_pushed([compile_variable(v, cenv) for v in captured])
 
 
-def make_closure_instruction(template, n: int) -> Fragment:
+def make_closure_instruction(template, n: int, cenv: GenCenv) -> Fragment:
+    cenv.tracker.val = None
     return instruction(Op.MAKE_CLOSURE, Lit(template), n)
-
-
-def freeze_constant(value: Any) -> Any:
-    """Constants arrive as run-time values from the specializer."""
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +356,15 @@ def compilator_if(A, test, then, alt, cenv, depth):
         sequentially,
         # Test
         A.compile(test, cenv, depth),
-        A.call(
-            instruction_using_label, A.lift(Op.JUMP_IF_FALSE), alt_label
-        ),
+        A.call(branch_instruction, alt_label, cenv),
         # Consequent
         A.compile(then, cenv, depth),
         # Alternative
-        A.call(attach_label, alt_label, A.compile(alt, cenv, depth)),
+        A.call(
+            attach_label,
+            alt_label,
+            A.compile(alt, A.call(branch_target, cenv), depth),
+        ),
     )
 
 
@@ -321,6 +382,24 @@ def compilator_let(A, var, rhs, body, cenv, depth):
     )
 
 
+def compilator_let_held(A, var, rhs, body, cenv, depth):
+    """(let (x B) M), M reading x only while B's value is in ``val``."""
+    return A.call(
+        sequentially,
+        A.compile(rhs, cenv, depth),
+        A.compile(body, A.call(bind_held, cenv, var), depth),
+    )
+
+
+def compilator_let_unread(A, rhs, body, cenv, depth):
+    """(let (x B) M), M never reading x: B for its effect only."""
+    return A.call(
+        sequentially,
+        A.compile(rhs, cenv, depth),
+        A.compile(body, cenv, depth),
+    )
+
+
 def compilator_return(A, triv, cenv, depth):
     """A trivial expression in tail position."""
     return A.call(
@@ -333,7 +412,7 @@ def compilator_prim(A, spec, args, cenv, depth):
     return A.call(
         sequentially,
         A.call(emit_pushed, A.call(compile_components, args, cenv, depth)),
-        A.call(prim_instruction, spec, A.call(length_of, args)),
+        A.call(prim_instruction, spec, A.call(length_of, args), cenv),
     )
 
 
@@ -347,7 +426,7 @@ def compilator_call(A, fn, args, cenv, depth):
     return A.call(
         sequentially,
         A.call(emit_pushed, A.call(_operator_and_args, fn, args, cenv, depth)),
-        A.call(call_instruction, A.call(length_of, args)),
+        A.call(call_instruction, A.call(length_of, args), cenv),
     )
 
 
@@ -367,7 +446,7 @@ def compilator_variable(A, name, cenv, depth):
 
 def compilator_const(A, value, cenv, depth):
     """A constant: loaded from the literal frame."""
-    return A.call(const_instruction, value)
+    return A.call(const_instruction, value, cenv)
 
 
 def compilator_lambda(A, params, captured, body, cenv, depth):
@@ -377,7 +456,10 @@ def compilator_lambda(A, params, captured, body, cenv, depth):
         sequentially,
         A.call(emit_captured, captured, cenv),
         A.call(
-            make_closure_instruction, template, A.call(length_of, captured)
+            make_closure_instruction,
+            template,
+            A.call(length_of, captured),
+            cenv,
         ),
     )
 
@@ -387,59 +469,21 @@ def compilator_lambda(A, params, captured, body, cenv, depth):
 # ---------------------------------------------------------------------------
 
 
-def compile_recipe(
-    x: Any, slot_index: dict[str, int]
-) -> Callable[[tuple, dict], Any]:
-    """Compile a recipe DAG into nested closures, once.
-
-    Equivalent to ``force`` but with all dispatch on node kinds — and all
-    parameter lookups, resolved to tuple indices — performed ahead of
-    time: the same staging move the whole paper is about, applied to the
-    combinator recipes themselves.  ``b`` is the positional binding tuple
-    (slots, then cenv, then depth); ``m`` the per-invocation sharing memo.
-    """
-    if isinstance(x, Delayed):
-        fn = x.fn
-        subs = tuple(compile_recipe(a, slot_index) for a in x.args)
-        return lambda b, m: fn(*[s(b, m) for s in subs])
-    if isinstance(x, SharedNode):
-        inner = compile_recipe(x.inner, slot_index)
-        key = id(x)
-
-        def shared(b: tuple, m: dict) -> Any:
-            if key not in m:
-                m[key] = inner(b, m)
-            return m[key]
-
-        return shared
-    if isinstance(x, Param):
-        index = slot_index[x.name]
-        return lambda b, m: b[index]
-    if isinstance(x, tuple):
-        subs = tuple(compile_recipe(item, slot_index) for item in x)
-        return lambda b, m: tuple(s(b, m) for s in subs)
-    return lambda b, m: x
-
-
 def derive_combinator(compilator: Callable, static_slots: Sequence[str],
                       component_slots: Sequence[str]) -> Callable:
     """Expand ``compilator`` once into a ``make-residual-...`` function.
 
     The returned function takes the static slots and component slots as
     keyword-free positional arguments (statics first, components second)
-    and yields the code-generating closure ``(cenv, depth) -> fragment``.
+    and yields the code-generating closure ``(cenv, depth) -> fragment``,
+    which evaluates the recipe under those bindings (:func:`force`).
     """
     A = GenAnnotations()
     slot_names = (*static_slots, *component_slots)
     params = {name: Param(name) for name in slot_names}
-    cenv_p, depth_p = Param("cenv"), Param("depth")
     recipe = compilator(
-        A, *[params[name] for name in slot_names], cenv_p, depth_p
+        A, *[params[name] for name in slot_names], Param("cenv"), Param("depth")
     )
-    slot_index = {name: i for i, name in enumerate(slot_names)}
-    slot_index["cenv"] = len(slot_names)
-    slot_index["depth"] = len(slot_names) + 1
-    compiled = compile_recipe(recipe, slot_index)
     n_slots = len(slot_names)
 
     def combinator(*slot_values: Any) -> Callable:
@@ -448,9 +492,10 @@ def derive_combinator(compilator: Callable, static_slots: Sequence[str],
                 f"combinator expects {n_slots} arguments,"
                 f" got {len(slot_values)}"
             )
+        bindings = dict(zip(slot_names, slot_values))
 
         def emit(cenv: GenCenv, depth: int) -> Fragment:
-            return compiled(slot_values + (cenv, depth), {})
+            return force(recipe, {**bindings, "cenv": cenv, "depth": depth}, {})
 
         return emit
 
@@ -465,6 +510,12 @@ make_residual_if = derive_combinator(
 )
 make_residual_let = derive_combinator(
     compilator_let, ("var",), ("rhs", "body")
+)
+make_residual_let_held = derive_combinator(
+    compilator_let_held, ("var",), ("rhs", "body")
+)
+make_residual_let_unread = derive_combinator(
+    compilator_let_unread, (), ("rhs", "body")
 )
 make_residual_return = derive_combinator(
     compilator_return, (), ("triv",)
@@ -518,6 +569,7 @@ class DerivedANFCompiler:
 
     def __init__(self) -> None:
         self.A = DirectAnnotations(self)
+        self.reads = ReadFacts()
 
     def compile_procedure(self, params, body, free=(), name="anonymous"):
         from repro.vm.assembler import assemble
@@ -536,14 +588,16 @@ class DerivedANFCompiler:
         A = self.A
         if kind == "tail":
             if isinstance(node, Let):
-                return compilator_let(
-                    A,
-                    node.var,
-                    self._rhs_component(node.rhs),
-                    DirectComponent(self, "tail", node.body),
-                    cenv,
-                    depth,
-                )
+                rhs = self._rhs_component(node.rhs)
+                body = DirectComponent(self, "tail", node.body)
+                shape = let_shape(node.var, self.reads.of(node.body))
+                if shape is STORED:
+                    return compilator_let(A, node.var, rhs, body, cenv, depth)
+                if shape is HELD:
+                    return compilator_let_held(
+                        A, node.var, rhs, body, cenv, depth
+                    )
+                return compilator_let_unread(A, rhs, body, cenv, depth)
             if isinstance(node, If):
                 return compilator_if(
                     A,

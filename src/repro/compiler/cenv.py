@@ -6,7 +6,9 @@ A :class:`CompileTimeEnv` maps each name to one of:
 
 * :class:`Local` — a slot in the current frame (parameters and lets);
 * :class:`Closed` — a slot in the closure environment (free variables);
-* :class:`Global` — a top-level binding, looked up at run time.
+* :class:`Global` — a top-level binding, looked up at run time;
+* :class:`Held` — a let-bound value that never leaves the ``val``
+  register: its one read compiles to nothing (DESIGN §1 item 7).
 """
 
 from __future__ import annotations
@@ -31,7 +33,16 @@ class Global:
     name: Symbol
 
 
-Location = Local | Closed | Global
+class Held:
+    """The location of a let-bound value read only while still in ``val``.
+
+    Compared by identity: each binding gets its own.
+    """
+
+    __slots__ = ()
+
+
+Location = Local | Closed | Global | Held
 
 
 class CompileTimeEnv:
@@ -86,3 +97,6 @@ class CompileTimeEnv:
 
     def bind_local(self, name: Symbol, index: int) -> "CompileTimeEnv":
         return CompileTimeEnv({name: Local(index)}, self)
+
+    def bind(self, name: Symbol, location: Location) -> "CompileTimeEnv":
+        return CompileTimeEnv({name: location}, self)

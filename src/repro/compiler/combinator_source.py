@@ -13,8 +13,9 @@ local bindings in the emitted function (created once per invocation,
 shared between their use sites), exactly as the paper's ``_let`` macro
 produces a generation-time ``let``.
 
-The test suite checks that the loaded, printed combinators emit code
-identical to the directly derived (closure-based) ones.
+The fused backend (:mod:`repro.compiler.fusion`) runs the printed
+combinators.  The test suite checks that they emit code identical to
+the directly derived ones (:func:`repro.compiler.annotated.derive_combinator`).
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from repro.vm.instructions import Op
 COMPILATOR_TABLE: tuple[tuple[Callable, tuple[str, ...], tuple[str, ...]], ...] = (
     (_annotated.compilator_if, (), ("test", "then", "alt")),
     (_annotated.compilator_let, ("var",), ("rhs", "body")),
+    (_annotated.compilator_let_held, ("var",), ("rhs", "body")),
+    (_annotated.compilator_let_unread, (), ("rhs", "body")),
     (_annotated.compilator_return, (), ("triv",)),
     (_annotated.compilator_prim, ("spec",), ("args",)),
     (_annotated.compilator_call, (), ("fn", "args")),
@@ -131,7 +134,10 @@ specializer's syntax constructors.
 """
 
 from repro.compiler.annotated import (
+    bind_held,
     bind_local,
+    branch_instruction,
+    branch_target,
     compile_components,
     compile_variable,
     const_instruction,
@@ -151,7 +157,6 @@ from repro.compiler.annotated import (
 )
 from repro.vm.fragments import (
     attach_label,
-    instruction_using_label,
     make_label,
     sequentially,
 )

@@ -5,19 +5,27 @@ constructors and provide alternative implementations for them: one that
 constructs syntax and another one that corresponds to [the compiler]"
 (§5.4).  This module is the second implementation: every method of
 :class:`ObjectCodeBackend` answers the specializer with *object code
-generators* built from the ``make-residual-...`` combinators derived from
-the annotated compiler — the deforested composition ``compile ∘
-specialize``.
+generators* built from the ``make-residual-...`` combinators of the
+annotated compiler — the deforested composition ``compile ∘
+specialize``.  The combinators are the *printed* ones (§6.3.2): the
+module :mod:`repro.compiler.combinator_source` renders from the
+compilators, loaded once at import.
 
 Residual code handles:
 
-* trivial code (:class:`TrivCode`) and serious code (:class:`SeriousCode`)
-  carry an emission function ``(cenv, depth) -> fragment`` plus the set of
-  residual variable names occurring free in them.  The free-name sets
-  implement the paper's §6.4 resolution of "the duality between variable
-  names and their compilators": the specializer passes names by default,
-  and the compilator for ``lambda`` uses them to compute the list of
-  captured variables at code-generation time.
+* trivial code (:class:`TrivCode`), serious code (:class:`SeriousCode`)
+  and bodies (:class:`BodyCode`) carry an emission function ``(cenv,
+  depth) -> fragment`` plus the set of residual variable names occurring
+  free in them.  The free-name sets implement the paper's §6.4
+  resolution of "the duality between variable names and their
+  compilators": the specializer passes names by default, and the
+  compilator for ``lambda`` uses them to compute the list of captured
+  variables at code-generation time.
+* next to ``free`` each handle carries the other read facts of
+  :mod:`repro.compiler.reads` (``head``, ``later``), from which
+  :meth:`ObjectCodeBackend.let` picks one of the three let combinators —
+  so no binding is stored that only its first read needs, and the
+  optimizer finds nothing to delete.
 * serious code has two emitters because ANF's control-flow distinction is
   resolved by the *consumer*: a let-rhs compiles to ``CALL`` and a tail
   position to ``TAIL_CALL``.
@@ -31,20 +39,19 @@ from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
-from repro.compiler.annotated import (
-    DepthTracker,
-    GenCenv,
-    make_residual_call,
-    make_residual_const,
-    make_residual_if,
-    make_residual_lambda,
-    make_residual_let,
-    make_residual_prim,
-    make_residual_return,
-    make_residual_tail_call,
-    make_residual_variable,
-)
+from repro.compiler.annotated import DepthTracker, GenCenv
 from repro.compiler.cenv import CompileTimeEnv
+from repro.compiler.combinator_source import load_combinator_module
+from repro.compiler.reads import (
+    EMPTY as _EMPTY,
+    HELD,
+    STORED,
+    if_reads,
+    lambda_reads,
+    let_reads,
+    let_shape,
+    sequence_reads,
+)
 from repro.lang.gensym import Gensym
 from repro.lang.prims import PRIMITIVES
 from repro.pe.backend import ResidualProgram
@@ -56,10 +63,22 @@ from repro.vm.opt import optimize_template
 from repro.vm.template import Template
 from repro.vm.verify import verify_template
 
-_EMPTY: frozenset = frozenset()
+# The printed combinators (§6.3.2), loaded once.
+_PRINTED = load_combinator_module()
+make_residual_call = _PRINTED["make_residual_call"]
+make_residual_const = _PRINTED["make_residual_const"]
+make_residual_if = _PRINTED["make_residual_if"]
+make_residual_lambda = _PRINTED["make_residual_lambda"]
+make_residual_let = _PRINTED["make_residual_let"]
+make_residual_let_held = _PRINTED["make_residual_let_held"]
+make_residual_let_unread = _PRINTED["make_residual_let_unread"]
+make_residual_prim = _PRINTED["make_residual_prim"]
+make_residual_return = _PRINTED["make_residual_return"]
+make_residual_tail_call = _PRINTED["make_residual_tail_call"]
+make_residual_variable = _PRINTED["make_residual_variable"]
 
 
-def object_kind(verify: bool = True, optimize: bool = True) -> str:
+def object_kind(verify: bool = True, optimize: bool = False) -> str:
     """The backend-kind cache discriminator for object-code generation.
 
     Residual programs generated with different verify/optimize knobs
@@ -69,45 +88,73 @@ def object_kind(verify: bool = True, optimize: bool = True) -> str:
     inspect the cache.
     """
     kind = "object" if verify else "object-unverified"
-    if not optimize:
-        kind += "-noopt"
+    if optimize:
+        kind += "-opt"
     return kind
 
 
 class TrivCode:
-    """Trivial residual code: emits a value into ``val``."""
+    """Trivial residual code: emits a value into ``val``.
 
-    __slots__ = ("emit", "free")
+    ``free``/``head``/``later``/``holds`` are its read facts
+    (:mod:`repro.compiler.reads`).
+    """
 
-    def __init__(self, emit: Callable[[GenCenv, int], Any], free: frozenset):
+    __slots__ = ("emit", "free", "head", "later", "holds")
+
+    def __init__(
+        self,
+        emit: Callable[[GenCenv, int], Any],
+        free: frozenset,
+        head: Any = None,
+        later: frozenset = _EMPTY,
+        holds: bool = False,
+    ):
         self.emit = emit
         self.free = free
+        self.head = head
+        self.later = later
+        self.holds = holds
 
 
 class SeriousCode:
     """Serious residual code: a call or primitive application."""
 
-    __slots__ = ("emit_value", "emit_tail", "free")
+    __slots__ = ("emit_value", "emit_tail", "free", "head", "later")
+    holds = False
 
     def __init__(
         self,
         emit_value: Callable[[GenCenv, int], Any],
         emit_tail: Callable[[GenCenv, int], Any],
         free: frozenset,
+        head: Any,
+        later: frozenset,
     ):
         self.emit_value = emit_value
         self.emit_tail = emit_tail
         self.free = free
+        self.head = head
+        self.later = later
 
 
 class BodyCode:
     """Complete tail code for a residual function or branch."""
 
-    __slots__ = ("emit", "free")
+    __slots__ = ("emit", "free", "head", "later")
+    holds = False
 
-    def __init__(self, emit: Callable[[GenCenv, int], Any], free: frozenset):
+    def __init__(
+        self,
+        emit: Callable[[GenCenv, int], Any],
+        free: frozenset,
+        head: Any,
+        later: frozenset,
+    ):
         self.emit = emit
         self.free = free
+        self.head = head
+        self.later = later
 
 
 class ObjectCodeBackend:
@@ -115,13 +162,13 @@ class ObjectCodeBackend:
 
     ``verify`` runs the bytecode verifier over every template as it is
     relocated — RTCG-generated code is checked at generation time, before
-    it is installed in the machine.  ``optimize`` then runs the dataflow
-    bytecode optimizer (:mod:`repro.vm.opt`) over each verified template,
-    so cached and persisted residual code is the optimized code; the
-    optimizer's own translation validation re-verifies its output.
+    it is installed in the machine.  The combinators already emit what
+    the dataflow bytecode optimizer (:mod:`repro.vm.opt`) would keep of
+    naive code; ``optimize`` opts in to running it anyway, for its
+    constant folding (which re-verifies its own output).
     """
 
-    def __init__(self, verify: bool = True, optimize: bool = True) -> None:
+    def __init__(self, verify: bool = True, optimize: bool = False) -> None:
         self.machine = Machine()
         self.templates: dict[Symbol, Template] = {}
         # Residual function names: one machine, one namespace.
@@ -136,7 +183,10 @@ class ObjectCodeBackend:
         return TrivCode(make_residual_const(value), _EMPTY)
 
     def var(self, name: Symbol) -> TrivCode:
-        return TrivCode(make_residual_variable(name), frozenset((name,)))
+        return TrivCode(
+            make_residual_variable(name), frozenset((name,)), name, _EMPTY,
+            True,
+        )
 
     def global_ref(self, name: Symbol) -> TrivCode:
         # Residual functions and primitives resolve through the global
@@ -159,7 +209,7 @@ class ObjectCodeBackend:
                 cenv, depth
             )
 
-        return TrivCode(emit, free)
+        return TrivCode(emit, free, *lambda_reads(free))
 
     # -- serious constructors --------------------------------------------------------
 
@@ -170,39 +220,45 @@ class ObjectCodeBackend:
         emits = tuple(a.emit for a in args)
         value = make_residual_prim(spec, emits)
         return SeriousCode(
-            emit_value=value,
-            emit_tail=make_residual_return(value),
-            free=_union(args),
+            value, make_residual_return(value), *sequence_reads(args)
         )
 
     def call(self, fn: TrivCode, args: Sequence[TrivCode]) -> SeriousCode:
         emits = tuple(a.emit for a in args)
         return SeriousCode(
-            emit_value=make_residual_call(fn.emit, emits),
-            emit_tail=make_residual_tail_call(fn.emit, emits),
-            free=fn.free | _union(args),
+            make_residual_call(fn.emit, emits),
+            make_residual_tail_call(fn.emit, emits),
+            *sequence_reads((fn, *args)),
         )
 
     # -- body constructors ---------------------------------------------------------------
 
     def let(self, var: Symbol, rhs: SeriousCode, body: BodyCode) -> BodyCode:
         rhs_emit = rhs.emit_value if isinstance(rhs, SeriousCode) else rhs.emit
-        return BodyCode(
-            make_residual_let(var, rhs_emit, body.emit),
-            rhs.free | (body.free - {var}),
-        )
+        shape = let_shape(var, body)
+        if shape is STORED:
+            emit = make_residual_let(var, rhs_emit, body.emit)
+        elif shape is HELD:
+            emit = make_residual_let_held(var, rhs_emit, body.emit)
+        else:
+            emit = make_residual_let_unread(rhs_emit, body.emit)
+        return BodyCode(emit, *let_reads(var, shape, rhs, body))
 
     def if_(self, test: TrivCode, then: BodyCode, alt: BodyCode) -> BodyCode:
         return BodyCode(
             make_residual_if(test.emit, then.emit, alt.emit),
-            test.free | then.free | alt.free,
+            *if_reads(test, then, alt),
         )
 
     def ret(self, triv: TrivCode) -> BodyCode:
-        return BodyCode(make_residual_return(triv.emit), triv.free)
+        return BodyCode(
+            make_residual_return(triv.emit), triv.free, triv.head, triv.later
+        )
 
     def tail(self, serious: SeriousCode) -> BodyCode:
-        return BodyCode(serious.emit_tail, serious.free)
+        return BodyCode(
+            serious.emit_tail, serious.free, serious.head, serious.later
+        )
 
     # -- definitions --------------------------------------------------------------------------
 
@@ -232,10 +288,3 @@ class ObjectCodeBackend:
             goal=goal, goal_params=goal_params, machine=self.machine
         )
 
-
-def _union(handles: Sequence) -> frozenset:
-    free: frozenset = _EMPTY
-    for h in handles:
-        if h.free:
-            free = h.free if not free else free | h.free
-    return free

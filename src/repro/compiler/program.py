@@ -42,7 +42,7 @@ def compile_program(
     program: Program,
     compiler: str = "auto",
     verify: bool = True,
-    optimize: bool = True,
+    optimize: bool = False,
 ) -> CompiledProgram:
     """Compile every definition of ``program``.
 
@@ -55,9 +55,11 @@ def compile_program(
 
     ``verify`` runs the bytecode verifier over every emitted template
     (:mod:`repro.vm.verify`); a compiler bug is rejected here instead of
-    crashing the machine mid-run.  ``optimize`` runs the dataflow
-    bytecode optimizer (:mod:`repro.vm.opt`) over each template; the
-    optimizer re-verifies its own output (translation validation).
+    crashing the machine mid-run.  ``optimize`` opts in to the dataflow
+    bytecode optimizer (:mod:`repro.vm.opt`) over each template (the ANF
+    compiler already emits what it would keep of naive code, bar constant
+    folding); the optimizer re-verifies its own output (translation
+    validation).
     """
     program_names = frozenset(d.name for d in program.defs)
     from repro.lang.assignment import eliminate_assignments, has_assignments

@@ -23,11 +23,12 @@ prefix.  Primitives are encoded by *name* and re-resolved against the
 running system's primitive table on decode: an image referring to a
 primitive this build does not define is stale and is rejected.
 
-Decoded residual programs additionally carry the encoder's fingerprint
-digest (SHA-256 of :meth:`ResidualProgram.fingerprint`); the decoder
-recomputes it, so any drift between encoder and decoder — or between the
-image and the running system's disassembler — surfaces as a
-:class:`CodecError`, not as silently different code.
+Residual-program images additionally carry the SHA-256 of their
+encoded code (:func:`residual_digest`); the decoder re-encodes what it
+decoded and compares, so tampering that recomputes the CRC, or any drift
+between encoder and decoder, surfaces as a :class:`CodecError`, not as
+silently different code.  (Version 1 images embedded the digest of the
+textual fingerprint instead; this build rejects them as stale.)
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from repro.vm.machine import Machine, VmClosure
 from repro.vm.template import Template, intern_code
 
 MAGIC = b"RPOI"  # RePro Object Image
-CODEC_VERSION = 1
+CODEC_VERSION = 2
 
 _HEADER = struct.Struct(">4sHII")  # magic, version, payload length, CRC32
 _DOUBLE = struct.Struct(">d")
@@ -378,27 +379,10 @@ def decode_template(data: bytes) -> Template:
 # -- residual programs --------------------------------------------------------
 
 
-def fingerprint_digest(residual: ResidualProgram) -> str:
-    """SHA-256 of the residual program's textual fingerprint."""
-    return hashlib.sha256(
-        residual.fingerprint().encode("utf-8")
-    ).hexdigest()
-
-
-def encode_residual(residual: ResidualProgram) -> bytes:
-    """Encode a whole residual program as a framed image.
-
-    Object-code programs store their machine's global templates; source
-    programs store the unparsed program text (the system's existing
-    canonical serialization for syntax).  Both embed a fingerprint
-    digest the decoder re-checks.
-    """
+def _encode_body(residual: ResidualProgram) -> bytes:
+    """The canonical encoding of a residual program's code: its kind
+    byte, then its templates (object code) or its program text."""
     enc = _Encoder()
-    enc.string(residual.goal.name)
-    enc.uvarint(len(residual.goal_params))
-    for p in residual.goal_params:
-        enc.string(p.name)
-    enc.string(fingerprint_digest(residual))
     if residual.machine is not None:
         enc.tag(_K_OBJECT)
         entries = sorted(
@@ -421,16 +405,51 @@ def encode_residual(residual: ResidualProgram) -> bytes:
         enc.string("\n".join(write(d) for d in unparse_program(residual.program)))
     else:
         raise CodecError("residual program has neither machine nor program")
-    return _frame(bytes(enc.buf))
+    return bytes(enc.buf)
+
+
+def residual_digest(residual: ResidualProgram) -> str:
+    """SHA-256 of the residual program's canonical encoded code.
+
+    :func:`encode_residual` and :func:`decode_residual` record it in
+    ``stats["residual_digest"]``; on the generation path both run before
+    the program is published, so a cached program — and every view of
+    it — answers from there without hashing.
+    """
+    digest = residual.stats.get("residual_digest")
+    if digest is None:
+        digest = hashlib.sha256(_encode_body(residual)).hexdigest()
+    return digest
+
+
+def encode_residual(residual: ResidualProgram) -> bytes:
+    """Encode a whole residual program as a framed image.
+
+    Object-code programs store their machine's global templates; source
+    programs store the unparsed program text (the system's existing
+    canonical serialization for syntax).  Both embed the digest of that
+    encoded body (:func:`residual_digest`), which the decoder re-checks.
+    """
+    body = _encode_body(residual)
+    digest = hashlib.sha256(body).hexdigest()
+    residual.stats["residual_digest"] = digest
+    enc = _Encoder()
+    enc.string(residual.goal.name)
+    enc.uvarint(len(residual.goal_params))
+    for p in residual.goal_params:
+        enc.string(p.name)
+    enc.string(digest)
+    return _frame(bytes(enc.buf) + body)
 
 
 def decode_residual(data: bytes, check_fingerprint: bool = True) -> ResidualProgram:
     """Decode a framed residual-program image.
 
-    With ``check_fingerprint`` (the default) the decoded program's
-    fingerprint is recomputed and compared against the digest the
-    encoder embedded; a mismatch means the image does not reproduce the
-    original code byte-for-byte and is rejected.
+    With ``check_fingerprint`` (the default) the decoded program is
+    re-encoded and the digest of that encoding compared against the
+    digest the encoder embedded; a mismatch means the image does not
+    reproduce the original code byte-for-byte (tampering under a
+    recomputed CRC, or encoder/decoder drift) and is rejected.
 
     The decoded program is **untrusted**: nothing here runs the verifier
     — callers (the store, the CLI) do that before execution.
@@ -462,11 +481,13 @@ def decode_residual(data: bytes, check_fingerprint: bool = True) -> ResidualProg
         raise CodecError(f"unknown residual kind byte 0x{kind:02x}")
     dec.done()
     residual.stats["loaded_from_image"] = True
-    if check_fingerprint and fingerprint_digest(residual) != digest:
-        raise CodecError(
-            "fingerprint mismatch: the decoded program does not reproduce"
-            " the encoded code byte-for-byte"
-        )
+    if check_fingerprint:
+        if hashlib.sha256(_encode_body(residual)).hexdigest() != digest:
+            raise CodecError(
+                "digest mismatch: the decoded program does not reproduce"
+                " the encoded code byte-for-byte"
+            )
+        residual.stats["residual_digest"] = digest
     return residual
 
 

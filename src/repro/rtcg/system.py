@@ -351,15 +351,16 @@ class GeneratingExtension:
         dif_strategy: str = "duplicate",
         verify: bool = True,
         use_cache: bool = True,
-        optimize: bool = True,
+        optimize: bool = False,
     ) -> ResidualProgram:
         """Generate residual *object code* directly (the fused system).
 
         ``verify`` bytecode-verifies every generated template at
-        generation time (:mod:`repro.vm.verify`); ``optimize`` then runs
-        the dataflow bytecode optimizer (:mod:`repro.vm.opt`) over each
-        template, so the L1 cache and the on-disk store hold optimized
-        code.
+        generation time (:mod:`repro.vm.verify`).  The combinators
+        already emit what the dataflow bytecode optimizer
+        (:mod:`repro.vm.opt`) would keep of naive code; ``optimize``
+        opts in to running it as well, for its constant folding (the
+        ``"object-opt"`` cache kind).
         """
         kind = object_kind(verify, optimize)
         return self._generate(
@@ -375,7 +376,7 @@ class GeneratingExtension:
         static_args: Sequence[Any],
         dif_strategy: str = "duplicate",
         verify: bool = True,
-        optimize: bool = True,
+        optimize: bool = False,
     ) -> ResidualProgram:
         return self.to_object_code(
             static_args, dif_strategy=dif_strategy, verify=verify,
@@ -480,7 +481,7 @@ def specialize_to_object_code(
     goal: str | None = None,
     dif_strategy: str = "duplicate",
     verify: bool = True,
-    optimize: bool = True,
+    optimize: bool = False,
     **kwargs: Any,
 ) -> ResidualProgram:
     """One-shot: executable object code for the given static input."""
@@ -500,7 +501,7 @@ def run_specialized(
     goal: str | None = None,
     dif_strategy: str = "duplicate",
     verify: bool = True,
-    optimize: bool = True,
+    optimize: bool = False,
     **kwargs: Any,
 ) -> Any:
     """Classic RTCG: generate code for the static input and run it."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Iterator
 
 from repro.runtime.errors import PrimitiveError
-from repro.sexp.datum import Char
+from repro.sexp.datum import Char, Symbol
 
 
 class Nil:
@@ -140,6 +140,29 @@ def scheme_eqv(a: Any, b: Any) -> bool:
     if isinstance(a, Char) and isinstance(b, Char):
         return a == b
     return a is b
+
+
+def constant_key(value: Any) -> tuple | None:
+    """A key under which equal keys mean interchangeable constants, or
+    ``None`` when ``value`` has none.
+
+    Only *identity-safe* values have a key: exact numbers, booleans,
+    characters, symbols, the empty list and the unspecified value —
+    values ``eqv?`` compares by value (or singletons), so substituting
+    one equal-keyed object for another is unobservable.  Strings and
+    pairs compare by identity and have no key.  The key is type-tagged,
+    so ``False``/``0`` and ``1``/``1.0`` stay apart; floats key on their
+    bit pattern, so ``-0.0``/``0.0`` do too, and NaN has no key.
+    """
+    if value is NIL or value is UNSPECIFIED:
+        return (type(value), value)
+    if isinstance(value, (bool, int, Symbol, Char)):
+        return (type(value), value)
+    if isinstance(value, float):
+        if value != value:
+            return None
+        return (float, value.hex())
+    return None
 
 
 def scheme_equal(a: Any, b: Any) -> bool:

@@ -235,7 +235,7 @@ def specialize_request(
     dif_strategy: str = "duplicate",
     backend: str = "object",
     verify: bool = True,
-    optimize: bool = True,
+    optimize: bool = False,
     memo_hints: list[str] | tuple[str, ...] = (),
     unfold_hints: list[str] | tuple[str, ...] = (),
     max_unfold_depth: int | None = None,
@@ -330,7 +330,7 @@ def validate_specialize(frame: dict[str, Any]) -> dict[str, Any]:
         ),
         "backend": _expect(frame, "backend", str, default="object"),
         "verify": _expect(frame, "verify", bool, default=True),
-        "optimize": _expect(frame, "optimize", bool, default=True),
+        "optimize": _expect(frame, "optimize", bool, default=False),
         "memo_hints": _expect_str_list(frame, "memo_hints"),
         "unfold_hints": _expect_str_list(frame, "unfold_hints"),
         "max_unfold_depth": _expect(frame, "max_unfold_depth", int),

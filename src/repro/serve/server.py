@@ -41,6 +41,7 @@ from typing import Any, Iterable
 
 from repro import obs
 from repro.compiler.fusion import object_kind
+from repro.image.codec import residual_digest
 from repro.lang.parser import parse_program
 from repro.pe.errors import BudgetExceeded, PEError
 from repro.rtcg.system import GeneratingExtension
@@ -423,9 +424,7 @@ class SpecializationServer(FrameServer):
             }
         if req["want_residual"]:
             response["residual"] = residual.fingerprint()
-        response["fingerprint_digest"] = hashlib.sha256(
-            residual.fingerprint().encode("utf-8")
-        ).hexdigest()
+        response["fingerprint_digest"] = residual_digest(residual)
         if dynamics is not None:
             from repro.lang.prims import write_value
 

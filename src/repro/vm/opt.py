@@ -1,12 +1,13 @@
 """Dataflow bytecode optimizer for templates, with translation validation.
 
-The specializer already paid to expose the structure the assembler then
-buries in naive bytecode: residual templates carry dead stores
-(``SETLOC`` into slots nothing reads), redundant reloads (``SETLOC k``
-immediately followed by ``LOCAL k``), constants recomputable at
-optimization time, branches on known constants, and chains of
-unconditional jumps.  This module runs a fixpoint pass pipeline over
-the basic-block graph from :mod:`repro.vm.cfg`:
+Opt-in (``optimize=True``).  The ANF compilators already emit what the
+slot passes below would keep of naive code — no dead stores, no
+``SETLOC k; LOCAL k`` reloads, dense locals (DESIGN §1 item 7) — so on
+their output this optimizer finds constants recomputable at
+optimization time, branches on known constants and the dead code those
+leave; on the stock compiler's output it finds everything.  It runs a
+fixpoint pass pipeline over the basic-block graph from
+:mod:`repro.vm.cfg`:
 
 * **jump threading** — branches through empty forwarding blocks are
   retargeted at the final destination;
@@ -51,7 +52,7 @@ from typing import Any
 from repro import obs
 from repro.analysis.fixpoint import Solver
 from repro.runtime.errors import SchemeError
-from repro.runtime.values import NIL, UNSPECIFIED
+from repro.runtime.values import NIL, UNSPECIFIED, constant_key
 from repro.sexp.datum import Char, Symbol
 from repro.vm.cfg import build_cfg
 from repro.vm.instructions import (
@@ -138,31 +139,11 @@ class _Slot:
     slot: int
 
 
-def _const_key(value: Any) -> tuple:
-    # Type-tagged like the assembler's literal interning, so Python's
-    # cross-type equality (False == 0, 1 == 1.0) never merges distinct
-    # Scheme constants; floats key on their bit pattern so -0.0 and 0.0
-    # stay apart.
-    if type(value) is float:
-        return (float, value.hex())
-    return (type(value), value)
-
-
 def _abstract(value: Any) -> Any:
     """The abstract value of a known constant: ``_Const`` when the value
-    is identity-safe (substituting an ``eqv?``-equal object is
-    unobservable), ``TOP`` otherwise."""
-    if value is NIL or value is UNSPECIFIED:
-        return _Const(_const_key(value), value)
-    if isinstance(value, bool) or isinstance(value, (Symbol, Char)):
-        return _Const(_const_key(value), value)
-    if isinstance(value, int):
-        return _Const(_const_key(value), value)
-    if isinstance(value, float):
-        if value != value:  # NaN: eqv?-incomparable, never fold
-            return TOP
-        return _Const(_const_key(value), value)
-    return TOP
+    is identity-safe (it has a :func:`constant_key`), ``TOP`` otherwise."""
+    key = constant_key(value)
+    return TOP if key is None else _Const(key, value)
 
 
 def _join_abs(a: Any, b: Any) -> Any:

@@ -157,13 +157,13 @@ WORKLOADS = {
 # MIXWELL under the monovariant BTA is covered with "join" only: Fig. 3's
 # duplicating rule is exponential there.
 PINNED = {
-    ("mixwell", "mono", "join", "object"): ("17d916cf23dc84b5", 12, 621),
+    ("mixwell", "mono", "join", "object"): ("c7d336f319143e54", 12, 621),
     ("mixwell", "mono", "join", "source"): ("99ae1a8065710c98", 12, 621),
-    ("mixwell", "poly", "duplicate", "object"): ("cd57240aa34e4b7d", 11, 329),
+    ("mixwell", "poly", "duplicate", "object"): ("6836e82c91af5b35", 11, 329),
     ("mixwell", "poly", "duplicate", "source"): ("c4e1252996494526", 11, 329),
-    ("mixwell", "poly", "join", "object"): ("cd57240aa34e4b7d", 11, 329),
+    ("mixwell", "poly", "join", "object"): ("6836e82c91af5b35", 11, 329),
     ("mixwell", "poly", "join", "source"): ("c4e1252996494526", 11, 329),
-    ("mixwell", "poly", "cogen", "object"): ("cd57240aa34e4b7d", 11, 329),
+    ("mixwell", "poly", "cogen", "object"): ("6836e82c91af5b35", 11, 329),
     ("mixwell", "poly", "cogen", "source"): ("c4e1252996494526", 11, 329),
     ("lazy", "mono", "duplicate", "object"): ("88a458153ae5677b", 5, 137),
     ("lazy", "mono", "duplicate", "source"): ("582dfbf81ecc3841", 5, 137),
