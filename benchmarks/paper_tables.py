@@ -16,7 +16,6 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro import obs
 from repro.compiler import ObjectCodeBackend, StockCompiler, compile_program
 from repro.lang import parse_program, unparse_program
 from repro.pe import SourceBackend, analyze
@@ -24,6 +23,7 @@ from repro.pe.cogen import compile_generating_extension
 from repro.rtcg import make_generating_extension
 from repro.runtime.values import datum_to_value
 from repro.sexp import write
+from repro.vm.opt import optimize
 from repro.workloads import (
     LAZY_SIGNATURE,
     MIXWELL_SIGNATURE,
@@ -62,11 +62,11 @@ def stage_breakdown(rows) -> None:
     ``GeneratingExtension`` records every span its construction and
     generations open (``pe.bta``, ``pe.congruence``, ``analysis.safety``,
     ``pe.cogen.compile``, ``pe.specialize``, ``vm.assemble``,
-    ``vm.verify``, ``vm.optimize``, ``image.*``) into an always-on
-    registry, keyed by span name; fold them under the figure so the
-    headline numbers come with their decomposition.  Nested spans count
-    in full, so ``pe.specialize`` includes the assembly, verification
-    and optimization inside it and the rows do not sum to a total.
+    ``vm.verify``, ``image.*``) into an always-on registry, keyed by
+    span name; fold them under the figure so the headline numbers come
+    with their decomposition.  Nested spans count in full, so
+    ``pe.specialize`` includes the assembly and verification inside it
+    and the rows do not sum to a total.
     """
     print("stage breakdown (from `cache_stats()[\"stages\"]`):")
     print()
@@ -86,7 +86,7 @@ def fig6(store_root=None) -> None:
     print()
     print(
         "| workload | source code | object code | ratio |"
-        " object+verify | verify overhead | object+optimize | opt share |"
+        " object+verify | verify overhead | optimize pass | opt share |"
         " disk hit (warm start) |"
         " paper src (s) | paper obj (s) | paper ratio |"
     )
@@ -98,37 +98,23 @@ def fig6(store_root=None) -> None:
         gen = make_generating_extension(interp, sig)
         ext = gen.compiled()
         t_src = best_of(lambda: ext.generate([static], backend=SourceBackend()))
-        # Bare and verified columns pin ``optimize=False`` so each column
-        # isolates one cost; the optimizer gets its own column.
         t_obj = best_of(
             lambda: ext.generate(
-                [static], backend=ObjectCodeBackend(verify=False, optimize=False)
+                [static], backend=ObjectCodeBackend(verify=False)
             )
         )
         t_ver = best_of(
             lambda: ext.generate(
-                [static], backend=ObjectCodeBackend(verify=True, optimize=False)
+                [static], backend=ObjectCodeBackend(verify=True)
             )
         )
-        # The optimizer's own wall-clock, as a share of the full
-        # verified+optimized generation (content memo cleared so every
-        # template is optimized from scratch each round).
-        from repro.vm import opt as vm_opt
-
-        t_opt_total = None
-        opt_share = 0.0
-        for _ in range(ROUNDS):
-            vm_opt.clear_memo()
-            backend = ObjectCodeBackend(verify=True, optimize=True)
-            spans = obs.MetricsRegistry()
-            t0 = time.perf_counter()
-            with obs.recording(spans):
-                ext.generate([static], backend=backend)
-            elapsed = time.perf_counter() - t0
-            if t_opt_total is None or elapsed < t_opt_total:
-                t_opt_total = elapsed
-                opt_seconds = obs.stage_totals(spans)["vm.optimize"]["seconds"]
-                opt_share = opt_seconds / elapsed
+        # The stand-alone optimizer over the default residual's
+        # templates, as a share of that verified generation.
+        default = ObjectCodeBackend()
+        ext.generate([static], backend=default)
+        t_opt = best_of(
+            lambda: [optimize(t) for t in default.templates.values()]
+        )
         # Warm start: the store is populated, L1 dropped each round, so
         # every application decodes + re-verifies the persisted image.
         store_gen = make_generating_extension(
@@ -146,8 +132,8 @@ def fig6(store_root=None) -> None:
         print(
             f"| {name} | {ms(t_src)} | {ms(t_obj)} |"
             f" {t_obj / t_src:.2f}x | {ms(t_ver)} |"
-            f" {t_ver / t_obj:.2f}x | {ms(t_opt_total)} |"
-            f" {opt_share:.1%} | {ms(t_disk)} |"
+            f" {t_ver / t_obj:.2f}x | {ms(t_opt)} |"
+            f" {t_opt / t_ver:.1%} | {ms(t_disk)} |"
             f" {p_src} | {p_obj} |"
             f" {p_obj / p_src:.2f}x |"
         )
@@ -170,8 +156,6 @@ def fig7() -> None:
         " residual instrs | optimized instrs | reduction |"
     )
     print("|---|---|---|---|---|---|---|---|")
-    from repro.vm.opt import clear_memo
-
     for name, interp, sig, static in workloads():
         ext = make_generating_extension(interp, sig).compiled()
         rp = ext.generate([static], backend=SourceBackend())
@@ -191,17 +175,14 @@ def fig7() -> None:
         def direct():
             ext.generate([static], backend=ObjectCodeBackend())
 
-        # Both routes verify and optimize, and both run memo-cold: the
-        # optimizer's content memo would otherwise answer every round
-        # after the first (each generation names its residuals afresh
-        # from a new backend, so rounds emit identical templates).  The
-        # routes alternate, so neither owns the warmer half of a run.
+        # Every route runs as it does by default: verifier on, no
+        # optimizer.  The routes alternate, so neither owns the warmer
+        # half of a run.
         routes = {"two-pass": two_pass, "load": load_route, "direct": direct}
         times: dict[str, list[float]] = {route: [] for route in routes}
         order = list(routes)
         for _ in range(ROUNDS):
             for route in order:
-                clear_memo()
                 t0 = time.perf_counter()
                 routes[route]()
                 times[route].append(time.perf_counter() - t0)
@@ -209,18 +190,13 @@ def fig7() -> None:
         t_two, t_load, t_obj = (
             min(times[route]) for route in ("two-pass", "load", "direct")
         )
-        # Static payoff of the bytecode optimizer on the residual
-        # templates (recursive over nested closure templates).
-        plain = ObjectCodeBackend(verify=True, optimize=False)
-        ext.generate([static], backend=plain)
-        optimized = ObjectCodeBackend(verify=True, optimize=True)
-        ext.generate([static], backend=optimized)
-        n_before = sum(
-            t.instruction_count() for t in plain.templates.values()
-        )
-        n_after = sum(
-            t.instruction_count() for t in optimized.templates.values()
-        )
+        # Static payoff of the stand-alone optimizer on the default
+        # residual templates (recursive over nested closure templates).
+        default = ObjectCodeBackend()
+        ext.generate([static], backend=default)
+        results = [optimize(t) for t in default.templates.values()]
+        n_before = sum(r.before_instructions for r in results)
+        n_after = sum(r.after_instructions for r in results)
         print(
             f"| {name} | {ms(t_load)} | {ms(t_two)} |"
             f" {ms(t_obj)} | {t_obj / t_two:.2f} |"

@@ -67,7 +67,7 @@ def _measure(workload, tmp_path_factory):
         # analysis) identically, so — as in Figure 8 — construction sits
         # outside the timed region and the table isolates what differs:
         # the first ``to_object_code`` call.  Fully cold that call is
-        # specialize + optimize + assemble; on machine 2 it is a remote
+        # specialize + assemble + verify; on machine 2 it is a remote
         # fetch + decode + **verify** (L3 stays untrusted).
         def cold_first_call():
             gen = make_generating_extension(interp_fn(), sig)

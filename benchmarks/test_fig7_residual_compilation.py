@@ -186,7 +186,7 @@ class TestFig7DivisionPayoff:
         from repro.vm.machine import VmClosure
 
         gen = GeneratingExtension(program, signature, bta=mode)
-        rp = gen.to_object_code([static], dif_strategy="join", optimize=False)
+        rp = gen.to_object_code([static], dif_strategy="join")
         return sum(
             value.template.instruction_count()
             for value in rp.machine.globals.values()

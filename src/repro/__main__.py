@@ -302,20 +302,24 @@ def cmd_disasm(args: argparse.Namespace) -> int:
     return status
 
 
-def _opt_template_entries(named_templates) -> tuple[list[dict], bool]:
-    """Optimize each ``(name, template)``; entries plus an ok flag.
+def _opt_template_entries(named_templates) -> tuple[list[dict], dict, bool]:
+    """Optimize each ``(name, template)``: the report entries, the
+    reported templates by name, and an ok flag.
 
-    Each optimized template is independently re-verified (translation
-    validation, beyond the optimizer's own ``validate=True`` check) —
-    ``ok`` drops on any violation or on a
-    :class:`~repro.vm.opt.TranslationValidationError`.
+    The optimizer verifies its input and re-verifies its output; the
+    output is verified once more here so the entry lists any violation.
+    ``ok`` drops on a violation or a
+    :class:`~repro.vm.opt.TranslationValidationError`, whose template
+    stays unoptimized in the returned templates.
     """
     from repro.vm.opt import TranslationValidationError, optimize
     from repro.vm.verify import check_template
 
     entries: list[dict] = []
+    optimized: dict = {}
     ok = True
     for name, template in named_templates:
+        optimized[name] = template
         try:
             result = optimize(template)
         except TranslationValidationError as exc:
@@ -326,6 +330,7 @@ def _opt_template_entries(named_templates) -> tuple[list[dict], bool]:
             })
             ok = False
             continue
+        optimized[name] = result.template
         report = check_template(result.template)
         entry = {
             "template": str(name),
@@ -342,7 +347,7 @@ def _opt_template_entries(named_templates) -> tuple[list[dict], bool]:
         if report.violations:
             ok = False
         entries.append(entry)
-    return entries, ok
+    return entries, optimized, ok
 
 
 def _opt_differential(run_pairs) -> tuple[dict, bool]:
@@ -370,12 +375,15 @@ def _opt_differential(run_pairs) -> tuple[dict, bool]:
 def cmd_opt(args: argparse.Namespace) -> int:
     import json
 
+    from repro.compiler.program import CompiledProgram
+    from repro.pe.backend import ResidualProgram
     from repro.vm.machine import VmClosure
     from repro.vm.profile import VMProfile, call_named_profiled
 
     # Specialization targets (--builtin, and FILE when --sig is given)
     # optimize *residual* templates; a FILE without --sig optimizes the
-    # straight compilation of the program itself.
+    # straight compilation of the program itself.  Either way the
+    # optimized twin that runs is built from the reported templates.
     plain_file = args.file if args.file and not args.sig else None
     if plain_file:
         args.file = None
@@ -392,11 +400,11 @@ def cmd_opt(args: argparse.Namespace) -> int:
 
     if plain_file:
         program = _load(plain_file, args.goal, args.prelude)
-        base = compile_program(program, compiler="auto", optimize=False)
-        optd = compile_program(program, compiler="auto", optimize=True)
-        entries, t_ok = _opt_template_entries(sorted(
+        base = compile_program(program, compiler="auto")
+        entries, optimized, t_ok = _opt_template_entries(sorted(
             base.templates.items(), key=lambda item: item[0].name
         ))
+        optd = CompiledProgram(optimized, base.goal)
         report: dict = {"templates": entries}
         if args.dynamic:
             dynamics = _data(args.dynamic)
@@ -424,12 +432,7 @@ def cmd_opt(args: argparse.Namespace) -> int:
 
         for label, program, sig, goal, statics, dynamics in spec_targets:
             gen = GeneratingExtension(program, sig, goal=goal)
-            base = gen.to_object_code(
-                statics, dif_strategy=args.dif_strategy, optimize=False
-            )
-            optd = gen.to_object_code(
-                statics, dif_strategy=args.dif_strategy, optimize=True
-            )
+            base = gen.to_object_code(statics, dif_strategy=args.dif_strategy)
             named = sorted(
                 (
                     (name, value.template)
@@ -438,7 +441,12 @@ def cmd_opt(args: argparse.Namespace) -> int:
                 ),
                 key=lambda item: item[0].name,
             )
-            entries, t_ok = _opt_template_entries(named)
+            entries, optimized, t_ok = _opt_template_entries(named)
+            optd = ResidualProgram(
+                goal=base.goal,
+                goal_params=base.goal_params,
+                machine=CompiledProgram(optimized, base.goal).machine(),
+            )
             runs, agree = _opt_differential({
                 "machine": (
                     lambda b=base: b.run(dynamics),

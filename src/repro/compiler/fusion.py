@@ -25,7 +25,8 @@ Residual code handles:
   :mod:`repro.compiler.reads` (``head``, ``later``), from which
   :meth:`ObjectCodeBackend.let` picks one of the three let combinators —
   so no binding is stored that only its first read needs, and the
-  optimizer finds nothing to delete.
+  residual templates are the fixpoint of the slot passes of
+  :mod:`repro.vm.opt`, which generation never runs.
 * serious code has two emitters because ANF's control-flow distinction is
   resolved by the *consumer*: a let-rhs compiles to ``CALL`` and a tail
   position to ``TAIL_CALL``.
@@ -59,7 +60,6 @@ from repro.pe.errors import SpecializationError
 from repro.sexp.datum import Symbol
 from repro.vm.assembler import assemble
 from repro.vm.machine import Machine, VmClosure
-from repro.vm.opt import optimize_template
 from repro.vm.template import Template
 from repro.vm.verify import verify_template
 
@@ -78,19 +78,15 @@ make_residual_tail_call = _PRINTED["make_residual_tail_call"]
 make_residual_variable = _PRINTED["make_residual_variable"]
 
 
-def object_kind(verify: bool = True, optimize: bool = False) -> str:
+def object_kind(verify: bool = True) -> str:
     """The backend-kind cache discriminator for object-code generation.
 
-    Residual programs generated with different verify/optimize knobs
-    never share a residual-cache entry or an on-disk image (a hit skips
-    generation, and with it generation-time verification and
-    optimization); the service layer's ``probe`` builds the same key to
-    inspect the cache.
+    Residual programs generated with and without verification never
+    share a residual-cache entry or an on-disk image (a hit skips
+    generation, and with it generation-time verification); the service
+    layer's ``probe`` builds the same key to inspect the cache.
     """
-    kind = "object" if verify else "object-unverified"
-    if optimize:
-        kind += "-opt"
-    return kind
+    return "object" if verify else "object-unverified"
 
 
 class TrivCode:
@@ -164,18 +160,16 @@ class ObjectCodeBackend:
     relocated — RTCG-generated code is checked at generation time, before
     it is installed in the machine.  The combinators already emit what
     the dataflow bytecode optimizer (:mod:`repro.vm.opt`) would keep of
-    naive code; ``optimize`` opts in to running it anyway, for its
-    constant folding (which re-verifies its own output).
+    naive code, so no optimizer runs here.
     """
 
-    def __init__(self, verify: bool = True, optimize: bool = False) -> None:
+    def __init__(self, verify: bool = True) -> None:
         self.machine = Machine()
         self.templates: dict[Symbol, Template] = {}
         # Residual function names: one machine, one namespace.
         self.names = Gensym("f")
         self.verify = verify
-        self.optimize = optimize
-        self.kind = object_kind(verify, optimize)
+        self.kind = object_kind(verify)
 
     # -- trivial constructors ----------------------------------------------------
 
@@ -274,10 +268,6 @@ class ObjectCodeBackend:
         )
         if self.verify:
             verify_template(template)
-        if self.optimize:
-            template = optimize_template(
-                template, assume_verified=self.verify
-            )
         self.templates[name] = template
         self.machine.define(name, VmClosure(template, ()))
 

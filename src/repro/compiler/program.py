@@ -11,7 +11,6 @@ from repro.compiler.stock import StockCompiler
 from repro.lang.ast import Program
 from repro.sexp.datum import Symbol
 from repro.vm.machine import Machine, VmClosure
-from repro.vm.opt import optimize_template
 from repro.vm.template import Template
 from repro.vm.verify import verify_template
 
@@ -42,7 +41,6 @@ def compile_program(
     program: Program,
     compiler: str = "auto",
     verify: bool = True,
-    optimize: bool = False,
 ) -> CompiledProgram:
     """Compile every definition of ``program``.
 
@@ -55,11 +53,10 @@ def compile_program(
 
     ``verify`` runs the bytecode verifier over every emitted template
     (:mod:`repro.vm.verify`); a compiler bug is rejected here instead of
-    crashing the machine mid-run.  ``optimize`` opts in to the dataflow
-    bytecode optimizer (:mod:`repro.vm.opt`) over each template (the ANF
-    compiler already emits what it would keep of naive code, bar constant
-    folding); the optimizer re-verifies its own output (translation
-    validation).
+    crashing the machine mid-run.  No optimizer runs here: the ANF
+    compiler already emits what the dataflow bytecode optimizer
+    (:mod:`repro.vm.opt`) would keep of naive code, bar constant folding,
+    and ``repro opt`` runs that optimizer over finished templates.
     """
     program_names = frozenset(d.name for d in program.defs)
     from repro.lang.assignment import eliminate_assignments, has_assignments
@@ -89,9 +86,4 @@ def compile_program(
     if verify:
         for template in templates.values():
             verify_template(template)
-    if optimize:
-        templates = {
-            name: optimize_template(template, assume_verified=verify)
-            for name, template in templates.items()
-        }
     return CompiledProgram(templates, program.goal)

@@ -2,9 +2,9 @@
 
 Every stage of the pipeline — BTA, congruence lint, safety analysis,
 compiling the generating extension, specialize, assemble,
-bytecode-verify, optimize, residual-cache L1, image-store L2/L3, and the
-VM's profiled dispatch — is instrumented through this module's
-*module-level* facade:
+bytecode-verify, residual-cache L1, image-store L2/L3, and the VM's
+profiled dispatch — and the stand-alone bytecode optimizer are
+instrumented through this module's *module-level* facade:
 
     from repro import obs
 

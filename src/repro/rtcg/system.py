@@ -93,15 +93,17 @@ class GeneratingExtension:
 
     Applications are memoized in a bounded, thread-safe LRU **residual
     cache** keyed by ``(frozen static args, dif strategy, backend
-    kind)``: re-applying the extension to structurally equal static
-    input returns the already-generated residual program instead of
-    re-running the generating extension (the paper's "built once ...
-    applied any number of times", with the application side amortized
-    too).  ``cache_size=0`` disables the cache.  The extension is safe to
-    share between threads: the cache is single-flight (concurrent misses
-    on one key generate once), and every generation run builds into a
-    fresh backend, which owns its residual names, so repeated generation
-    for one static input is byte-identical.
+    kind)``, the kind being ``"source"``, ``"object"`` or
+    ``"object-unverified"`` (:func:`~repro.compiler.fusion.object_kind`):
+    re-applying the extension to structurally equal static input returns
+    the already-generated residual program instead of re-running the
+    generating extension (the paper's "built once ... applied any number
+    of times", with the application side amortized too).
+    ``cache_size=0`` disables the cache.  The extension is safe to share
+    between threads: the cache is single-flight (concurrent misses on one
+    key generate once), and every generation run builds into a fresh
+    backend, which owns its residual names, so repeated generation for
+    one static input is byte-identical.
 
     ``store_dir`` adds an **L2 tier** beneath the in-memory cache: a
     content-addressed on-disk image store (:mod:`repro.image.store`).  A
@@ -291,7 +293,7 @@ class GeneratingExtension:
                 loaded = store.get(
                     persist_key,
                     verify=self.verify_on_load
-                    and not kind.startswith("object-unverified"),
+                    and kind != "object-unverified",
                 )
                 if loaded is not None:
                     loaded.stats["disk_hit"] = True
@@ -351,23 +353,19 @@ class GeneratingExtension:
         dif_strategy: str = "duplicate",
         verify: bool = True,
         use_cache: bool = True,
-        optimize: bool = False,
     ) -> ResidualProgram:
         """Generate residual *object code* directly (the fused system).
 
         ``verify`` bytecode-verifies every generated template at
-        generation time (:mod:`repro.vm.verify`).  The combinators
-        already emit what the dataflow bytecode optimizer
-        (:mod:`repro.vm.opt`) would keep of naive code; ``optimize``
-        opts in to running it as well, for its constant folding (the
-        ``"object-opt"`` cache kind).
+        generation time (:mod:`repro.vm.verify`).  No optimizer runs:
+        the combinators already emit what the dataflow bytecode
+        optimizer (:mod:`repro.vm.opt`) would keep of naive code.
         """
-        kind = object_kind(verify, optimize)
         return self._generate(
             static_args,
             dif_strategy,
-            lambda: ObjectCodeBackend(verify=verify, optimize=optimize),
-            kind,
+            lambda: ObjectCodeBackend(verify=verify),
+            object_kind(verify),
             use_cache,
         )
 
@@ -376,11 +374,9 @@ class GeneratingExtension:
         static_args: Sequence[Any],
         dif_strategy: str = "duplicate",
         verify: bool = True,
-        optimize: bool = False,
     ) -> ResidualProgram:
         return self.to_object_code(
-            static_args, dif_strategy=dif_strategy, verify=verify,
-            optimize=optimize,
+            static_args, dif_strategy=dif_strategy, verify=verify
         )
 
     # -- cache introspection -----------------------------------------------------
@@ -481,16 +477,12 @@ def specialize_to_object_code(
     goal: str | None = None,
     dif_strategy: str = "duplicate",
     verify: bool = True,
-    optimize: bool = False,
     **kwargs: Any,
 ) -> ResidualProgram:
     """One-shot: executable object code for the given static input."""
     return make_generating_extension(
         program, signature, goal=goal, **kwargs
-    ).to_object_code(
-        static_args, dif_strategy=dif_strategy, verify=verify,
-        optimize=optimize,
-    )
+    ).to_object_code(static_args, dif_strategy=dif_strategy, verify=verify)
 
 
 def run_specialized(
@@ -501,13 +493,11 @@ def run_specialized(
     goal: str | None = None,
     dif_strategy: str = "duplicate",
     verify: bool = True,
-    optimize: bool = False,
     **kwargs: Any,
 ) -> Any:
     """Classic RTCG: generate code for the static input and run it."""
     residual = specialize_to_object_code(
         program, signature, static_args, goal=goal,
-        dif_strategy=dif_strategy, verify=verify, optimize=optimize,
-        **kwargs
+        dif_strategy=dif_strategy, verify=verify, **kwargs
     )
     return residual.run(dynamic_args)

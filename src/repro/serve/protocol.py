@@ -18,7 +18,7 @@ Request types the server understands:
     ``program`` (Scheme source text), ``signature`` (e.g. ``"SD"``),
     ``statics`` (list of Scheme datum strings, one per static
     parameter), plus knobs: ``tenant``, ``goal``, ``dif_strategy``,
-    ``backend`` (``"object"``/``"source"``), ``verify``, ``optimize``,
+    ``backend`` (``"object"``/``"source"``), ``verify``,
     ``memo_hints``/``unfold_hints``, per-request budgets
     ``max_unfold_depth``/``max_residual_size`` (clamped to the tenant
     quota), ``dynamics`` (datum strings — run the residual server-side
@@ -32,6 +32,12 @@ Request types the server understands:
     A snapshot of server/tenant counters.
 ``ping``
     Liveness.
+
+Fields a request type does not list are ignored, not rejected.  That
+includes ``optimize``, which older clients still send: generated code
+is never run through the bytecode optimizer, so a request carrying
+``"optimize": true`` is served exactly like the same request without
+it (same cache kind, same residual, same ``fingerprint_digest``).
 
 Responses are ``result`` / ``probed`` / ``stats_result`` / ``pong``
 frames, or a typed ``error`` frame — the server never writes a
@@ -235,7 +241,6 @@ def specialize_request(
     dif_strategy: str = "duplicate",
     backend: str = "object",
     verify: bool = True,
-    optimize: bool = False,
     memo_hints: list[str] | tuple[str, ...] = (),
     unfold_hints: list[str] | tuple[str, ...] = (),
     max_unfold_depth: int | None = None,
@@ -255,7 +260,6 @@ def specialize_request(
         "dif_strategy": dif_strategy,
         "backend": backend,
         "verify": verify,
-        "optimize": optimize,
         "want_residual": want_residual,
     }
     if goal is not None:
@@ -330,7 +334,6 @@ def validate_specialize(frame: dict[str, Any]) -> dict[str, Any]:
         ),
         "backend": _expect(frame, "backend", str, default="object"),
         "verify": _expect(frame, "verify", bool, default=True),
-        "optimize": _expect(frame, "optimize", bool, default=False),
         "memo_hints": _expect_str_list(frame, "memo_hints"),
         "unfold_hints": _expect_str_list(frame, "unfold_hints"),
         "max_unfold_depth": _expect(frame, "max_unfold_depth", int),

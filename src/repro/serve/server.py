@@ -362,7 +362,6 @@ class SpecializationServer(FrameServer):
                     statics,
                     dif_strategy=req["dif_strategy"],
                     verify=req["verify"],
-                    optimize=req["optimize"],
                 )
         except BudgetExceeded as exc:
             # The graceful-degradation contract: a diverging (or merely
@@ -465,7 +464,7 @@ class SpecializationServer(FrameServer):
         statics = self._parse_data(req["statics"], "static")
         kind = (
             "source" if req["backend"] == "source"
-            else object_kind(req["verify"], req["optimize"])
+            else object_kind(req["verify"])
         )
         # Read-only inspection: ``peek`` neither promotes LRU recency
         # nor counts a hit, so monitoring warmth cannot perturb the

@@ -1,13 +1,16 @@
 """Dataflow bytecode optimizer for templates, with translation validation.
 
-Opt-in (``optimize=True``).  The ANF compilators already emit what the
-slot passes below would keep of naive code — no dead stores, no
+A stand-alone pass over finished templates: no generation, compilation
+or serving path runs it.  Its callers are ``repro opt``, the Fig. 6/7
+benchmark harness and the tests.  The ANF compilators already emit what
+its slot passes would keep of naive code — no dead stores, no
 ``SETLOC k; LOCAL k`` reloads, dense locals (DESIGN §1 item 7) — so on
-their output this optimizer finds constants recomputable at
-optimization time, branches on known constants and the dead code those
-leave; on the stock compiler's output it finds everything.  It runs a
-fixpoint pass pipeline over the basic-block graph from
-:mod:`repro.vm.cfg`:
+their output it finds only constants recomputable at optimization time,
+branches on known constants and the dead code those leave; on the stock
+compiler's output it finds everything.  The slot passes stay because
+they are the reference ``tests/test_compilator_fixpoint.py`` checks the
+compilators against.  It runs a fixpoint pass pipeline over the
+basic-block graph from :mod:`repro.vm.cfg`:
 
 * **jump threading** — branches through empty forwarding blocks are
   retargeted at the final destination;
@@ -35,12 +38,13 @@ and interned symbols — values ``eqv?`` compares by value (or that are
 singletons), so substituting an equal-valued object is unobservable.
 Strings and pairs compare by identity and are never folded.
 
-Every optimized template goes through **translation validation**: the
-output is re-verified by :mod:`repro.vm.verify` and any error raises
+Every input is verified and every optimized template goes through
+**translation validation**: the output is re-verified by
+:mod:`repro.vm.verify` and any error raises
 :class:`TranslationValidationError` — the passes are not trusted, the
 checker is.  (Differential execution against the unoptimized twin, the
 other half of validation, lives in the test suite and the ``opt`` CLI,
-where a corpus is available.)
+where a corpus is available.)  Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -52,8 +56,7 @@ from typing import Any
 from repro import obs
 from repro.analysis.fixpoint import Solver
 from repro.runtime.errors import SchemeError
-from repro.runtime.values import NIL, UNSPECIFIED, constant_key
-from repro.sexp.datum import Char, Symbol
+from repro.runtime.values import constant_key
 from repro.vm.cfg import build_cfg
 from repro.vm.instructions import (
     BRANCH_OPS,
@@ -718,73 +721,6 @@ def _encode(fn: _Fn, optimize_literal) -> Template:
     )
 
 
-# -- result memoization -------------------------------------------------------
-#
-# RTCG's economics are "generate once, apply many" — and in between, the
-# same residual shapes are regenerated over and over (re-specialization
-# after cache eviction, nested closure templates shared across
-# specializations, benchmark loops).  The optimizer is a deterministic
-# pure function of template *content*, so results are memoized under a
-# content key: regenerated-but-identical code pays a hash and a dict
-# probe instead of a fixpoint pipeline.
-#
-# A literal participates in the key only when substituting the cached
-# (equal-valued) object for it is unobservable: exact numbers, booleans,
-# symbols, characters, the singletons, the process-global primitive
-# specs (keyed by identity), and nested templates (recursively).
-# Anything else — strings and pairs compare by ``eqv?`` identity,
-# mutable host objects can drift — makes the template uncacheable and
-# it is simply re-optimized each time.
-
-
-class _Uncacheable(Exception):
-    """The template's content has no stable, identity-safe key."""
-
-
-def _literal_key(value: Any) -> tuple:
-    from repro.lang.prims import PrimSpec
-
-    if value is NIL or value is UNSPECIFIED:
-        return ("s", id(value))
-    if isinstance(value, Template):
-        return ("t", _template_key(value))
-    if isinstance(value, PrimSpec):
-        return ("p", id(value))
-    if isinstance(value, Symbol):
-        return ("y", value.name)
-    if isinstance(value, Char):
-        return ("c", value.value)
-    if isinstance(value, bool):
-        return ("b", value)
-    if isinstance(value, int):
-        return ("i", value)
-    if isinstance(value, float):
-        if value != value:  # NaN payloads have no stable key
-            raise _Uncacheable
-        return ("f", value.hex())
-    raise _Uncacheable
-
-
-def _template_key(template: Template) -> tuple:
-    return (
-        template.name,
-        template.arity,
-        template.nlocals,
-        template.code,
-        tuple(_literal_key(v) for v in template.literals),
-    )
-
-
-_MEMO_MAX = 1024
-_memo: dict[tuple, OptimizationResult] = {}
-
-
-def clear_memo() -> None:
-    """Drop every memoized optimization result (tests monkeypatching
-    passes must call this, or stale results mask the patch)."""
-    _memo.clear()
-
-
 # -- entry points -------------------------------------------------------------
 
 
@@ -796,14 +732,14 @@ class _TreeOptimizer:
     garbage collector.
     """
 
-    __slots__ = ("stats", "memo")
+    __slots__ = ("stats", "done")
 
     def __init__(self) -> None:
         self.stats: Counter = Counter()
-        self.memo: dict[int, Template] = {}
+        self.done: dict[int, Template] = {}
 
     def template(self, t: Template) -> Template:
-        cached = self.memo.get(id(t))
+        cached = self.done.get(id(t))
         if cached is not None:
             return cached
         stats = self.stats
@@ -826,14 +762,14 @@ class _TreeOptimizer:
                     nlocals=t.nlocals,
                     name=t.name,
                 )
-            self.memo[id(t)] = optimized
+            self.done[id(t)] = optimized
             return optimized
         literal_count = len(t.literals)
         optimized = _encode(fn, self.literal)
         delta = literal_count - len(optimized.literals)
         if delta > 0:
             stats["literal_compaction"] += delta
-        self.memo[id(t)] = optimized
+        self.done[id(t)] = optimized
         return optimized
 
     def literal(self, value: Any) -> Any:
@@ -843,40 +779,17 @@ class _TreeOptimizer:
 
 
 @obs.traced("vm.optimize")
-def optimize(
-    template: Template,
-    closed_count: int = 0,
-    validate: bool = True,
-    assume_verified: bool = False,
-) -> OptimizationResult:
+def optimize(template: Template) -> OptimizationResult:
     """Optimize ``template`` (recursively through nested closure
     templates) and return the result with per-pass accounting.
 
-    The input must verify cleanly; unless ``assume_verified`` says the
-    caller already ran the verifier, it is checked here and templates
-    with errors are returned unchanged (``skipped=True``) — the
-    optimizer only transforms code whose semantics the verifier pinned
-    down.  With ``validate`` (the default), the *output* is re-verified
-    and any error raises :class:`TranslationValidationError`.
-
-    Results are memoized by template content (see the memoization notes
-    above): re-optimizing regenerated-but-identical code is a dict
-    probe.  Only validated, non-skipped results enter the memo.
+    The input is verified first, and a template with errors is returned
+    unchanged (``skipped=True``): the passes only transform code whose
+    semantics the verifier pinned down.  The output is re-verified, and
+    any error raises :class:`TranslationValidationError`.
     """
-    try:
-        key: tuple | None = (_template_key(template), closed_count)
-    except _Uncacheable:
-        key = None
-    if key is not None:
-        cached = _memo.get(key)
-        if cached is not None:
-            obs.count("vm.optimize.memo_hit")
-            obs.count("vm.optimize.templates")
-            obs.count("vm.optimize.instructions_removed", cached.removed)
-            return cached
-
     before = template.instruction_count()
-    if not assume_verified and not check_template(template, closed_count).ok:
+    if not check_template(template).ok:
         obs.count("vm.optimize.skipped")
         return OptimizationResult(
             template=template,
@@ -888,37 +801,24 @@ def optimize(
 
     tree = _TreeOptimizer()
     optimized = tree.template(template)
-
-    if validate:
-        report = check_template(optimized, closed_count)
-        if not report.ok:
-            raise TranslationValidationError(report)
+    report = check_template(optimized)
+    if not report.ok:
+        raise TranslationValidationError(report)
 
     after = optimized.instruction_count()
     obs.count("vm.optimize.templates")
     obs.count("vm.optimize.instructions_removed", before - after)
-    result = OptimizationResult(
+    return OptimizationResult(
         template=optimized,
         before_instructions=before,
         after_instructions=after,
         passes=dict(tree.stats),
     )
-    if validate and key is not None:
-        if len(_memo) >= _MEMO_MAX:
-            _memo.clear()
-        _memo[key] = result
-    return result
 
 
-def optimize_template(
-    template: Template,
-    closed_count: int = 0,
-    validate: bool = True,
-    assume_verified: bool = False,
-) -> Template:
-    """:func:`optimize`, returning just the optimized template."""
-    return optimize(
-        template, closed_count, validate=validate,
-        assume_verified=assume_verified,
-    ).template
+def clear_memo() -> None:
+    """A no-op: the optimizer keeps no state between calls.
 
+    It once memoized results by template content; the benchmark harness
+    (``perfbench/workloads.py``) still calls this before it measures.
+    """

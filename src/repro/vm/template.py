@@ -26,11 +26,11 @@ def intern_code(rows: Iterable[Sequence[int]]) -> Tuple[tuple, ...]:
     """A code vector of ``rows`` in which equal instructions are one object.
 
     Residuals repeat a few hundred distinct instructions many thousand
-    times, so cached code and the optimizer's memo keys hold one tuple
-    per distinct instruction instead of one per occurrence.  Only rows
-    of plain ints are shared (``True == 1`` and ``Op.CONST == 0``, but
-    the verifier tells them apart); once the table holds
-    :data:`INTERN_CAP` rows, new ones are kept as built.
+    times, so cached code holds one tuple per distinct instruction
+    instead of one per occurrence.  Only rows of plain ints are shared
+    (``True == 1`` and ``Op.CONST == 0``, but the verifier tells them
+    apart); once the table holds :data:`INTERN_CAP` rows, new ones are
+    kept as built.
     """
     table = _INTERNED
     code = []
@@ -88,12 +88,12 @@ class Template:
         Covers name, arity, nlocals, the code vector, and the literal
         frame (nested templates recursively by their own digest; prim
         specs by name).  Two structurally identical templates — for
-        example an original and its re-assembled or memo-shared twin —
-        share a digest even when they are distinct objects, which is
-        what profile attribution and recursive instruction counting key
-        on.  Literals outside the codec's closed set fall back to
-        ``repr``, so exotic host objects may weaken the cross-process
-        stability (never the in-process correctness) of the digest.
+        example an original and its re-assembled twin — share a digest
+        even when they are distinct objects, which is what profile
+        attribution and recursive instruction counting key on.
+        Literals outside the codec's closed set fall back to ``repr``,
+        so exotic host objects may weaken the cross-process stability
+        (never the in-process correctness) of the digest.
         """
         return _content_digest(self, {})
 
@@ -103,10 +103,10 @@ class Template:
         A nested template that appears several times — whether as the
         *same object* in several literal slots or as several
         structurally identical copies — is counted once: dedup is by
-        :meth:`content_digest`, not object identity, so the count is
-        invariant under the optimizer's content-keyed memo sharing
-        identical subtemplates.  The fig7 before/after comparison
-        depends on both sides being counted under this same rule.
+        :meth:`content_digest`, not object identity, so the count does
+        not depend on whether equal subtemplates are shared.  The fig7
+        before/after comparison depends on both sides being counted
+        under this same rule.
         """
         if not recursive:
             return len(self.code)

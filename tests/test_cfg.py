@@ -135,7 +135,7 @@ class TestCfgOnCompilerOutput:
     @settings(max_examples=25, deadline=None)
     def test_blocks_partition_code(self, expr):
         program = parse_program(f"(define (main) {expr})")
-        compiled = compile_program(program, compiler="auto", optimize=False)
+        compiled = compile_program(program, compiler="auto")
         for template in compiled.templates.values():
             cfg = build_cfg(template)
             flat = []
@@ -147,7 +147,7 @@ class TestCfgOnCompilerOutput:
     @settings(max_examples=25, deadline=None)
     def test_every_edge_lands_on_a_leader(self, expr):
         program = parse_program(f"(define (main) {expr})")
-        compiled = compile_program(program, compiler="auto", optimize=False)
+        compiled = compile_program(program, compiler="auto")
         for template in compiled.templates.values():
             cfg = build_cfg(template)
             preds = cfg.predecessors()

@@ -586,6 +586,22 @@ class TestOptCommand:
                 assert entry["verified"], entry
                 assert entry["violations"] == []
 
+    def test_opt_optimizes_each_reported_template_once(self, capsys):
+        # The twin the differential runs is built from the reported
+        # templates, not optimized a second time.
+        import json
+
+        from repro import obs
+
+        with obs.tracing() as (_tracer, metrics):
+            assert main(["opt", "--builtin", "workloads", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        reported = sum(
+            len(target["templates"]) for target in report["targets"].values()
+        )
+        assert reported > 0
+        assert metrics.counter_value("vm.optimize.templates") == reported
+
     def test_opt_without_target_is_an_error(self, capsys):
         assert main(["opt"]) == 1
         assert "error:" in capsys.readouterr().err

@@ -3,9 +3,10 @@
 Three of the optimizer's passes — copy propagation, dead-store removal
 and locals compaction — only ever undid the ``SETLOC k; LOCAL k``
 temporaries naive let code leaves.  The compilators no longer emit
-those, so on a default residual the three never fire — unless constant
-folding, which the compilators do not do and which stays opt-in
-(``optimize=True``), first turns a binding into a constant.
+those, so on a residual the three never fire — unless constant folding,
+which the compilators do not do and which only ``repro.vm.opt.optimize``
+run over a finished template does, first turns a binding into a
+constant.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ import pytest
 
 from repro.compiler.fusion import ObjectCodeBackend
 from repro.rtcg import GeneratingExtension
-from repro.vm.opt import clear_memo
 from repro.vm.template import Template
 from repro.workloads import (
     LAZY_GOAL,
@@ -62,7 +61,6 @@ def _templates(residual) -> list[Template]:
 
 def _cyclic_garbage(generate) -> int:
     """Collectable objects ``generate()`` leaves behind."""
-    clear_memo()  # a memo hit would skip the optimizer's cold path
     was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()

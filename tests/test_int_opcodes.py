@@ -27,7 +27,7 @@ from repro.vm import (
     make_label,
     sequentially,
 )
-from repro.vm.opt import optimize_template
+from repro.vm.opt import optimize
 
 POWER = "(define (power x n) (if (zero? n) 1 (* x (power x (- n 1)))))"
 
@@ -80,7 +80,7 @@ def _pinned_template() -> Template:
 
 def _power_template() -> Template:
     program = parse_program(POWER)
-    return compile_program(program, optimize=False).templates[program.goal]
+    return compile_program(program).templates[program.goal]
 
 
 def _opcodes(template: Template) -> list:
@@ -102,9 +102,8 @@ class TestProducersEmitInts:
         assert _all_int(_power_template())
 
     def test_optimizer(self):
-        optimized = optimize_template(_power_template())
-        assert _all_int(optimized)
-        assert _all_int(optimize_template(_pinned_template()))
+        assert _all_int(optimize(_power_template()).template)
+        assert _all_int(optimize(_pinned_template()).template)
 
     def test_codec_decode(self):
         decoded = decode_template(encode_template(_pinned_template()))

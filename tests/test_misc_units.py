@@ -207,10 +207,8 @@ class TestTemplateAndDisasm:
         """Dedup is by *content digest*, not object identity: two
         structurally identical nested templates are one piece of code
         however many copies exist.  This keeps the fig7 before/after
-        comparison fair — the optimizer's content-keyed memo shares
-        identical subtemplates on the "after" side, and counting the
-        unshared "before" side per object would inflate the apparent
-        reduction."""
+        comparison fair whichever side shares identical subtemplates:
+        counting an unshared side per object would inflate it."""
         from repro.vm.instructions import Op
         from repro.vm.template import Template
 

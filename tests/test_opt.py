@@ -4,7 +4,7 @@ Four pillars:
 
 * **idempotence** — a second optimization pass is a no-op (property
   test over random programs);
-* **determinism** — same input, same output, memo or no memo;
+* **determinism** — same input, same output;
 * **semantics preservation** — differential execution of the
   optimized/unoptimized twins agrees on random programs and on the
   fig6/fig7 residual corpus, through both dispatch loops (the plain
@@ -18,13 +18,16 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from repro.compiler.program import compile_program
+from repro.compiler.program import CompiledProgram, compile_program
 from repro.lang.parser import parse_program
+from repro.lang.prims import write_value
+from repro.pe.backend import ResidualProgram
 from repro.rtcg import make_generating_extension
 from repro.runtime.values import datum_to_value, scheme_equal
 from repro.sexp.datum import sym
 from repro.vm import opt
 from repro.vm.instructions import Op
+from repro.vm.machine import VmClosure
 from repro.vm.profile import VMProfile, call_named_profiled
 from repro.vm.template import Template
 from repro.workloads import (
@@ -40,16 +43,35 @@ from tests.strategies import arith_exprs, higher_order_exprs, list_exprs
 
 def _main_template(source: str) -> Template:
     program = parse_program(source)
-    compiled = compile_program(program, compiler="auto", optimize=False)
+    compiled = compile_program(program, compiler="auto")
     return compiled.templates[sym("main")]
+
+
+def _optimized(templates: dict) -> dict:
+    return {name: opt.optimize(t).template for name, t in templates.items()}
 
 
 def _twins(expr: str):
     """Unoptimized/optimized compilations of ``(define (main) expr)``."""
     program = parse_program(f"(define (main) {expr})")
-    base = compile_program(program, compiler="auto", optimize=False)
-    optd = compile_program(program, compiler="auto", optimize=True)
-    return base, optd
+    base = compile_program(program, compiler="auto")
+    return base, CompiledProgram(_optimized(base.templates), base.goal)
+
+
+def _residual_templates(rp: ResidualProgram) -> dict:
+    return {
+        name: value.template
+        for name, value in rp.machine.globals.items()
+        if isinstance(value, VmClosure)
+    }
+
+
+def _residual_twin(rp: ResidualProgram) -> ResidualProgram:
+    """``rp`` with every residual template optimized."""
+    twin = CompiledProgram(_optimized(_residual_templates(rp)), rp.goal)
+    return ResidualProgram(
+        goal=rp.goal, goal_params=rp.goal_params, machine=twin.machine()
+    )
 
 
 # -- idempotence and determinism ----------------------------------------------
@@ -93,40 +115,22 @@ class TestIdempotence:
 class TestDeterminism:
     def test_same_input_same_output_without_memo(self):
         t = _main_template("(define (main) (let ((x 3)) (+ x (* x x))))")
-        opt.clear_memo()
         first = opt.optimize(t)
-        opt.clear_memo()
         second = opt.optimize(t)
         assert first.template == second.template
         assert first.passes == second.passes
 
-    def test_memo_returns_cached_result(self):
-        t = _main_template("(define (main) (+ 1 2))")
-        opt.clear_memo()
-        first = opt.optimize(t)
-        second = opt.optimize(t)
-        assert second is first
-
-    def test_memo_discriminates_literal_kinds(self):
-        # ``1`` and ``#t`` (and ``1.0``) write the same under some
-        # naive keys; the content key must keep them apart.
-        ints = Template(
-            code=((Op.CONST, 0), (Op.RETURN,)), literals=(1,),
-            arity=0, nlocals=0, name="k-int",
+    def test_reencoding_keeps_equal_literals_of_distinct_kinds_apart(self):
+        # ``1``, ``#t`` and ``1.0`` are equal as Python values; the
+        # literal pool rebuilt after the passes fire must keep them apart.
+        program = parse_program(
+            "(define (main) (let ((x 1)) (let ((y x)) (list y #t 1.0))))"
         )
-        bools = Template(
-            code=((Op.CONST, 0), (Op.RETURN,)), literals=(True,),
-            arity=0, nlocals=0, name="k-bool",
-        )
-        floats = Template(
-            code=((Op.CONST, 0), (Op.RETURN,)), literals=(1.0,),
-            arity=0, nlocals=0, name="k-float",
-        )
-        opt.clear_memo()
-        assert opt.optimize(ints).template.literals == (1,)
-        assert opt.optimize(bools).template.literals == (True,)
-        out = opt.optimize(floats).template.literals[0]
-        assert isinstance(out, float)
+        base = compile_program(program, compiler="stock")
+        result = opt.optimize(base.templates[sym("main")])
+        assert result.removed > 0
+        optd = CompiledProgram({sym("main"): result.template}, sym("main"))
+        assert write_value(optd.run([])) == "(1 #t 1.0)"
 
 
 # -- semantics preservation ---------------------------------------------------
@@ -169,8 +173,8 @@ class TestDifferentialExecution:
             ),
         }[workload]
         gen = make_generating_extension(interp, sig)
-        base = gen.to_object_code([static], optimize=False)
-        optd = gen.to_object_code([static], optimize=True)
+        base = gen.to_object_code([static])
+        optd = _residual_twin(base)
         assert scheme_equal(base.run(list(args)), optd.run(list(args)))
         assert scheme_equal(
             base.run_profiled(list(args), VMProfile()),
@@ -181,8 +185,6 @@ class TestDifferentialExecution:
     def test_residual_corpus_is_the_optimizers_fixpoint(self, workload):
         """The compilators emit what the optimizer keeps: on the §7
         residuals it removes nothing, and no slot pass fires."""
-        from repro.vm.machine import VmClosure
-
         interp, sig, static = {
             "mixwell": (
                 mixwell_interpreter(), MIXWELL_SIGNATURE, mixwell_tm_program()
@@ -191,21 +193,10 @@ class TestDifferentialExecution:
         }[workload]
         gen = make_generating_extension(interp, sig)
         base = gen.to_object_code([static])
-        optd = gen.to_object_code([static], optimize=True)
-
-        def templates(rp):
-            return [
-                value.template
-                for value in rp.machine.globals.values()
-                if isinstance(value, VmClosure)
-            ]
-
-        def total(rp):
-            return sum(t.instruction_count() for t in templates(rp))
-
-        assert total(optd) == total(base)
-        for template in templates(base):
-            passes = opt.optimize(template).passes
+        for template in _residual_templates(base).values():
+            result = opt.optimize(template)
+            assert result.removed == 0, (template.name, result.passes)
+            passes = result.passes
             assert not any(
                 passes.get(name)
                 for name in ("copy_prop", "dead_store", "locals_compaction")
@@ -253,9 +244,6 @@ class TestTranslationValidation:
     def test_broken_pass_is_rejected(self, monkeypatch):
         # The checker, not the passes, is trusted: a pass that corrupts
         # stack discipline must be caught by the output re-verification.
-        # clear_memo first — a stale memoized result would mask the
-        # monkeypatch entirely.
-        opt.clear_memo()
         t = _main_template("(define (main) (car (cons 1 2)))")
 
         def broken_rounds(fn):
@@ -266,10 +254,8 @@ class TestTranslationValidation:
         monkeypatch.setattr(opt, "_optimize_rounds", broken_rounds)
         with pytest.raises(opt.TranslationValidationError):
             opt.optimize(t)
-        opt.clear_memo()
 
-    def test_validation_failure_is_not_memoized(self, monkeypatch):
-        opt.clear_memo()
+    def test_validation_failure_leaves_no_state(self, monkeypatch):
         t = _main_template("(define (main) (car (cons 1 2)))")
 
         def broken_rounds(fn):
@@ -284,10 +270,6 @@ class TestTranslationValidation:
         result = opt.optimize(t)  # healthy pipeline: must succeed now
         assert not result.skipped
         assert scheme_equal(
-            compile_program(
-                parse_program("(define (main) (car (cons 1 2)))"),
-                compiler="auto", optimize=False,
-            ).run([]),
+            CompiledProgram({sym("main"): result.template}, sym("main")).run([]),
             1,
         )
-        opt.clear_memo()

@@ -111,6 +111,21 @@ class TestRoundTrip:
             runs = server.stats()["tenants"]["t1"]["extensions"]
             assert sum(e["cache"]["specializer_runs"] for e in runs) == 1
 
+    def test_legacy_optimize_field_is_ignored(self, server):
+        # Older clients still send ``"optimize": true``: it is ignored
+        # like any unknown field, so it generates the same residual and
+        # lands on the same cache key as a request without it.
+        legacy = specialize_request(POWER, "SD", ["5"], dynamics=["2"])
+        legacy["optimize"] = True
+        with client_for(server) as c:
+            old = c.request(dict(legacy, tenant="t1"))
+            new = c.specialize(POWER, "SD", ["5"], dynamics=["2"], tenant="t2")
+            again = c.specialize(POWER, "SD", ["5"], dynamics=["2"], tenant="t1")
+        assert old["value"] == new["value"] == "32"
+        assert old["provenance"] == new["provenance"] == "miss"
+        assert old["fingerprint_digest"] == new["fingerprint_digest"]
+        assert again["provenance"] == "l1"
+
 
 class TestTenantIsolationAndCoalescing:
     def test_eight_clients_two_tenants(self, server):

@@ -144,6 +144,16 @@ class TestRequestValidation:
         assert req["backend"] == "object"
         assert req["dynamics"] is None
         assert req["verify"] is True
+        assert "optimize" not in req
+
+    def test_legacy_optimize_field_validates_and_is_dropped(self):
+        frame = specialize_request("(define (f d) d)", "D")
+        assert "optimize" not in frame
+        frame["optimize"] = True
+        req = validate_specialize(decode_frame(encode_frame(frame)))
+        assert req == validate_specialize(
+            specialize_request("(define (f d) d)", "D")
+        )
 
     @pytest.mark.parametrize(
         "mutation",
