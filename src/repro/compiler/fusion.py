@@ -78,17 +78,6 @@ make_residual_tail_call = _PRINTED["make_residual_tail_call"]
 make_residual_variable = _PRINTED["make_residual_variable"]
 
 
-def object_kind(verify: bool = True) -> str:
-    """The backend-kind cache discriminator for object-code generation.
-
-    Residual programs generated with and without verification never
-    share a residual-cache entry or an on-disk image (a hit skips
-    generation, and with it generation-time verification); the service
-    layer's ``probe`` builds the same key to inspect the cache.
-    """
-    return "object" if verify else "object-unverified"
-
-
 class TrivCode:
     """Trivial residual code: emits a value into ``val``.
 
@@ -156,20 +145,21 @@ class BodyCode:
 class ObjectCodeBackend:
     """The fused backend: residual programs materialize as VM templates.
 
-    ``verify`` runs the bytecode verifier over every template as it is
+    Every template is run through the bytecode verifier as it is
     relocated — RTCG-generated code is checked at generation time, before
-    it is installed in the machine.  The combinators already emit what
-    the dataflow bytecode optimizer (:mod:`repro.vm.opt`) would keep of
-    naive code, so no optimizer runs here.
+    it is installed in the machine.  The
+    combinators already emit what the dataflow bytecode optimizer
+    (:mod:`repro.vm.opt`) would keep of naive code, so no optimizer runs
+    here.
     """
 
-    def __init__(self, verify: bool = True) -> None:
+    kind = "object"
+
+    def __init__(self) -> None:
         self.machine = Machine()
         self.templates: dict[Symbol, Template] = {}
         # Residual function names: one machine, one namespace.
         self.names = Gensym("f")
-        self.verify = verify
-        self.kind = object_kind(verify)
 
     # -- trivial constructors ----------------------------------------------------
 
@@ -266,8 +256,7 @@ class ObjectCodeBackend:
         template = assemble(
             fragment, len(params), tracker.max_depth, name.name
         )
-        if self.verify:
-            verify_template(template)
+        verify_template(template)
         self.templates[name] = template
         self.machine.define(name, VmClosure(template, ()))
 

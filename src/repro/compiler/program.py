@@ -40,7 +40,6 @@ class CompiledProgram:
 def compile_program(
     program: Program,
     compiler: str = "auto",
-    verify: bool = True,
 ) -> CompiledProgram:
     """Compile every definition of ``program``.
 
@@ -51,9 +50,10 @@ def compile_program(
     * ``"auto"``  — ANF compiler when the program is already in ANF,
       otherwise normalize first and use the ANF compiler.
 
-    ``verify`` runs the bytecode verifier over every emitted template
-    (:mod:`repro.vm.verify`); a compiler bug is rejected here instead of
-    crashing the machine mid-run.  No optimizer runs here: the ANF
+    Every emitted template goes through the bytecode verifier
+    (:mod:`repro.vm.verify`), so a compiler bug is rejected here with a
+    :class:`~repro.vm.verify.VerificationError` instead of crashing the
+    machine mid-run.  No optimizer runs here: the ANF
     compiler already emits what the dataflow bytecode optimizer
     (:mod:`repro.vm.opt`) would keep of naive code, bar constant folding,
     and ``repro opt`` runs that optimizer over finished templates.
@@ -83,7 +83,6 @@ def compile_program(
             d.name: anf.compile_procedure(d.params, d.body, name=d.name.name)
             for d in program.defs
         }
-    if verify:
-        for template in templates.values():
-            verify_template(template)
+    for template in templates.values():
+        verify_template(template)
     return CompiledProgram(templates, program.goal)

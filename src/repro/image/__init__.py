@@ -15,8 +15,8 @@ retrying client, and a read-through/write-behind
 :class:`~repro.image.remote.TieredStore` — so a fleet of workers shares
 one warm cache (:mod:`repro.image.remote`).
 
-Images loaded from disk *or* the network are *untrusted*: by default
-every template in a loaded image is re-checked by the bytecode verifier
+Images loaded from disk *or* the network are *untrusted*: every
+template in a loaded image is re-checked by the bytecode verifier
 (:mod:`repro.vm.verify`) before it can reach the machine.
 """
 

@@ -528,18 +528,14 @@ class TieredStore:
 
     # -- reads ----------------------------------------------------------------
 
-    def get(
-        self, key: StoreKey, verify: bool = True
-    ) -> "ResidualProgram | None":
+    def get(self, key: StoreKey) -> "ResidualProgram | None":
         if self.local is not None:
-            residual = self.local.get(key, verify=verify)
+            residual = self.local.get(key)
             if residual is not None:
                 return residual
-        return self._get_remote(key, verify=verify)
+        return self._get_remote(key)
 
-    def _get_remote(
-        self, key: StoreKey, verify: bool
-    ) -> "ResidualProgram | None":
+    def _get_remote(self, key: StoreKey) -> "ResidualProgram | None":
         now = time.monotonic()
         skip: str | None = None
         with self._lock:
@@ -574,9 +570,8 @@ class TieredStore:
                 if hashlib.sha256(data).hexdigest() != digest:
                     raise CodecError("remote payload misses its digest")
                 residual = decode_residual(data)
-                if verify:
-                    with obs.span("image.verify_on_load"):
-                        verify_residual(residual)
+                with obs.span("image.verify_on_load"):
+                    verify_residual(residual)
             except CodecError:
                 self.metrics.count("remote_errors")
                 return None

@@ -33,9 +33,9 @@ Robustness properties:
   reads simply miss, and the extension falls back to generating.  A torn
   or malformed index ref is a miss, never an exception, and
   :meth:`ImageStore.gc` prunes it.
-* **Trust boundary** — every image read from disk is *untrusted*; by
-  default each loaded template is re-checked by the bytecode verifier
-  before the residual program is returned.
+* **Trust boundary** — every image read from disk is *untrusted*; each
+  loaded template is re-checked by the bytecode verifier before the
+  residual program is returned.
 * **Bounded size** — :meth:`ImageStore.gc` evicts least-recently-used
   objects until the store fits ``max_bytes`` and drops dangling refs.
 * **Repair** — :meth:`ImageStore.fsck` scans every object, quarantines
@@ -491,13 +491,13 @@ class ImageStore:
             return None
         return data
 
-    def get(self, key: StoreKey, verify: bool = True) -> ResidualProgram | None:
-        """Look ``key`` up; decode, and (by default) verify, on a hit.
+    def get(self, key: StoreKey) -> ResidualProgram | None:
+        """Look ``key`` up; decode and verify on a hit.
 
         Returns ``None`` on a miss *or* on any integrity failure — a
-        corrupt image, a torn ref, or an object gc'd between the index
-        read and the load all behave like a miss, and the caller
-        regenerates.
+        corrupt image, a torn ref, an image that fails the bytecode
+        verifier, or an object gc'd between the index read and the load
+        all behave like a miss, and the caller regenerates.
         """
         with obs.span("image.probe", key=key.digest[:12]) as sp:
             try:
@@ -509,7 +509,7 @@ class ImageStore:
                 if not plausible_digest(ref):
                     # A torn ref write (gc() prunes it): a read error.
                     raise CodecError(f"torn index ref {ref[:16]!r}")
-                residual = self.load(ref, verify=verify)
+                residual = self.load(ref)
             except FileNotFoundError:
                 self.metrics.count("misses")
                 return None
@@ -525,7 +525,7 @@ class ImageStore:
             sp.set(hit=True)
             return residual
 
-    def load(self, digest: str, verify: bool = True) -> ResidualProgram:
+    def load(self, digest: str) -> ResidualProgram:
         """Load an image by content digest.  Raises on any failure:
         :class:`FileNotFoundError`, :class:`CodecError` (corruption,
         staleness, content-address mismatch), or
@@ -540,9 +540,8 @@ class ImageStore:
                     f" hashes to {actual[:12]}..."
                 )
             residual = decode_residual(data)
-            if verify:
-                with obs.span("image.verify_on_load"):
-                    verify_residual(residual)
+            with obs.span("image.verify_on_load"):
+                verify_residual(residual)
         residual.stats["image_digest"] = digest
         self.backend.touch_object(digest)  # LRU recency for gc()
         return residual

@@ -49,7 +49,7 @@ class Backend(Protocol):
     """What the specializer needs from a residual-code constructor set."""
 
     #: Cache-key discriminator: which artifact this backend produces
-    #: (``"source"``, ``"object"``, ...).  Residual programs generated
+    #: (``"source"`` or ``"object"``).  Residual programs generated
     #: through different kinds must never share a memo-cache entry.
     kind: str
 

@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING
 
 from repro import obs
 
-from repro.compiler.fusion import ObjectCodeBackend, object_kind
+from repro.compiler.fusion import ObjectCodeBackend
 from repro.lang.ast import Program
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -93,14 +93,13 @@ class GeneratingExtension:
 
     Applications are memoized in a bounded, thread-safe LRU **residual
     cache** keyed by ``(frozen static args, dif strategy, backend
-    kind)``, the kind being ``"source"``, ``"object"`` or
-    ``"object-unverified"`` (:func:`~repro.compiler.fusion.object_kind`):
-    re-applying the extension to structurally equal static input returns
-    the already-generated residual program instead of re-running the
+    kind)``, the kind being ``"source"`` or ``"object"``: re-applying
+    the extension to structurally equal static input returns the
+    already-generated residual program instead of re-running the
     generating extension (the paper's "built once ... applied any number
     of times", with the application side amortized too).
-    ``cache_size=0`` disables the cache.  The extension is safe to share
-    between threads: the cache is single-flight (concurrent misses on one
+    ``cache_size=0`` disables the cache, and :meth:`cache_clear` empties
+    it.  The extension is safe to share between threads: the cache is single-flight (concurrent misses on one
     key generate once), and every generation run builds into a fresh
     backend, which owns its residual names, so repeated generation for
     one static input is byte-identical.
@@ -112,9 +111,9 @@ class GeneratingExtension:
     outlives the process, so a fresh extension over the same program and
     signature warm-starts from disk without specializing at all.  Every
     image loaded from disk is untrusted and re-checked by the bytecode
-    verifier unless ``verify_on_load=False`` (or the application itself
-    opted out with ``verify=False``).  ``store_max_bytes`` bounds the
-    store; eviction is LRU.
+    verifier; an image that fails the check is a miss, and the program
+    is specialized again.  ``store_max_bytes`` bounds the store;
+    eviction is LRU.
 
     ``remote_store`` (a ``"host:port"`` endpoint of a
     ``python -m repro image serve-store`` object server, or a
@@ -135,12 +134,10 @@ class GeneratingExtension:
         goal: str | None = None,
         memo_hints: Iterable[str] = (),
         unfold_hints: Iterable[str] = (),
-        check_congruence: bool = True,
         cache_size: int = 128,
         store_dir: Any = None,
         store_max_bytes: int | None = None,
         remote_store: Any = None,
-        verify_on_load: bool = True,
         analyze: str = "warn",
         max_unfold_depth: int = 5_000,
         max_residual_size: int = 1_000_000,
@@ -170,15 +167,14 @@ class GeneratingExtension:
                 program, signature, memo_hints=memo_hints,
                 unfold_hints=unfold_hints, bta=bta, max_variants=max_variants,
             )
-            if check_congruence:
-                # Re-check the analysis output with the independent
-                # linter: a BTA bug surfaces here as an AnnotationViolation
-                # instead of a mis-specialized program (variant-aware:
-                # violations name the function variant and its
-                # originating call sites).
-                from repro.pe.check import verify_annotated
+            # Re-check the analysis output with the independent
+            # linter: a BTA bug surfaces here as an AnnotationViolation
+            # instead of a mis-specialized program (variant-aware:
+            # violations name the function variant and its originating
+            # call sites).
+            from repro.pe.check import verify_annotated
 
-                verify_annotated(self.bta.annotated, self.bta.variants)
+            verify_annotated(self.bta.annotated, self.bta.variants)
             # Specialization-safety analysis, up front: findings either
             # warn (the runtime budgets below still backstop actual
             # divergence) or forbid (refuse the program before any
@@ -205,7 +201,6 @@ class GeneratingExtension:
         self.max_unfold_depth = max_unfold_depth
         self.max_residual_size = max_residual_size
         self.cache = ResidualCache(cache_size)
-        self.verify_on_load = verify_on_load
         self.store: "ImageStore | TieredStore | None" = None
         self._program_digest: str | None = None
         if store_dir is not None or remote_store is not None:
@@ -265,14 +260,13 @@ class GeneratingExtension:
         self,
         static_args: Sequence[Any],
         dif_strategy: str,
-        make_backend,
-        kind: str,
-        use_cache: bool,
+        backend_class: type,
     ) -> ResidualProgram:
+        kind = backend_class.kind
         store = self.store
         frozen = None
         persist_key = None
-        if store is not None or (use_cache and self.cache.maxsize > 0):
+        if store is not None or self.cache.maxsize > 0:
             frozen = tuple(freeze_static(a) for a in static_args)
         if store is not None and frozen is not None:
             persist_key = self._persist_key(frozen, dif_strategy, kind)
@@ -285,16 +279,11 @@ class GeneratingExtension:
             # ``with_call_stats`` view below; once a ResidualProgram is in
             # the cache it is immutable (see DESIGN.md §5f).
             #
-            # L2: the on-disk image store.  A hit deserializes (and, by
-            # default, re-verifies) persisted object code instead of
-            # specializing; verification is skipped only when the
-            # application itself opted out (kind "object-unverified").
+            # L2: the on-disk image store.  A hit deserializes and
+            # re-verifies persisted object code instead of specializing;
+            # an image that fails verification is a miss.
             if store is not None and persist_key is not None:
-                loaded = store.get(
-                    persist_key,
-                    verify=self.verify_on_load
-                    and kind != "object-unverified",
-                )
+                loaded = store.get(persist_key)
                 if loaded is not None:
                     loaded.stats["disk_hit"] = True
                     return loaded
@@ -304,7 +293,7 @@ class GeneratingExtension:
             try:
                 residual = self._compiled.generate(
                     static_args,
-                    make_backend(),
+                    backend_class(),
                     dif_strategy=dif_strategy,
                     max_unfold_depth=self.max_unfold_depth,
                     max_residual_size=self.max_residual_size,
@@ -323,7 +312,7 @@ class GeneratingExtension:
         with obs.recording(self.metrics.registry), obs.span(
             "rtcg.generate", kind=kind, goal=str(self.program.goal)
         ) as sp:
-            if not use_cache or self.cache.maxsize <= 0:
+            if self.cache.maxsize <= 0:
                 return produce()
             key = (frozen, dif_strategy, kind, self._bta_key)
             cached, hit = self.cache.get_or_generate(key, produce)
@@ -340,44 +329,28 @@ class GeneratingExtension:
         self,
         static_args: Sequence[Any],
         dif_strategy: str = "duplicate",
-        use_cache: bool = True,
     ) -> ResidualProgram:
         """Generate a residual *source* program (classical PE)."""
-        return self._generate(
-            static_args, dif_strategy, SourceBackend, "source", use_cache
-        )
+        return self._generate(static_args, dif_strategy, SourceBackend)
 
     def to_object_code(
         self,
         static_args: Sequence[Any],
         dif_strategy: str = "duplicate",
-        verify: bool = True,
-        use_cache: bool = True,
     ) -> ResidualProgram:
         """Generate residual *object code* directly (the fused system).
 
-        ``verify`` bytecode-verifies every generated template at
-        generation time (:mod:`repro.vm.verify`).  No optimizer runs:
-        the combinators already emit what the dataflow bytecode
-        optimizer (:mod:`repro.vm.opt`) would keep of naive code.
+        Every generated template is bytecode-verified at generation time
+        (:mod:`repro.vm.verify`).  No optimizer runs: the combinators
+        already emit what the dataflow bytecode optimizer
+        (:mod:`repro.vm.opt`) would keep of naive code.
         """
-        return self._generate(
-            static_args,
-            dif_strategy,
-            lambda: ObjectCodeBackend(verify=verify),
-            object_kind(verify),
-            use_cache,
-        )
+        return self._generate(static_args, dif_strategy, ObjectCodeBackend)
 
     def __call__(
-        self,
-        static_args: Sequence[Any],
-        dif_strategy: str = "duplicate",
-        verify: bool = True,
+        self, static_args: Sequence[Any], dif_strategy: str = "duplicate"
     ) -> ResidualProgram:
-        return self.to_object_code(
-            static_args, dif_strategy=dif_strategy, verify=verify
-        )
+        return self.to_object_code(static_args, dif_strategy=dif_strategy)
 
     # -- cache introspection -----------------------------------------------------
 
@@ -393,8 +366,8 @@ class GeneratingExtension:
         peeking neither promotes the entry's LRU recency nor counts a
         hit, so inspection/monitoring paths — the service layer's
         ``probe`` request, dashboards polling warmth — cannot perturb
-        eviction order.  ``kind`` is the backend discriminator
-        (:func:`object_kind`, or ``"source"``).
+        eviction order.  ``kind`` is the backend discriminator,
+        ``"object"`` or ``"source"``.
         """
         if self.cache.maxsize <= 0:
             return None
@@ -476,13 +449,12 @@ def specialize_to_object_code(
     static_args: Sequence[Any],
     goal: str | None = None,
     dif_strategy: str = "duplicate",
-    verify: bool = True,
     **kwargs: Any,
 ) -> ResidualProgram:
     """One-shot: executable object code for the given static input."""
     return make_generating_extension(
         program, signature, goal=goal, **kwargs
-    ).to_object_code(static_args, dif_strategy=dif_strategy, verify=verify)
+    ).to_object_code(static_args, dif_strategy=dif_strategy)
 
 
 def run_specialized(
@@ -492,12 +464,11 @@ def run_specialized(
     dynamic_args: Sequence[Any],
     goal: str | None = None,
     dif_strategy: str = "duplicate",
-    verify: bool = True,
     **kwargs: Any,
 ) -> Any:
     """Classic RTCG: generate code for the static input and run it."""
     residual = specialize_to_object_code(
         program, signature, static_args, goal=goal,
-        dif_strategy=dif_strategy, verify=verify, **kwargs
+        dif_strategy=dif_strategy, **kwargs
     )
     return residual.run(dynamic_args)

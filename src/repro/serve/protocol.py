@@ -18,7 +18,7 @@ Request types the server understands:
     ``program`` (Scheme source text), ``signature`` (e.g. ``"SD"``),
     ``statics`` (list of Scheme datum strings, one per static
     parameter), plus knobs: ``tenant``, ``goal``, ``dif_strategy``,
-    ``backend`` (``"object"``/``"source"``), ``verify``,
+    ``backend`` (``"object"``/``"source"``),
     ``memo_hints``/``unfold_hints``, per-request budgets
     ``max_unfold_depth``/``max_residual_size`` (clamped to the tenant
     quota), ``dynamics`` (datum strings — run the residual server-side
@@ -34,9 +34,11 @@ Request types the server understands:
     Liveness.
 
 Fields a request type does not list are ignored, not rejected.  That
-includes ``optimize``, which older clients still send: generated code
-is never run through the bytecode optimizer, so a request carrying
-``"optimize": true`` is served exactly like the same request without
+includes ``optimize`` and ``verify``, which older clients still send.
+Generated code is never run through the bytecode optimizer, and
+object code is always bytecode-verified, at generation and when an
+L2/L3 image is loaded.  So a request carrying ``"optimize": true`` or
+``"verify": false`` is served exactly like the same request without
 it (same cache kind, same residual, same ``fingerprint_digest``).
 
 Responses are ``result`` / ``probed`` / ``stats_result`` / ``pong``
@@ -240,7 +242,6 @@ def specialize_request(
     dynamics: list[str] | tuple[str, ...] | None = None,
     dif_strategy: str = "duplicate",
     backend: str = "object",
-    verify: bool = True,
     memo_hints: list[str] | tuple[str, ...] = (),
     unfold_hints: list[str] | tuple[str, ...] = (),
     max_unfold_depth: int | None = None,
@@ -259,7 +260,6 @@ def specialize_request(
         "statics": list(statics),
         "dif_strategy": dif_strategy,
         "backend": backend,
-        "verify": verify,
         "want_residual": want_residual,
     }
     if goal is not None:
@@ -333,7 +333,6 @@ def validate_specialize(frame: dict[str, Any]) -> dict[str, Any]:
             frame, "dif_strategy", str, default="duplicate"
         ),
         "backend": _expect(frame, "backend", str, default="object"),
-        "verify": _expect(frame, "verify", bool, default=True),
         "memo_hints": _expect_str_list(frame, "memo_hints"),
         "unfold_hints": _expect_str_list(frame, "unfold_hints"),
         "max_unfold_depth": _expect(frame, "max_unfold_depth", int),

@@ -40,7 +40,6 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from repro import obs
-from repro.compiler.fusion import object_kind
 from repro.image.codec import residual_digest
 from repro.lang.parser import parse_program
 from repro.pe.errors import BudgetExceeded, PEError
@@ -359,9 +358,7 @@ class SpecializationServer(FrameServer):
                 )
             else:
                 residual = ext.to_object_code(
-                    statics,
-                    dif_strategy=req["dif_strategy"],
-                    verify=req["verify"],
+                    statics, dif_strategy=req["dif_strategy"]
                 )
         except BudgetExceeded as exc:
             # The graceful-degradation contract: a diverging (or merely
@@ -462,10 +459,7 @@ class SpecializationServer(FrameServer):
             return response
         response["extension"] = True
         statics = self._parse_data(req["statics"], "static")
-        kind = (
-            "source" if req["backend"] == "source"
-            else object_kind(req["verify"])
-        )
+        kind = "source" if req["backend"] == "source" else "object"
         # Read-only inspection: ``peek`` neither promotes LRU recency
         # nor counts a hit, so monitoring warmth cannot perturb the
         # tenant's eviction order.

@@ -109,9 +109,10 @@ class TestCorpusSeparation:
             analyze="off",
             max_unfold_depth=300,
             max_residual_size=20_000,
+            cache_size=0,
         )
         with pytest.raises(BudgetExceeded) as exc:
-            gen.to_source(_statics(entry), use_cache=False)
+            gen.to_source(_statics(entry))
         assert exc.value.cycle, "budget error should name the call cycle"
         assert gen.cache_stats()["budget_trips"] == 1
 
@@ -419,11 +420,11 @@ class TestForbidSoundness:
         gen = GeneratingExtension(
             source, signature, goal=goal, analyze="forbid",
             max_unfold_depth=2_000, max_residual_size=100_000,
+            cache_size=0,
         )
         # ...and the accepted program must specialize inside the budget.
         residual = gen.to_source(
-            [datum_to_value(_to_datum(v)) for v in static_args],
-            use_cache=False,
+            [datum_to_value(_to_datum(v)) for v in static_args]
         )
         assert residual.stats["residual_defs"] >= 1
         assert gen.cache_stats()["budget_trips"] == 0

@@ -221,14 +221,3 @@ class TestGeneratingExtensionWiring:
             "DS",
             goal="power",
         )
-
-    def test_check_can_be_disabled(self):
-        from repro.rtcg import GeneratingExtension
-
-        gen = GeneratingExtension(
-            "(define (main s d) (+ s d))",
-            "SD",
-            goal="main",
-            check_congruence=False,
-        )
-        assert gen.bta is not None

@@ -14,6 +14,27 @@ def power_file(tmp_path):
     return str(f)
 
 
+@pytest.fixture()
+def broken_compiler(monkeypatch):
+    """Make the ANF compiler emit a well-framed but unsound template (a
+    branch past the end of its code) for every procedure."""
+    from repro.compiler import program as program_mod
+    from repro.vm.instructions import Op
+    from repro.vm.template import Template
+
+    class Broken:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def compile_procedure(self, params, body, name="anonymous"):
+            return Template(
+                code=((Op.JUMP, 99), (Op.RETURN,)), literals=(),
+                arity=len(params), nlocals=len(params), name=name,
+            )
+
+    monkeypatch.setattr(program_mod, "ANFCompiler", Broken)
+
+
 class TestRunCommands:
     def test_run(self, power_file, capsys):
         assert main(["run", power_file, "2", "10", "--goal", "power"]) == 0
@@ -167,20 +188,39 @@ class TestStaticAnalysisCommands:
         ) == 0
         assert "template power" in capsys.readouterr().out
 
-    def test_run_no_verify(self, power_file, capsys):
-        assert main(
-            ["run", power_file, "2", "5", "--goal", "power", "--no-verify"]
-        ) == 0
-        assert capsys.readouterr().out.strip() == "32"
+    def test_run_rejects_unsound_code(
+        self, power_file, capsys, broken_compiler
+    ):
+        assert main(["run", power_file, "2", "5", "--goal", "power"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bytecode verification failed" in captured.err
 
-    def test_rtcg_no_verify(self, power_file, capsys):
-        assert main(
-            [
-                "rtcg", power_file, "--goal", "power", "--sig", "DS",
-                "--static", "3", "--dynamic", "2", "--no-verify",
-            ]
-        ) == 0
-        assert capsys.readouterr().out.strip() == "8"
+    def test_lint_reports_a_verification_error(
+        self, power_file, capsys, broken_compiler
+    ):
+        # compile_program rejects the broken ANF output; lint records
+        # the error's report as that backend's finding.
+        assert main(["lint", power_file, "--goal", "power"]) == 1
+        out = capsys.readouterr().out
+        assert ";; [auto] template power:" in out
+        assert "bad-jump-target" in out
+        assert ";; [stock]" not in out
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "FILE", "--no-verify"],
+        ["rtcg", "FILE", "--sig", "DS", "--no-verify"],
+        ["image", "export", "FILE", "--sig", "DS", "--store", "s",
+         "--no-verify"],
+        ["image", "load", "FILE", "--no-verify"],
+    ], ids=["run", "rtcg", "image-export", "image-load"])
+    def test_no_switch_turns_verification_off(
+        self, power_file, capsys, argv
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([power_file if arg == "FILE" else arg for arg in argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-verify" in capsys.readouterr().err
 
 
 class TestStatsJson:
@@ -668,6 +708,29 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    def test_reader_closing_the_pipe_is_not_an_error(self):
+        # ``repro opt --builtin all | head -1``: the output (~100 kB)
+        # outgrows the pipe's buffer, so the writer meets the closed
+        # pipe.  That ends the run as SIGPIPE would, with nothing on
+        # stderr, not even the "Exception ignored" of a shutdown flush.
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "opt", "--builtin", "all"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline().startswith(b";;")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 128 + signal.SIGPIPE
+        assert err == b""
 
     def test_wrong_goal_name(self, power_file, capsys):
         assert main(["run", power_file, "--goal", "nope"]) == 1

@@ -138,13 +138,15 @@ def test_static_closure_is_a_procedure(route):
     # does in the interpreter.
     expected = run_program(parse_program(PROCEDURE_P, goal="f"), [3, 10])
     assert expected == 11
-    gen = GeneratingExtension(PROCEDURE_P, "SD", goal="f", analyze="off")
+    gen = GeneratingExtension(
+        PROCEDURE_P, "SD", goal="f", analyze="off", cache_size=0
+    )
     if route == "compiled":
         residual = gen.compiled().generate([3])
     elif route == "specializer":
         residual = Specializer(gen.bta.annotated).run([3])
     else:
-        residual = getattr(gen, route)([3], use_cache=False)
+        residual = getattr(gen, route)([3])
     assert residual.run([10]) == expected
 
 

@@ -184,11 +184,6 @@ class TestVerifyOnLoad:
         assert store.get(_key()) is None  # behaves like a miss
         assert store.stats()["verify_failures"] == 1
 
-    def test_explicit_opt_out(self, tmp_path, gen):
-        store = ImageStore(tmp_path / "store")
-        self._poison(store, gen)
-        assert store.get(_key(), verify=False) is not None
-
     def test_verify_residual_passes_sound_code(self, gen):
         verify_residual(gen.to_object_code([3]))
 

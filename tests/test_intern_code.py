@@ -116,8 +116,8 @@ WORKLOADS = (
 def _digests() -> list[list[str]]:
     out = []
     for source, signature, goal, static in WORKLOADS:
-        gen = GeneratingExtension(source, signature, goal=goal)
-        residual = gen.to_object_code([static()], use_cache=False)
+        gen = GeneratingExtension(source, signature, goal=goal, cache_size=0)
+        residual = gen.to_object_code([static()])
         out.append(sorted(t.content_digest() for t in _templates(residual)))
     return out
 

@@ -230,18 +230,14 @@ class TestExtensionCache:
         assert (stats["hits"], stats["misses"]) == (1, 1)
 
     def test_call_shorthand_shares_the_cache(self):
-        # Satellite regression: __call__ used to drop verify/dif_strategy
-        # on the floor, so ge(args) and ge.to_object_code(args, ...)
-        # could disagree.  Now they are literally the same cached object.
+        # Regression: __call__ used to drop dif_strategy on the floor,
+        # so ge(args) and ge.to_object_code(args, ...) could disagree.
+        # Now they are literally the same cached object.
         gen = GeneratingExtension(POWER, "DS", goal="power")
         assert gen([5]).machine is gen.to_object_code([5]).machine
         assert (
             gen([5], dif_strategy="join").machine
             is gen.to_object_code([5], dif_strategy="join").machine
-        )
-        assert (
-            gen([5], verify=False).machine
-            is gen.to_object_code([5], verify=False).machine
         )
 
     def test_keys_separate_per_dif_strategy(self):
@@ -256,10 +252,8 @@ class TestExtensionCache:
         gen = GeneratingExtension(POWER, "DS", goal="power")
         src = gen.to_source([5])
         obj = gen.to_object_code([5])
-        unverified = gen.to_object_code([5], verify=False)
         assert src.program is not None and obj.machine is not None
-        assert obj is not unverified
-        assert gen.cache_stats()["misses"] == 3
+        assert gen.cache_stats()["misses"] == 2
 
     def test_lru_bound_respected(self):
         gen = GeneratingExtension(POWER, "DS", goal="power", cache_size=2)
@@ -283,11 +277,12 @@ class TestExtensionCache:
         # Per-run gensym isolation: regeneration of the same static
         # input is byte-identical, so a cache hit is indistinguishable
         # from a regeneration.
-        gen = GeneratingExtension(POWER, "DS", goal="power")
-        r1 = gen.to_object_code([6], use_cache=False)
-        r2 = gen.to_object_code([6], use_cache=False)
+        uncached = GeneratingExtension(POWER, "DS", goal="power", cache_size=0)
+        r1 = uncached.to_object_code([6])
+        r2 = uncached.to_object_code([6])
         assert r1 is not r2
         assert r1.fingerprint() == r2.fingerprint()
+        gen = GeneratingExtension(POWER, "DS", goal="power")
         assert r1.fingerprint() == gen.to_object_code([6]).fingerprint()
 
     def test_source_hits_too(self):
@@ -311,10 +306,7 @@ class TestForwarding:
             run_specialized(DIF, "SD", [7], [0], goal="f", dif_strategy="join")
             == 77
         )
-        assert (
-            run_specialized(DIF, "SD", [7], [1], goal="f", verify=False)
-            == 147
-        )
+        assert run_specialized(DIF, "SD", [7], [1], goal="f") == 147
 
 
 # -- concurrency ---------------------------------------------------------------
@@ -346,14 +338,14 @@ class TestConcurrentGeneration:
         assert stats["hits"] == 96 - len(statics)
 
     def test_eight_thread_stress_without_cache(self):
-        # Even with the cache bypassed (every call runs the full
+        # Even with the cache off (every call runs the full
         # specializer) concurrent runs must not interfere: private
         # gensym state per run keeps residuals byte-identical.
-        gen = GeneratingExtension(POWER, "DS", goal="power")
+        gen = GeneratingExtension(POWER, "DS", goal="power", cache_size=0)
 
         def task(i):
             n = i % 3
-            rp = gen.to_object_code([n], use_cache=False)
+            rp = gen.to_object_code([n])
             assert rp.run([3]) == 3**n
             return n, rp.fingerprint()
 
@@ -379,7 +371,7 @@ class _NestingBackend(SourceBackend):
     def define(self, name, params, body):
         if not self.nested_ran:
             self.nested_ran = True
-            inner = self._gen.to_source([3], use_cache=False)
+            inner = self._gen.to_source([3])
             assert inner.run([2]) == 8
         super().define(name, params, body)
 

@@ -143,13 +143,23 @@ class TestRequestValidation:
         assert req["dif_strategy"] == "duplicate"
         assert req["backend"] == "object"
         assert req["dynamics"] is None
-        assert req["verify"] is True
         assert "optimize" not in req
+        assert "verify" not in req
 
     def test_legacy_optimize_field_validates_and_is_dropped(self):
         frame = specialize_request("(define (f d) d)", "D")
         assert "optimize" not in frame
         frame["optimize"] = True
+        req = validate_specialize(decode_frame(encode_frame(frame)))
+        assert req == validate_specialize(
+            specialize_request("(define (f d) d)", "D")
+        )
+
+    @pytest.mark.parametrize("value", [False, True, "not a bool"])
+    def test_legacy_verify_field_validates_and_is_dropped(self, value):
+        frame = specialize_request("(define (f d) d)", "D")
+        assert "verify" not in frame
+        frame["verify"] = value
         req = validate_specialize(decode_frame(encode_frame(frame)))
         assert req == validate_specialize(
             specialize_request("(define (f d) d)", "D")

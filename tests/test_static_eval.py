@@ -203,7 +203,7 @@ def _extension(workload: str, bta: str) -> GeneratingExtension:
     if key not in _EXTENSIONS:
         source, signature, goal, _ = WORKLOADS[workload]
         _EXTENSIONS[key] = GeneratingExtension(
-            source, signature, goal=goal, bta=bta
+            source, signature, goal=goal, bta=bta, cache_size=0
         )
     return _EXTENSIONS[key]
 
@@ -220,7 +220,7 @@ def test_section7_residuals_are_unchanged(key):
         residual = gen.compiled().generate([static], backend=backend)
     else:
         make = gen.to_object_code if route == "object" else gen.to_source
-        residual = make([static], dif_strategy=strategy, use_cache=False)
+        residual = make([static], dif_strategy=strategy)
     stats = residual.stats
     assert (
         _digest(residual), stats["residual_defs"], stats["residual_size"]
@@ -355,11 +355,12 @@ def test_divergers_trip_the_same_budget(engine, entry):
         analyze="off",
         max_unfold_depth=300,
         max_residual_size=2_000,
+        cache_size=0,
     )
     statics = [datum_to_value(read(text)) for text in entry.static_args]
     with pytest.raises(BudgetExceeded) as exc:
         if engine == "specializer":
-            gen.to_source(statics, use_cache=False)
+            gen.to_source(statics)
         else:
             gen.compiled().generate(
                 statics, max_unfold_depth=300, max_residual_size=2_000
@@ -379,13 +380,14 @@ def test_static_unfold_depth_bounds_active_unfolds(engine):
 (define (loop n acc) (if (zero? n) acc (loop (- n 1) (+ acc (nest 10)))))
 (define (nest k) (if (zero? k) 1 (nest (- k 1))))"""
     gen = GeneratingExtension(
-        source, "SD", goal="f", analyze="off", max_unfold_depth=250
+        source, "SD", goal="f", analyze="off", max_unfold_depth=250,
+        cache_size=0,
     )
     annotated = gen.bta.annotated
     loop = next(dd for dd in annotated.defs if "loop" in str(dd.name))
     assert annotated.is_static(loop.body)
     if engine == "specializer":
-        residual = gen.to_source([200], use_cache=False)
+        residual = gen.to_source([200])
     else:
         residual = gen.compiled().generate([200], max_unfold_depth=250)
     assert residual.run([1]) == 201

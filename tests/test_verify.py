@@ -43,28 +43,28 @@ class TestCompiledOutputVerifies:
     @settings(max_examples=40, deadline=None)
     def test_stock_compiler_arith(self, expr):
         program = parse_program(f"(define (main) {expr})")
-        compiled = compile_program(program, compiler="stock", verify=False)
+        compiled = compile_program(program, compiler="stock")
         _assert_all_verify(compiled.templates.values())
 
     @given(expr=higher_order_exprs())
     @settings(max_examples=40, deadline=None)
     def test_stock_compiler_higher_order(self, expr):
         program = parse_program(f"(define (main) {expr})")
-        compiled = compile_program(program, compiler="stock", verify=False)
+        compiled = compile_program(program, compiler="stock")
         _assert_all_verify(compiled.templates.values())
 
     @given(expr=list_exprs())
     @settings(max_examples=40, deadline=None)
     def test_anf_compiler_lists(self, expr):
         program = parse_program(f"(define (main) {expr})")
-        compiled = compile_program(program, compiler="auto", verify=False)
+        compiled = compile_program(program, compiler="auto")
         _assert_all_verify(compiled.templates.values())
 
     @given(expr=higher_order_exprs())
     @settings(max_examples=40, deadline=None)
     def test_anf_compiler_higher_order(self, expr):
         program = parse_program(f"(define (main) {expr})")
-        compiled = compile_program(program, compiler="auto", verify=False)
+        compiled = compile_program(program, compiler="auto")
         _assert_all_verify(compiled.templates.values())
 
     @given(expr=arith_exprs(env=("d",)))
@@ -74,7 +74,7 @@ class TestCompiledOutputVerifies:
         gen = make_generating_extension(
             f"(define (main d) {expr})", "D", goal="main"
         )
-        backend = ObjectCodeBackend(verify=False)
+        backend = ObjectCodeBackend()
         gen.compiled().generate([], backend=backend)
         _assert_all_verify(backend.templates.values())
 
@@ -83,9 +83,7 @@ class TestCompiledOutputVerifies:
 
         for program in (mixwell_interpreter(), lazy_interpreter()):
             for compiler in ("stock", "auto"):
-                compiled = compile_program(
-                    program, compiler=compiler, verify=False
-                )
+                compiled = compile_program(program, compiler=compiler)
                 _assert_all_verify(compiled.templates.values())
 
 
@@ -275,18 +273,17 @@ class TestVerifyAPI:
             "(define (power x n)"
             " (if (zero? n) 1 (* x (power x (- n 1)))))"
         )
-        compiled = compile_program(program, verify=False)
+        compiled = compile_program(program)
         report = check_template(compiled.templates[sym("power")])
         assert report.ok
         assert report.violations == ()
 
     def test_compile_program_verifies_by_default(self, monkeypatch):
-        # Corrupt the compiler's output: compile_program(verify=True)
-        # must reject it before a machine ever runs it.
+        # Corrupt the compiler's output: compile_program must reject it
+        # before a machine ever runs it.
         from repro.compiler import program as program_mod
 
         program = parse_program("(define (main x) x)")
-        good = compile_program(program, verify=False)
         bad = _tmpl([(Op.JUMP, 99), (Op.RETURN,)], name="main")
 
         class _Broken:
@@ -298,9 +295,4 @@ class TestVerifyAPI:
 
         monkeypatch.setattr(program_mod, "ANFCompiler", _Broken)
         with pytest.raises(VerificationError):
-            compile_program(program, compiler="auto", verify=True)
-        # ... and verify=False lets it through untouched.
-        assert compile_program(
-            program, compiler="auto", verify=False
-        ).templates[sym("main")] is bad
-        del good
+            compile_program(program, compiler="auto")

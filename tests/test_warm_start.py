@@ -82,17 +82,18 @@ class TestWarmStartInProcess:
         assert stats["store"]["read_errors"] == 1
         assert rp2.run([2]) == rp.run([2]) == 32
 
-    def test_verify_on_load_false_skips_verifier(self, tmp_path, monkeypatch):
+    def test_every_load_runs_the_verifier(self, tmp_path, monkeypatch):
         store_dir = tmp_path / "store"
         _gen(store_dir).to_object_code([5])
         calls = []
         import repro.image.store as store_mod
 
         monkeypatch.setattr(store_mod, "verify_residual", calls.append)
-        _gen(store_dir).to_object_code([5])
-        assert len(calls) == 1
-        _gen(store_dir, verify_on_load=False).to_object_code([5])
-        assert len(calls) == 1  # unchanged: verifier skipped
+        for _ in range(2):
+            warm = _gen(store_dir)
+            warm.to_object_code([5])
+            assert warm.cache_stats()["specializer_runs"] == 0
+        assert len(calls) == 2
 
 
 class TestWarmStartAcrossProcesses:
