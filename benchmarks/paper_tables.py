@@ -189,12 +189,12 @@ def fig7() -> None:
             src = ext.generate([static], backend=SourceBackend())
             text = "\n".join(write(d) for d in unparse_program(src.program))
             program = parse_program(text, goal=src.goal.name)
-            compile_program(program, compiler="anf")
+            compile_program(program)
 
         def load_route():
             text = "\n".join(write(d) for d in unparse_program(rp.program))
             program = parse_program(text, goal=rp.goal.name)
-            compile_program(program, compiler="anf")
+            compile_program(program)
 
         def direct():
             ext.generate([static], backend=ObjectCodeBackend())
@@ -247,10 +247,13 @@ def fig8(store_root=None) -> None:
         t_gen = best_of(
             lambda: ext.generate([], backend=ObjectCodeBackend()), rounds=5
         )
-        stock = StockCompiler(globals_=frozenset(d.name for d in interp.defs))
+        stock = StockCompiler()
+        names = frozenset(d.name for d in interp.defs)
         t_compile = best_of(
             lambda: [
-                stock.compile_procedure(d.params, d.body, name=d.name.name)
+                stock.compile_procedure(
+                    d.params, d.body, name=d.name.name, program=names
+                )
                 for d in interp.defs
             ],
             rounds=5,
@@ -402,6 +405,36 @@ def fig11() -> None:
 
 def ablations() -> None:
     print("## Ablations")
+    print()
+    # A1: the two routes of compile_program on the residual sources.
+    print("### A1 — compile_program: ANF route vs stock compiler (§6.1)")
+    print()
+    print(
+        "| workload | ANF route (ms) | stock (ms) | ANF/stock |"
+        " instrs (ANF) | instrs (stock) |"
+    )
+    print("|---|---|---|---|---|---|")
+    for name, interp, sig, static in workloads():
+        program = make_generating_extension(interp, sig).to_source(
+            [static]
+        ).program
+        times: dict[str, list[float]] = {"auto": [], "stock": []}
+        order = list(times)
+        for _ in range(ROUNDS):
+            for compiler in order:
+                t0 = time.perf_counter()
+                compile_program(program, compiler)
+                times[compiler].append(time.perf_counter() - t0)
+            order.reverse()
+        t_anf, t_stock = min(times["auto"]), min(times["stock"])
+        n_anf, n_stock = (
+            compile_program(program, compiler).instruction_count()
+            for compiler in ("auto", "stock")
+        )
+        print(
+            f"| {name} | {ms(t_anf)} | {ms(t_stock)} |"
+            f" {t_anf / t_stock:.2f} | {n_anf} | {n_stock} |"
+        )
     print()
     # A2: specialization speedup.
     print("### A2 — specialization speedup (interpreter vs residual, on the VM)")

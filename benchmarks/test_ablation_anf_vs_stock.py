@@ -1,16 +1,18 @@
-"""Ablation A1: the cut-down ANF compiler vs the stock compiler (§6.1).
+"""Ablation A1: the ANF route of compile_program vs the stock compiler (§6.1).
 
 "Removing the compile-time continuation simplifies the compiler, and also
 speeds up later code generation, as it could not be removed by fusion."
 
-Both compilers compile the same residual (ANF) programs; the ANF compiler
-should be at least as fast and produce code that is no larger — ANF's
-explicit control flow means no join points and no redundant jumps.
+Both routes compile the same residual (ANF) programs, with the same
+front-end checks and verification.  The ANF route folds the syntax into
+the fused backend's combinators, which track the ``val`` register, so it
+emits no more code than the stock compiler; which one is faster is
+measured, not asserted (EXPERIMENTS.md, A1).
 """
 
 import pytest
 
-from repro.compiler import ANFCompiler, StockCompiler
+from repro.compiler import compile_program
 from repro.pe import SourceBackend
 
 
@@ -26,58 +28,39 @@ def residual_programs(mixwell_ext, mixwell_static, lazy_ext, lazy_static):
     }
 
 
-def _compile_with(compiler, program):
-    return {
-        d.name: compiler.compile_procedure(d.params, d.body, name=d.name.name)
-        for d in program.defs
-    }
-
-
 class TestA1CompilationSpeed:
     @pytest.mark.parametrize("workload", ["mixwell", "lazy"])
     def test_anf_compiler(self, benchmark, residual_programs, workload):
-        compiler = ANFCompiler(check=False)
-        templates = benchmark(
-            _compile_with, compiler, residual_programs[workload]
-        )
-        assert templates
+        compiled = benchmark(compile_program, residual_programs[workload])
+        assert compiled.templates
 
     @pytest.mark.parametrize("workload", ["mixwell", "lazy"])
     def test_stock_compiler(self, benchmark, residual_programs, workload):
-        compiler = StockCompiler()
-        templates = benchmark(
-            _compile_with, compiler, residual_programs[workload]
+        compiled = benchmark(
+            compile_program, residual_programs[workload], "stock"
         )
-        assert templates
+        assert compiled.templates
 
 
 class TestA1CodeQuality:
     @pytest.mark.parametrize("workload", ["mixwell", "lazy"])
     def test_anf_compiler_emits_no_more_code(self, residual_programs, workload):
         program = residual_programs[workload]
-        anf = _compile_with(ANFCompiler(check=False), program)
-        stock = _compile_with(StockCompiler(), program)
-        anf_count = sum(t.instruction_count() for t in anf.values())
-        stock_count = sum(t.instruction_count() for t in stock.values())
-        assert anf_count <= stock_count
+        anf = compile_program(program).instruction_count()
+        stock = compile_program(program, "stock").instruction_count()
+        assert anf <= stock
 
     @pytest.mark.parametrize("workload", ["mixwell", "lazy"])
     def test_same_behaviour(self, residual_programs, workload):
         from repro.runtime.values import datum_to_value, scheme_equal
-        from repro.vm import Machine, VmClosure
 
         program = residual_programs[workload]
         args = {
             "mixwell": [datum_to_value([1, 1, 0])],
             "lazy": [4],
         }[workload]
-        results = []
-        for templates in (
-            _compile_with(ANFCompiler(check=False), program),
-            _compile_with(StockCompiler(), program),
-        ):
-            m = Machine()
-            for name, template in templates.items():
-                m.define(name, VmClosure(template, ()))
-            results.append(m.call_named(program.goal, args))
+        results = [
+            compile_program(program, compiler).run(args)
+            for compiler in ("auto", "stock")
+        ]
         assert scheme_equal(results[0], results[1])

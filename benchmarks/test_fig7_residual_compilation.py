@@ -43,7 +43,7 @@ def _load_route(residual):
     """Print the residual program, read it back, compile it."""
     text = "\n".join(write(d) for d in unparse_program(residual.program))
     program = parse_program(text, goal=residual.goal.name)
-    return compile_program(program, compiler="anf")
+    return compile_program(program)
 
 
 class TestFig7ResidualCompilation:
@@ -56,15 +56,11 @@ class TestFig7ResidualCompilation:
         assert compiled.instruction_count() > 0
 
     def test_mixwell_compile_only(self, benchmark, mixwell_residual_source):
-        compiled = benchmark(
-            compile_program, mixwell_residual_source.program, compiler="anf"
-        )
+        compiled = benchmark(compile_program, mixwell_residual_source.program)
         assert compiled.instruction_count() > 0
 
     def test_lazy_compile_only(self, benchmark, lazy_residual_source):
-        compiled = benchmark(
-            compile_program, lazy_residual_source.program, compiler="anf"
-        )
+        compiled = benchmark(compile_program, lazy_residual_source.program)
         assert compiled.instruction_count() > 0
 
 

@@ -116,12 +116,13 @@ class TestFig8Columns:
 
     def test_compile(self, benchmark, workload):
         name, program, _, _ = workload
-        stock = StockCompiler(globals_=frozenset(d.name for d in program.defs))
+        stock = StockCompiler()
+        names = frozenset(d.name for d in program.defs)
 
         def compile_all():
             return {
                 d.name: stock.compile_procedure(
-                    d.params, d.body, name=d.name.name
+                    d.params, d.body, name=d.name.name, program=names
                 )
                 for d in program.defs
             }

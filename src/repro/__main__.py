@@ -1447,9 +1447,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("disasm", help="print template disassembly")
     common(p, needs_sig=False)
-    p.add_argument(
-        "--compiler", default="auto", choices=("auto", "stock", "anf")
-    )
+    p.add_argument("--compiler", default="auto", choices=("auto", "stock"))
     p.add_argument(
         "--verify", action="store_true",
         help="append each template's verification report",

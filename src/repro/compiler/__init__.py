@@ -1,28 +1,31 @@
 """Compilers from Core Scheme to VM templates.
 
-Three compilers live here:
+Two compilers live here, and the annotated compiler's two readings:
 
-* :mod:`repro.compiler.anf_compiler` — Act 1's compiler: a simple
-  recursive-descent compiler for programs in A-normal form.  Because ANF
-  makes control flow explicit, it threads no compile-time continuation.
+* :mod:`repro.compiler.annotated` — Acts 2/3: the ANF compiler written
+  once against an annotation interface.  Erasing the annotations gives
+  an ordinary compiler (:class:`DerivedANFCompiler`); reading them as
+  code generators gives the ``make-residual-...`` combinators, printed
+  and loaded by :mod:`repro.compiler.combinator_source`.
+* :mod:`repro.compiler.fusion` — the fused backend over the printed
+  combinators.  RTCG runs it under the specializer, and
+  :func:`compile_program` folds ANF syntax into it — Act 1's compiler
+  for programs in A-normal form, which needs no compile-time
+  continuation because ANF makes control flow explicit.
 * :mod:`repro.compiler.stock` — the "stock Scheme 48 compiler" stand-in:
   compiles arbitrary CS, threading a compile-time continuation to identify
   tail calls.  Used as the Fig. 8 baseline and in the ANF ablation.
-* :mod:`repro.compiler.annotated` — Act 2/3: the ANF compiler written once
-  against an annotation interface, from which both a plain compiler and
-  the object-code generation combinators are derived automatically.
 """
 
-from repro.compiler.anf_compiler import ANFCompiler, compile_anf_def, compile_anf_expr
-from repro.compiler.annotated import DerivedANFCompiler
+from repro.compiler.annotated import CompileError, DerivedANFCompiler
 from repro.compiler.cenv import CompileTimeEnv, Closed, Global, Local
 from repro.compiler.fusion import ObjectCodeBackend
 from repro.compiler.program import CompiledProgram, compile_program
 from repro.compiler.stock import StockCompiler
 
 __all__ = [
-    "ANFCompiler",
     "Closed",
+    "CompileError",
     "CompileTimeEnv",
     "CompiledProgram",
     "DerivedANFCompiler",
@@ -30,7 +33,5 @@ __all__ = [
     "Local",
     "ObjectCodeBackend",
     "StockCompiler",
-    "compile_anf_def",
-    "compile_anf_expr",
     "compile_program",
 ]

@@ -19,8 +19,9 @@ sets (§6.3):
   applies immediately, ``let``/``lift`` are identities, and ``compile``
   recurses through the syntax dispatch — "the result is still usable as
   an ordinary compiler".  :class:`DerivedANFCompiler` packages this as a
-  drop-in compiler, tested to produce *identical templates* to the
-  handwritten Act-1 compiler.
+  drop-in compiler, tested to produce *identical templates* to
+  :func:`~repro.compiler.program.compile_program`, whose ANF route
+  folds the syntax into the printed combinators below.
 * :class:`GenAnnotations` runs each compilator **once** with symbolic
   parameters, recording the delayed operations as a recipe DAG — the
   analogue of macro-expanding the compilator into a code-generation
@@ -50,6 +51,7 @@ from typing import Any, Callable, Sequence
 from repro.compiler.cenv import Closed, CompileTimeEnv, Held, Local
 from repro.compiler.reads import HELD, STORED, ReadFacts, let_shape
 from repro.lang.prims import PRIMITIVES, PrimSpec
+from repro.runtime.errors import SchemeError
 from repro.runtime.values import constant_key, datum_to_value
 from repro.sexp.datum import Symbol
 from repro.vm.fragments import (
@@ -64,6 +66,10 @@ from repro.vm.fragments import (
     sequentially,
 )
 from repro.vm.instructions import Op
+
+
+class CompileError(SchemeError):
+    """A program could not be compiled."""
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +250,11 @@ def compile_variable(name: Symbol, cenv: GenCenv) -> Fragment:
     tracker.val = None
     if isinstance(location, Closed):
         return instruction(Op.CLOSED, location.index)
-    spec = PRIMITIVES.get(name)
-    if spec is not None:
-        return instruction(Op.CONST, Lit(spec))
+    # Global: a top-level procedure, or a primitive used as a value.
+    if name not in cenv.env.program:
+        spec = PRIMITIVES.get(name)
+        if spec is not None:
+            return instruction(Op.CONST, Lit(spec))
     return instruction(Op.GLOBAL, Lit(name))
 
 
@@ -318,12 +326,13 @@ def make_lambda_template(
     params: Sequence[Symbol],
     captured: Sequence[Symbol],
     body: Callable,
+    cenv: GenCenv,
     name: str = "lambda",
 ):
     """Assemble the nested template for a residual ``lambda``."""
     from repro.vm.assembler import assemble
 
-    inner_env = CompileTimeEnv.for_procedure(tuple(params), tuple(captured))
+    inner_env = cenv.env.procedure(tuple(params), tuple(captured))
     tracker = DepthTracker(len(params))
     cenv = GenCenv(inner_env, tracker)
     fragment = body(cenv, len(params))
@@ -451,7 +460,9 @@ def compilator_const(A, value, cenv, depth):
 
 def compilator_lambda(A, params, captured, body, cenv, depth):
     """(lambda (x ...) M): nested template + closure over captured values."""
-    template = A.let(A.call(make_lambda_template, params, captured, body))
+    template = A.let(
+        A.call(make_lambda_template, params, captured, body, cenv)
+    )
     return A.call(
         sequentially,
         A.call(emit_captured, captured, cenv),
@@ -542,8 +553,7 @@ make_residual_lambda = derive_combinator(
 
 # ---------------------------------------------------------------------------
 # The annotation-erasing reading: a complete compiler from the same
-# compilator definitions (tested identical to the handwritten Act-1
-# compiler).
+# compilator definitions (tested identical to compile_program).
 # ---------------------------------------------------------------------------
 
 
@@ -562,9 +572,8 @@ class DirectComponent:
 class DerivedANFCompiler:
     """The ANF compiler obtained by erasing the annotations.
 
-    Same dispatch structure as the handwritten compiler; all fragment
-    construction comes from the annotated compilators run under
-    :class:`DirectAnnotations`.
+    A syntax dispatch over ANF; all fragment construction comes from
+    the annotated compilators run under :class:`DirectAnnotations`.
     """
 
     def __init__(self) -> None:

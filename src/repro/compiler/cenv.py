@@ -51,23 +51,32 @@ class CompileTimeEnv:
     Extension (``bind_local``) is O(1) via parent chaining: residual
     function bodies are long chains of ``let``s, and copying the mapping
     per binding would make compilation quadratic.
+
+    ``program`` names the top-level definitions of the program being
+    compiled.  They shadow primitives of the same name, so a
+    program-defined ``abs`` compiles to a global reference rather than
+    the primitive; every environment derived from this one, nested
+    procedures' included, carries the same set.
     """
 
-    __slots__ = ("_mapping", "_parent")
+    __slots__ = ("_mapping", "_parent", "program")
 
     def __init__(
         self,
         mapping: dict[Symbol, Location] | None = None,
         parent: "CompileTimeEnv | None" = None,
+        program: frozenset = frozenset(),
     ):
         self._mapping = mapping or {}
         self._parent = parent
+        self.program = program
 
     @classmethod
     def for_procedure(
         cls,
         params: tuple[Symbol, ...],
         free: tuple[Symbol, ...] = (),
+        program: frozenset = frozenset(),
     ) -> "CompileTimeEnv":
         """Parameters in frame slots 0..n-1; free names in closure slots."""
         mapping: dict[Symbol, Location] = {}
@@ -75,7 +84,13 @@ class CompileTimeEnv:
             mapping[p] = Local(i)
         for i, f in enumerate(free):
             mapping[f] = Closed(i)
-        return cls(mapping)
+        return cls(mapping, None, program)
+
+    def procedure(
+        self, params: tuple[Symbol, ...], free: tuple[Symbol, ...]
+    ) -> "CompileTimeEnv":
+        """The environment of a procedure nested in this one's program."""
+        return CompileTimeEnv.for_procedure(params, free, self.program)
 
     def lookup(self, name: Symbol) -> Location:
         """The location of ``name``; unknown names are global references."""
@@ -96,7 +111,7 @@ class CompileTimeEnv:
         return False
 
     def bind_local(self, name: Symbol, index: int) -> "CompileTimeEnv":
-        return CompileTimeEnv({name: Local(index)}, self)
+        return CompileTimeEnv({name: Local(index)}, self, self.program)
 
     def bind(self, name: Symbol, location: Location) -> "CompileTimeEnv":
-        return CompileTimeEnv({name: location}, self)
+        return CompileTimeEnv({name: location}, self, self.program)

@@ -34,13 +34,17 @@ Residual code handles:
 Completed residual definitions are assembled (relocated) into VM templates
 and installed in a fresh :class:`~repro.vm.machine.Machine` — "code for
 immediate execution by the run-time system" (§8.2).
+
+The same constructors compile ANF programs without a specializer:
+:func:`~repro.compiler.program.compile_program` folds a program's syntax
+into them, so one module decides the object code of both routes.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
-from repro.compiler.annotated import DepthTracker, GenCenv
+from repro.compiler.annotated import CompileError, DepthTracker, GenCenv
 from repro.compiler.cenv import CompileTimeEnv
 from repro.compiler.combinator_source import load_combinator_module
 from repro.compiler.reads import (
@@ -56,7 +60,6 @@ from repro.compiler.reads import (
 from repro.lang.gensym import Gensym
 from repro.lang.prims import PRIMITIVES
 from repro.pe.backend import ResidualProgram
-from repro.pe.errors import SpecializationError
 from repro.sexp.datum import Symbol
 from repro.vm.assembler import assemble
 from repro.vm.machine import Machine, VmClosure
@@ -160,6 +163,10 @@ class ObjectCodeBackend:
         self.templates: dict[Symbol, Template] = {}
         # Residual function names: one machine, one namespace.
         self.names = Gensym("f")
+        # Top-level names that shadow primitives (see CompileTimeEnv);
+        # compile_program sets its program's, and the specializer's
+        # generated names shadow none.
+        self.program: frozenset = frozenset()
 
     # -- trivial constructors ----------------------------------------------------
 
@@ -200,7 +207,7 @@ class ObjectCodeBackend:
     def prim(self, op: Symbol, args: Sequence[TrivCode]) -> SeriousCode:
         spec = PRIMITIVES.get(op)
         if spec is None:
-            raise SpecializationError(f"unknown primitive {op}")
+            raise CompileError(f"unknown primitive {op}")
         emits = tuple(a.emit for a in args)
         value = make_residual_prim(spec, emits)
         return SeriousCode(
@@ -250,7 +257,7 @@ class ObjectCodeBackend:
         self, name: Symbol, params: Sequence[Symbol], body: BodyCode
     ) -> None:
         params = tuple(params)
-        env = CompileTimeEnv.for_procedure(params)
+        env = CompileTimeEnv.for_procedure(params, (), self.program)
         tracker = DepthTracker(len(params))
         fragment = body.emit(GenCenv(env, tracker), len(params))
         template = assemble(

@@ -16,8 +16,13 @@ from three facts about the body's reads:
 A fourth, ``holds``, says the code is nothing but that run (a variable
 reference), so ``val`` still holds ``head`` after it.  Handles of the
 fused backend carry these facts as attributes and compose them with
-the functions below; :class:`NodeReads` derives the same facts from ANF
-syntax for the two compilers that read it.
+the functions below; :class:`ReadFacts` derives the same facts from
+ANF syntax for the annotation-erasing reading
+(:class:`~repro.compiler.annotated.DerivedANFCompiler`).  It counts a
+reference to a global as a read, which the handles do not (a global is
+never captured or held); the two can therefore pick different let
+shapes only where a closure names a global that sorts before its first
+captured variable.
 """
 
 from __future__ import annotations

@@ -13,14 +13,15 @@ The compile-time continuation is one of:
 * ``PUSH``   — leave the result on the operand stack.
 
 Used as the Fig. 8 "Compile" baseline (compiling an interpreter the
-ordinary way) and in the A1 ablation against the cut-down ANF compiler.
+ordinary way) and in the A1 ablation against the ANF route of
+:func:`~repro.compiler.program.compile_program`.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-from repro.compiler.anf_compiler import CompileError, _DepthTracker
+from repro.compiler.annotated import CompileError, DepthTracker
 from repro.compiler.cenv import Closed, CompileTimeEnv, Local
 from repro.lang.ast import App, Const, Expr, If, Lam, Let, Prim, Var
 from repro.lang.freevars import free_variables
@@ -51,10 +52,12 @@ class Cont(Enum):
 
 
 class StockCompiler:
-    """A one-pass compiler for full CS threading a compile-time continuation."""
+    """A one-pass compiler for full CS threading a compile-time continuation.
 
-    def __init__(self, globals_: frozenset = frozenset()):
-        self.globals_ = globals_
+    ``program`` of :meth:`compile_procedure` names the top-level
+    definitions, which shadow primitives (see
+    :class:`~repro.compiler.cenv.CompileTimeEnv`).
+    """
 
     def compile_procedure(
         self,
@@ -62,11 +65,17 @@ class StockCompiler:
         body: Expr,
         free: tuple[Symbol, ...] = (),
         name: str = "anonymous",
+        program: frozenset = frozenset(),
     ) -> Template:
-        cenv = CompileTimeEnv.for_procedure(params, free)
-        tracker = _DepthTracker(len(params))
-        fragment = self.compile(body, cenv, len(params), Cont.RETURN, tracker)
-        return assemble(fragment, len(params), tracker.max_depth, name)
+        cenv = CompileTimeEnv.for_procedure(params, free, program)
+        return self._template(cenv, len(params), body, name)
+
+    def _template(
+        self, cenv: CompileTimeEnv, nparams: int, body: Expr, name: str
+    ) -> Template:
+        tracker = DepthTracker(nparams)
+        fragment = self.compile(body, cenv, nparams, Cont.RETURN, tracker)
+        return assemble(fragment, nparams, tracker.max_depth, name)
 
     def compile(
         self,
@@ -74,7 +83,7 @@ class StockCompiler:
         cenv: CompileTimeEnv,
         depth: int,
         cont: Cont,
-        tracker: _DepthTracker,
+        tracker: DepthTracker,
     ) -> Fragment:
         tracker.reach(depth)
         if isinstance(expr, Const):
@@ -134,7 +143,7 @@ class StockCompiler:
         cenv: CompileTimeEnv,
         depth: int,
         cont: Cont,
-        tracker: _DepthTracker,
+        tracker: DepthTracker,
     ) -> Fragment:
         alt_label = make_label("else")
         test = self.compile(expr.test, cenv, depth, Cont.VALUE, tracker)
@@ -167,14 +176,14 @@ class StockCompiler:
             return instruction(Op.LOCAL, location.index)
         if isinstance(location, Closed):
             return instruction(Op.CLOSED, location.index)
-        if name not in self.globals_:
+        if name not in cenv.program:
             spec = PRIMITIVES.get(name)
             if spec is not None:
                 return instruction(Op.CONST, Lit(spec))
         return instruction(Op.GLOBAL, Lit(name))
 
     def _lambda(
-        self, expr: Lam, cenv: CompileTimeEnv, tracker: _DepthTracker
+        self, expr: Lam, cenv: CompileTimeEnv, tracker: DepthTracker
     ) -> Fragment:
         captured = tuple(
             sorted(
@@ -182,8 +191,9 @@ class StockCompiler:
                 key=lambda s: s.name,
             )
         )
-        template = self.compile_procedure(
-            expr.params, expr.body, free=captured, name="lambda"
+        template = self._template(
+            cenv.procedure(expr.params, captured), len(expr.params),
+            expr.body, "lambda",
         )
         parts = []
         for v in captured:

@@ -442,14 +442,14 @@ def encode_residual(residual: ResidualProgram) -> bytes:
     return _frame(bytes(enc.buf) + body)
 
 
-def decode_residual(data: bytes, check_fingerprint: bool = True) -> ResidualProgram:
+def decode_residual(data: bytes) -> ResidualProgram:
     """Decode a framed residual-program image.
 
-    With ``check_fingerprint`` (the default) the decoded program is
-    re-encoded and the digest of that encoding compared against the
-    digest the encoder embedded; a mismatch means the image does not
-    reproduce the original code byte-for-byte (tampering under a
-    recomputed CRC, or encoder/decoder drift) and is rejected.
+    The decoded program is re-encoded and the digest of that encoding
+    compared against the digest the encoder embedded; a mismatch means
+    the image does not reproduce the original code byte-for-byte
+    (tampering under a recomputed CRC, or encoder/decoder drift) and is
+    rejected.
 
     The decoded program is **untrusted**: nothing here runs the verifier
     — callers (the store, the CLI) do that before execution.
@@ -481,13 +481,12 @@ def decode_residual(data: bytes, check_fingerprint: bool = True) -> ResidualProg
         raise CodecError(f"unknown residual kind byte 0x{kind:02x}")
     dec.done()
     residual.stats["loaded_from_image"] = True
-    if check_fingerprint:
-        if hashlib.sha256(_encode_body(residual)).hexdigest() != digest:
-            raise CodecError(
-                "digest mismatch: the decoded program does not reproduce"
-                " the encoded code byte-for-byte"
-            )
-        residual.stats["residual_digest"] = digest
+    if hashlib.sha256(_encode_body(residual)).hexdigest() != digest:
+        raise CodecError(
+            "digest mismatch: the decoded program does not reproduce"
+            " the encoded code byte-for-byte"
+        )
+    residual.stats["residual_digest"] = digest
     return residual
 
 
@@ -508,8 +507,8 @@ def save_image(residual: ResidualProgram, path: Any) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def load_image(path: Any, check_fingerprint: bool = True) -> ResidualProgram:
+def load_image(path: Any) -> ResidualProgram:
     """Read an image file back into a residual program (unverified)."""
     with open(path, "rb") as fh:
         data = fh.read()
-    return decode_residual(data, check_fingerprint=check_fingerprint)
+    return decode_residual(data)

@@ -572,9 +572,7 @@ class ImageStore:
                 st = self.backend.stat_object(digest)
                 entry["bytes"] = st.size
                 entry["mtime"] = st.mtime
-                residual = decode_residual(
-                    self.backend.read_object(digest), check_fingerprint=False
-                )
+                residual = decode_residual(self.backend.read_object(digest))
                 entry["goal"] = residual.goal.name
                 entry["params"] = [p.name for p in residual.goal_params]
                 entry["kind"] = (
@@ -675,8 +673,9 @@ class ImageStore:
     def fsck(self) -> dict[str, Any]:
         """Scan every object for corruption and repair the store.
 
-        Each object is re-hashed against its content address and its
-        framing is decoded (CRC-checked); anything torn — e.g. a
+        Each object is re-hashed against its content address and
+        decoded as a load would decode it (CRC and embedded residual
+        digest checked); anything that fails — e.g. a
         zero-length object left by a crash before the durability fix —
         is quarantined (moved aside, or deleted when that fails) and the
         index refs pointing at it are pruned, so later gets miss cleanly
@@ -700,7 +699,7 @@ class ImageStore:
                     corrupt.append(st.digest)
                     continue
                 try:
-                    decode_residual(data, check_fingerprint=False)
+                    decode_residual(data)
                 except CodecError:
                     corrupt.append(st.digest)
             quarantined = 0

@@ -2,16 +2,22 @@
 
 The same compilator definitions, read two ways, must agree:
 
-* annotation erasure yields a compiler identical to the handwritten Act-1
-  ANF compiler (template-for-template);
+* annotation erasure yields a compiler identical to ``compile_program``,
+  whose ANF route folds the syntax into the printed combinators
+  (template-for-template);
 * the derived ``make-residual-...`` combinators build the same fragments
   the compilators build.
+
+The let shapes of the two rest on the same read facts, derived twice:
+from ANF syntax (:class:`repro.compiler.reads.ReadFacts`, which the
+erasing reading uses) and composed on the fused backend's handles.
 """
 
 from hypothesis import given, settings
 
 from repro.anf import anf_convert
-from repro.compiler import ANFCompiler, DerivedANFCompiler
+from repro.anf.convert import anf_convert_program
+from repro.compiler import DerivedANFCompiler, ObjectCodeBackend, compile_program
 from repro.compiler.annotated import (
     DepthTracker,
     GenCenv,
@@ -26,7 +32,10 @@ from repro.compiler.annotated import (
     make_residual_variable,
 )
 from repro.compiler.cenv import CompileTimeEnv
-from repro.lang import parse_expr
+from repro.compiler.program import fold_body
+from repro.compiler.reads import ReadFacts
+from repro.lang import parse_expr, parse_program
+from repro.lang.ast import App, If, Lam, Let, Prim
 from repro.lang.prims import PRIMITIVES
 from repro.sexp import sym
 from repro.vm import Machine, VmClosure, assemble, disassemble
@@ -34,24 +43,31 @@ from tests.strategies import arith_exprs, higher_order_exprs, list_exprs
 
 
 def compile_both(source: str):
-    expr = anf_convert(parse_expr(source))
-    handwritten = ANFCompiler().compile_procedure((), expr, name="t")
-    derived = DerivedANFCompiler().compile_procedure((), expr, name="t")
-    return handwritten, derived
+    program = anf_convert_program(parse_program(f"(define (t) {source})"))
+    folded = compile_program(program).templates[sym("t")]
+    derived = DerivedANFCompiler().compile_procedure(
+        (), program.defs[0].body, name="t"
+    )
+    return folded, derived
+
+
+EXPR_CASES = [
+    "42",
+    "'(a (b) 3)",
+    "(+ 1 2)",
+    "(if (< 1 2) 'a 'b)",
+    "(let ((x (+ 1 2))) (* x x))",
+    "((lambda (x y) (- x y)) 10 3)",
+    "(((lambda (a) (lambda (b) (+ a b))) 1) 2)",
+    "(let ((f (lambda (x) (* x 2)))) (f (f 5)))",
+    "(if (zero? 0) (let ((y 1)) y) 2)",
+]
 
 
 class TestErasureEqualsHandwritten:
-    CASES = [
-        "42",
-        "'(a (b) 3)",
-        "(+ 1 2)",
-        "(if (< 1 2) 'a 'b)",
-        "(let ((x (+ 1 2))) (* x x))",
-        "((lambda (x y) (- x y)) 10 3)",
-        "(((lambda (a) (lambda (b) (+ a b))) 1) 2)",
-        "(let ((f (lambda (x) (* x 2)))) (f (f 5)))",
-        "(if (zero? 0) (let ((y 1)) y) 2)",
-    ]
+    """The erasing reading against ``compile_program``'s handwritten fold."""
+
+    CASES = EXPR_CASES
 
     def test_identical_disassembly_on_cases(self):
         for source in self.CASES:
@@ -80,6 +96,66 @@ class TestErasureEqualsHandwritten:
         expr = anf_convert(parse_expr("(let ((x (* 6 7))) x)"))
         t = DerivedANFCompiler().compile_procedure((), expr, name="t")
         assert Machine().call(VmClosure(t, ()), []) == 42
+
+
+def _tail_bodies(expr, bound=()):
+    """(enclosing binders, body) for the ANF body ``expr`` and every
+    let body, branch and lambda body in it."""
+    yield bound, expr
+    if isinstance(expr, Let):
+        yield from _lambda_bodies(expr.rhs, bound)
+        yield from _tail_bodies(expr.body, bound + (expr.var,))
+    elif isinstance(expr, If):
+        yield from _tail_bodies(expr.then, bound)
+        yield from _tail_bodies(expr.alt, bound)
+    else:
+        yield from _lambda_bodies(expr, bound)
+
+
+def _lambda_bodies(expr, bound):
+    if isinstance(expr, Lam):
+        yield from _tail_bodies(expr.body, bound + expr.params)
+    elif isinstance(expr, App):
+        for sub in (expr.fn, *expr.args):
+            yield from _lambda_bodies(sub, bound)
+    elif isinstance(expr, Prim):
+        for sub in expr.args:
+            yield from _lambda_bodies(sub, bound)
+
+
+def assert_same_read_facts(source: str):
+    expr = anf_convert(parse_expr(source))
+    syntax = ReadFacts()
+    for bound, body in _tail_bodies(expr):
+        handle = fold_body(ObjectCodeBackend(), bound, body)
+        facts = syntax.of(body)
+        assert (handle.free, handle.head, handle.later) == (
+            facts.free, facts.head, facts.later
+        ), (source, body)
+
+
+class TestReadFactsAgree:
+    """Syntax read facts equal the fused handles' on closed programs
+    (a global reference is a read to the former, not to the latter)."""
+
+    def test_cases(self):
+        for source in EXPR_CASES:
+            assert_same_read_facts(source)
+
+    @given(arith_exprs(depth=4))
+    @settings(max_examples=50)
+    def test_random_arith(self, source):
+        assert_same_read_facts(source)
+
+    @given(higher_order_exprs(depth=4))
+    @settings(max_examples=50)
+    def test_random_higher_order(self, source):
+        assert_same_read_facts(source)
+
+    @given(list_exprs(depth=3))
+    @settings(max_examples=30)
+    def test_random_lists(self, source):
+        assert_same_read_facts(source)
 
 
 def _ctx(params=()):

@@ -16,23 +16,20 @@ def power_file(tmp_path):
 
 @pytest.fixture()
 def broken_compiler(monkeypatch):
-    """Make the ANF compiler emit a well-framed but unsound template (a
-    branch past the end of its code) for every procedure."""
-    from repro.compiler import program as program_mod
+    """Make the fused backend, which the ANF route of compile_program
+    defines through, emit a well-framed but unsound template (a branch
+    past the end of its code) for every procedure."""
+    from repro.compiler import fusion
     from repro.vm.instructions import Op
     from repro.vm.template import Template
 
-    class Broken:
-        def __init__(self, *args, **kwargs):
-            pass
+    def broken(fragment, arity, nlocals, name="anonymous"):
+        return Template(
+            code=((Op.JUMP, 99), (Op.RETURN,)), literals=(),
+            arity=arity, nlocals=nlocals, name=name,
+        )
 
-        def compile_procedure(self, params, body, name="anonymous"):
-            return Template(
-                code=((Op.JUMP, 99), (Op.RETURN,)), literals=(),
-                arity=len(params), nlocals=len(params), name=name,
-            )
-
-    monkeypatch.setattr(program_mod, "ANFCompiler", Broken)
+    monkeypatch.setattr(fusion, "assemble", broken)
 
 
 class TestRunCommands:

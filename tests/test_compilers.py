@@ -1,23 +1,29 @@
-"""Tests for the ANF compiler and the stock compiler, against the interpreter."""
+"""Tests for compile_program's two routes, against the interpreter: the
+ANF route (a fold of ANF syntax into the fused backend) and the stock
+compiler."""
 
 import pytest
 from hypothesis import given, settings
 
-from repro.anf import anf_convert
-from repro.compiler import ANFCompiler, StockCompiler, compile_program
-from repro.compiler.anf_compiler import CompileError, compile_anf_expr
+from repro.compiler import (
+    CompileError,
+    ObjectCodeBackend,
+    StockCompiler,
+    compile_program,
+)
+from repro.compiler.program import fold_program
 from repro.interp import Interpreter
 from repro.lang import parse_expr, parse_program
 from repro.runtime.values import scheme_equal
 from repro.sexp import sym
 from repro.vm import Machine, VmClosure
+from tests.helpers import run_all_ways
 from tests.strategies import arith_exprs, higher_order_exprs, list_exprs
 
 
 def run_anf_expr(source: str):
-    expr = anf_convert(parse_expr(source))
-    template = compile_anf_expr(expr)
-    return Machine().call(VmClosure(template, ()), [])
+    program = parse_program(f"(define (top) {source})")
+    return compile_program(program).run([])
 
 
 def run_stock_expr(source: str):
@@ -94,16 +100,18 @@ class TestStockOnly:
 
 class TestANFCompilerRejectsNonANF:
     def test_nested_call_rejected(self):
-        with pytest.raises(Exception):
-            compile_anf_expr(parse_expr("(+ 1 (f 2))"))
+        program = parse_program("(define (t) (+ 1 (f 2)))")
+        with pytest.raises(CompileError, match="trivial"):
+            fold_program(program, ObjectCodeBackend())
 
     def test_unknown_primitive(self):
-        from repro.lang.ast import Prim
+        from repro.lang.ast import Def, Prim, Program
 
-        with pytest.raises(CompileError):
-            ANFCompiler(check=False).compile_procedure(
-                (), Prim(sym("no-such-prim"), ()), name="x"
-            )
+        x = sym("x")
+        program = Program((Def(x, (), Prim(sym("no-such-prim"), ())),), x)
+        for mode in ("auto", "stock"):
+            with pytest.raises(CompileError, match="no-such-prim"):
+                compile_program(program, compiler=mode)
 
 
 class TestWholeProgramCompilation:
@@ -116,11 +124,6 @@ class TestWholeProgramCompilation:
     def test_stock_mode(self):
         p = parse_program(self.FACT)
         assert compile_program(p, compiler="stock").run([6]) == 720
-
-    def test_anf_mode_requires_anf(self):
-        p = parse_program(self.FACT)
-        with pytest.raises(ValueError):
-            compile_program(p, compiler="anf")
 
     def test_unknown_mode(self):
         p = parse_program(self.FACT)
@@ -137,6 +140,16 @@ class TestWholeProgramCompilation:
         )
         for mode in ("auto", "stock"):
             assert compile_program(p, compiler=mode).run([10]) is True
+
+    @pytest.mark.parametrize("main", [
+        "(define (main y) (abs y))",
+        "(define (main y) (let ((f (lambda (z) (abs z)))) (f y)))",
+    ], ids=["direct", "in-closure"])
+    def test_definitions_shadow_primitives(self, main):
+        # Unlike even?/odd? above, the primitive abs gives a different
+        # answer from the program's own.
+        p = parse_program(f"(define (abs x) 'mine) {main}")
+        assert run_all_ways(p, [-3]) == [sym("mine")] * 3
 
     def test_deep_tail_recursion(self):
         p = parse_program("(define (loop n) (if (zero? n) 'done (loop (- n 1))))")

@@ -23,7 +23,7 @@ def both_routes(src, signature, static_args, goal=None, **kw):
     program = parse_program(src, goal=goal)
     res = analyze(program, signature, **kw)
     rp_src = Specializer(res.annotated, SourceBackend()).run(static_args)
-    compiled = compile_program(rp_src.program, compiler="anf")
+    compiled = compile_program(rp_src.program)
     be = ObjectCodeBackend()
     rp_obj = Specializer(res.annotated, be).run(static_args)
     return program, rp_src, compiled, rp_obj, be
@@ -162,9 +162,9 @@ class TestObjectBackendBehaviour:
         assert rp.run([300000, 0]) == 300000
 
     def test_unknown_primitive_rejected(self):
-        from repro.pe.errors import SpecializationError
+        from repro.compiler import CompileError
         from repro.sexp import sym
 
         be = ObjectCodeBackend()
-        with pytest.raises(SpecializationError):
+        with pytest.raises(CompileError):
             be.prim(sym("definitely-not-a-prim"), [])

@@ -36,6 +36,19 @@ def _key(n: int = 1) -> StoreKey:
     return store_key("prog", (n,), "duplicate", "object")
 
 
+def _misdigested_image(gen) -> bytes:
+    """A soundly framed image whose embedded residual digest does not
+    match its code: its CRC holds, and so does any content address taken
+    of its bytes, but decoding rejects it."""
+    from repro.image.codec import _frame, _unframe
+
+    rp = gen.to_object_code([5])
+    payload = _unframe(encode_residual(rp))
+    embedded = rp.stats["residual_digest"].encode()
+    assert payload.count(embedded) == 1
+    return _frame(payload.replace(embedded, b"0" * 64))
+
+
 class TestStoreKey:
     def test_deterministic(self):
         frozen = (1, "a", sym("s"), 2.5, Char("x"), (True, None, b"raw"))
@@ -261,6 +274,14 @@ class TestLs:
         (entry,) = store.ls()
         assert "error" in entry
 
+    def test_ls_reports_a_wrong_embedded_digest(self, tmp_path, gen):
+        store = ImageStore(tmp_path / "store")
+        data = _misdigested_image(gen)
+        assert store.adopt(_key(), hashlib.sha256(data).hexdigest(), data)
+        (entry,) = store.ls()
+        assert "digest mismatch" in entry["error"]
+        assert "goal" not in entry
+
     def test_ls_empty(self, tmp_path):
         assert ImageStore(tmp_path / "store").ls() == []
 
@@ -433,6 +454,23 @@ class TestDurability:
         assert store.get(_key()) is None
         # and a second fsck is clean
         assert store.fsck()["ok"]
+
+    def test_fsck_quarantines_object_with_wrong_embedded_digest(
+        self, tmp_path, gen
+    ):
+        # Every get of such an object fails its decode and counts a
+        # read error, so fsck sets it aside like any other corruption.
+        store = ImageStore(tmp_path / "store")
+        data = _misdigested_image(gen)
+        digest = hashlib.sha256(data).hexdigest()
+        assert store.adopt(_key(), digest, data)
+        report = store.fsck()
+        assert report["corrupt"] == [digest]
+        assert report["quarantined"] == 1
+        assert report["removed_refs"] == 1
+        assert not report["ok"]
+        assert store.get(_key()) is None
+        assert store.stats()["read_errors"] == 0
 
     def test_fsck_clean_store(self, tmp_path, gen):
         store = ImageStore(tmp_path / "store")

@@ -168,10 +168,10 @@ class TestProgramContainer:
 
 class TestTemplateAndDisasm:
     def test_instruction_count_recursive(self):
-        from repro.anf import anf_convert
-        from repro.compiler.anf_compiler import compile_anf_expr
+        from repro.compiler import compile_program
 
-        t = compile_anf_expr(anf_convert(parse_expr("((lambda (x) x) 1)")))
+        program = parse_program("(define (t) ((lambda (x) x) 1))")
+        t = compile_program(program).templates[sym("t")]
         assert t.instruction_count(recursive=True) > t.instruction_count(
             recursive=False
         )
@@ -264,11 +264,11 @@ class TestTemplateAndDisasm:
         assert make(name="a").content_digest() != make(name="b").content_digest()
 
     def test_disassemble_shows_globals_and_prims(self):
-        from repro.anf import anf_convert
-        from repro.compiler.anf_compiler import compile_anf_expr
+        from repro.compiler import compile_program
         from repro.vm import disassemble
 
-        t = compile_anf_expr(anf_convert(parse_expr("(+ 1 (g 2))")))
+        program = parse_program("(define (t) (+ 1 (g 2)))")
+        t = compile_program(program).templates[sym("t")]
         text = disassemble(t)
         assert "GLOBAL" in text
         assert "prim +" in text

@@ -281,18 +281,10 @@ class TestVerifyAPI:
     def test_compile_program_verifies_by_default(self, monkeypatch):
         # Corrupt the compiler's output: compile_program must reject it
         # before a machine ever runs it.
-        from repro.compiler import program as program_mod
+        from repro.compiler import fusion
 
         program = parse_program("(define (main x) x)")
         bad = _tmpl([(Op.JUMP, 99), (Op.RETURN,)], name="main")
-
-        class _Broken:
-            def __init__(self, *a, **kw):
-                pass
-
-            def compile_procedure(self, params, body, name="anonymous"):
-                return bad
-
-        monkeypatch.setattr(program_mod, "ANFCompiler", _Broken)
+        monkeypatch.setattr(fusion, "assemble", lambda *a, **kw: bad)
         with pytest.raises(VerificationError):
             compile_program(program, compiler="auto")
