@@ -17,11 +17,12 @@ sets (§6.3):
 
 * :class:`DirectAnnotations` makes the annotations disappear: ``call``
   applies immediately, ``let``/``lift`` are identities, and ``compile``
-  recurses through the syntax dispatch — "the result is still usable as
-  an ordinary compiler".  :class:`DerivedANFCompiler` packages this as a
-  drop-in compiler, tested to produce *identical templates* to
-  :func:`~repro.compiler.program.compile_program`, whose ANF route
-  folds the syntax into the printed combinators below.
+  applies the already-compiled component.  :func:`erase` turns a
+  compilator into a combinator run under it, and the fused backend over
+  those combinators (:class:`~repro.compiler.fusion.ErasingBackend`), folded
+  over a program's syntax like the printed ones, is "still usable as an
+  ordinary compiler" — tested to produce *identical templates* to
+  :func:`~repro.compiler.program.compile_program`.
 * :class:`GenAnnotations` runs each compilator **once** with symbolic
   parameters, recording the delayed operations as a recipe DAG — the
   analogue of macro-expanding the compilator into a code-generation
@@ -38,21 +39,20 @@ The compilators emit no instruction the bytecode optimizer would delete
 (DESIGN §1 item 7).  Their helpers track what the ``val`` register holds
 (:class:`DepthTracker`), so a read of a value already there compiles to
 nothing, and ``let`` comes in three shapes chosen from static read facts
-of its body (:mod:`repro.compiler.reads`).  The tracking relies on the
+of its body (:mod:`repro.compiler.reads`), which the fused backend's
+handles carry for every reading.  The tracking relies on the
 helpers running in execution order: each compilator is one nested
 expression whose arguments every reading evaluates left to right.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.compiler.cenv import Closed, CompileTimeEnv, Held, Local
-from repro.compiler.reads import HELD, STORED, ReadFacts, let_shape
 from repro.lang.prims import PRIMITIVES, PrimSpec
 from repro.runtime.errors import SchemeError
-from repro.runtime.values import constant_key, datum_to_value
+from repro.runtime.values import constant_key
 from repro.sexp.datum import Symbol
 from repro.vm.fragments import (
     EMPTY,
@@ -153,9 +153,6 @@ class GenAnnotations:
 class DirectAnnotations:
     """The annotation-erasing reading: an ordinary compiler."""
 
-    def __init__(self, compiler: "DerivedANFCompiler"):
-        self.compiler = compiler
-
     def call(self, fn: Callable, *args: Any) -> Any:
         return fn(*args)
 
@@ -165,8 +162,12 @@ class DirectAnnotations:
     def lift(self, c: Any) -> Any:
         return c
 
-    def compile(self, component: "DirectComponent", cenv: Any, depth: Any) -> Any:
+    def compile(self, component: Callable, cenv: Any, depth: Any) -> Any:
         return component(cenv, depth)
+
+
+#: The erasing reading is stateless: one instance serves every compilator.
+DIRECT = DirectAnnotations()
 
 
 # ---------------------------------------------------------------------------
@@ -552,141 +553,18 @@ make_residual_lambda = derive_combinator(
 
 
 # ---------------------------------------------------------------------------
-# The annotation-erasing reading: a complete compiler from the same
-# compilator definitions (tested identical to compile_program).
+# The annotation-erasing reading (§6.2): the same compilators, run at once.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DirectComponent:
-    """A subcomponent for the direct reading: compile node with ``kind``."""
+def erase(compilator: Callable) -> Callable:
+    """``compilator`` with its annotations erased, as a combinator.
 
-    compiler: "DerivedANFCompiler"
-    kind: str
-    node: Any
-
-    def __call__(self, cenv: GenCenv, depth: int) -> Fragment:
-        return self.compiler.compile_kind(self.kind, self.node, cenv, depth)
-
-
-class DerivedANFCompiler:
-    """The ANF compiler obtained by erasing the annotations.
-
-    A syntax dispatch over ANF; all fragment construction comes from
-    the annotated compilators run under :class:`DirectAnnotations`.
+    Given the slots (statics first, components second), it yields the
+    ``(cenv, depth) -> fragment`` that runs the compilator under
+    :data:`DIRECT`.  A syntax walk that supplies the slots makes this
+    "an ordinary compiler" (:class:`repro.compiler.fusion.ErasingBackend`).
     """
-
-    def __init__(self) -> None:
-        self.A = DirectAnnotations(self)
-        self.reads = ReadFacts()
-
-    def compile_procedure(self, params, body, free=(), name="anonymous"):
-        from repro.vm.assembler import assemble
-
-        env = CompileTimeEnv.for_procedure(tuple(params), tuple(free))
-        tracker = DepthTracker(len(params))
-        cenv = GenCenv(env, tracker)
-        fragment = self.compile_kind("tail", body, cenv, len(params))
-        return assemble(fragment, len(params), tracker.max_depth, name)
-
-    # -- dispatch ---------------------------------------------------------------
-
-    def compile_kind(self, kind: str, node, cenv: GenCenv, depth: int):
-        from repro.lang.ast import App, Const, If, Lam, Let, Prim, Var
-
-        A = self.A
-        if kind == "tail":
-            if isinstance(node, Let):
-                rhs = self._rhs_component(node.rhs)
-                body = DirectComponent(self, "tail", node.body)
-                shape = let_shape(node.var, self.reads.of(node.body))
-                if shape is STORED:
-                    return compilator_let(A, node.var, rhs, body, cenv, depth)
-                if shape is HELD:
-                    return compilator_let_held(
-                        A, node.var, rhs, body, cenv, depth
-                    )
-                return compilator_let_unread(A, rhs, body, cenv, depth)
-            if isinstance(node, If):
-                return compilator_if(
-                    A,
-                    DirectComponent(self, "trivial", node.test),
-                    DirectComponent(self, "tail", node.then),
-                    DirectComponent(self, "tail", node.alt),
-                    cenv,
-                    depth,
-                )
-            if isinstance(node, App):
-                return compilator_tail_call(
-                    A,
-                    DirectComponent(self, "trivial", node.fn),
-                    tuple(
-                        DirectComponent(self, "trivial", a) for a in node.args
-                    ),
-                    cenv,
-                    depth,
-                )
-            if isinstance(node, Prim):
-                return compilator_return(
-                    A, DirectComponent(self, "value", node), cenv, depth
-                )
-            return compilator_return(
-                A, DirectComponent(self, "trivial", node), cenv, depth
-            )
-        if kind == "value":
-            # A serious expression in value position (a let rhs).
-            if isinstance(node, App):
-                return compilator_call(
-                    A,
-                    DirectComponent(self, "trivial", node.fn),
-                    tuple(
-                        DirectComponent(self, "trivial", a) for a in node.args
-                    ),
-                    cenv,
-                    depth,
-                )
-            if isinstance(node, Prim):
-                spec = PRIMITIVES[node.op]
-                return compilator_prim(
-                    A,
-                    spec,
-                    tuple(
-                        DirectComponent(self, "trivial", a) for a in node.args
-                    ),
-                    cenv,
-                    depth,
-                )
-            return self.compile_kind("trivial", node, cenv, depth)
-        if kind == "trivial":
-            if isinstance(node, Const):
-                return compilator_const(
-                    A, datum_to_value(node.value), cenv, depth
-                )
-            if isinstance(node, Var):
-                return compilator_variable(A, node.name, cenv, depth)
-            if isinstance(node, Lam):
-                from repro.lang.freevars import free_variables
-
-                captured = tuple(
-                    sorted(
-                        (
-                            v
-                            for v in free_variables(node)
-                            if cenv.env.is_bound_locally(v)
-                        ),
-                        key=lambda s: s.name,
-                    )
-                )
-                return compilator_lambda(
-                    A,
-                    node.params,
-                    captured,
-                    DirectComponent(self, "tail", node.body),
-                    cenv,
-                    depth,
-                )
-            raise TypeError(f"not a trivial expression: {type(node).__name__}")
-        raise ValueError(f"unknown component kind {kind!r}")
-
-    def _rhs_component(self, rhs) -> DirectComponent:
-        return DirectComponent(self, "value", rhs)
+    return lambda *slots: lambda cenv, depth: compilator(
+        DIRECT, *slots, cenv, depth
+    )

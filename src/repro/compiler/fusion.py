@@ -9,7 +9,9 @@ generators* built from the ``make-residual-...`` combinators of the
 annotated compiler — the deforested composition ``compile ∘
 specialize``.  The combinators are the *printed* ones (§6.3.2): the
 module :mod:`repro.compiler.combinator_source` renders from the
-compilators, loaded once at import.
+compilators, loaded once at import.  They are class attributes, and
+:class:`ErasingBackend` replaces them with the compilators read with
+their annotations erased (§6.2).
 
 Residual code handles:
 
@@ -44,7 +46,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
-from repro.compiler.annotated import CompileError, DepthTracker, GenCenv
+from repro.compiler import annotated as _annotated
+from repro.compiler.annotated import CompileError, DepthTracker, GenCenv, erase
 from repro.compiler.cenv import CompileTimeEnv
 from repro.compiler.combinator_source import load_combinator_module
 from repro.compiler.reads import (
@@ -68,17 +71,6 @@ from repro.vm.verify import verify_template
 
 # The printed combinators (§6.3.2), loaded once.
 _PRINTED = load_combinator_module()
-make_residual_call = _PRINTED["make_residual_call"]
-make_residual_const = _PRINTED["make_residual_const"]
-make_residual_if = _PRINTED["make_residual_if"]
-make_residual_lambda = _PRINTED["make_residual_lambda"]
-make_residual_let = _PRINTED["make_residual_let"]
-make_residual_let_held = _PRINTED["make_residual_let_held"]
-make_residual_let_unread = _PRINTED["make_residual_let_unread"]
-make_residual_prim = _PRINTED["make_residual_prim"]
-make_residual_return = _PRINTED["make_residual_return"]
-make_residual_tail_call = _PRINTED["make_residual_tail_call"]
-make_residual_variable = _PRINTED["make_residual_variable"]
 
 
 class TrivCode:
@@ -158,36 +150,51 @@ class ObjectCodeBackend:
 
     kind = "object"
 
+    # The make-residual-... combinators every constructor below builds
+    # its emitters from: the printed ones (§6.3.2).
+    make_residual_call = staticmethod(_PRINTED["make_residual_call"])
+    make_residual_const = staticmethod(_PRINTED["make_residual_const"])
+    make_residual_if = staticmethod(_PRINTED["make_residual_if"])
+    make_residual_lambda = staticmethod(_PRINTED["make_residual_lambda"])
+    make_residual_let = staticmethod(_PRINTED["make_residual_let"])
+    make_residual_let_held = staticmethod(_PRINTED["make_residual_let_held"])
+    make_residual_let_unread = staticmethod(_PRINTED["make_residual_let_unread"])
+    make_residual_prim = staticmethod(_PRINTED["make_residual_prim"])
+    make_residual_return = staticmethod(_PRINTED["make_residual_return"])
+    make_residual_tail_call = staticmethod(_PRINTED["make_residual_tail_call"])
+    make_residual_variable = staticmethod(_PRINTED["make_residual_variable"])
+
     def __init__(self) -> None:
         self.machine = Machine()
         self.templates: dict[Symbol, Template] = {}
         # Residual function names: one machine, one namespace.
         self.names = Gensym("f")
         # Top-level names that shadow primitives (see CompileTimeEnv);
-        # compile_program sets its program's, and the specializer's
+        # fold_program sets its program's, and the specializer's
         # generated names shadow none.
         self.program: frozenset = frozenset()
 
     # -- trivial constructors ----------------------------------------------------
 
     def const(self, value: Any) -> TrivCode:
-        return TrivCode(make_residual_const(value), _EMPTY)
+        return TrivCode(self.make_residual_const(value), _EMPTY)
 
     def var(self, name: Symbol) -> TrivCode:
         return TrivCode(
-            make_residual_variable(name), frozenset((name,)), name, _EMPTY,
-            True,
+            self.make_residual_variable(name), frozenset((name,)), name,
+            _EMPTY, True,
         )
 
     def global_ref(self, name: Symbol) -> TrivCode:
         # Residual functions and primitives resolve through the global
         # environment (or the literal frame, for primitives); they are
         # never captured by closures, so the free set stays empty.
-        return TrivCode(make_residual_variable(name), _EMPTY)
+        return TrivCode(self.make_residual_variable(name), _EMPTY)
 
     def lam(self, params: Sequence[Symbol], body: BodyCode) -> TrivCode:
         params = tuple(params)
         free = body.free - set(params)
+        make_residual_lambda = self.make_residual_lambda
 
         def emit(cenv: GenCenv, depth: int) -> Any:
             captured = tuple(
@@ -209,16 +216,16 @@ class ObjectCodeBackend:
         if spec is None:
             raise CompileError(f"unknown primitive {op}")
         emits = tuple(a.emit for a in args)
-        value = make_residual_prim(spec, emits)
+        value = self.make_residual_prim(spec, emits)
         return SeriousCode(
-            value, make_residual_return(value), *sequence_reads(args)
+            value, self.make_residual_return(value), *sequence_reads(args)
         )
 
     def call(self, fn: TrivCode, args: Sequence[TrivCode]) -> SeriousCode:
         emits = tuple(a.emit for a in args)
         return SeriousCode(
-            make_residual_call(fn.emit, emits),
-            make_residual_tail_call(fn.emit, emits),
+            self.make_residual_call(fn.emit, emits),
+            self.make_residual_tail_call(fn.emit, emits),
             *sequence_reads((fn, *args)),
         )
 
@@ -228,22 +235,23 @@ class ObjectCodeBackend:
         rhs_emit = rhs.emit_value if isinstance(rhs, SeriousCode) else rhs.emit
         shape = let_shape(var, body)
         if shape is STORED:
-            emit = make_residual_let(var, rhs_emit, body.emit)
+            emit = self.make_residual_let(var, rhs_emit, body.emit)
         elif shape is HELD:
-            emit = make_residual_let_held(var, rhs_emit, body.emit)
+            emit = self.make_residual_let_held(var, rhs_emit, body.emit)
         else:
-            emit = make_residual_let_unread(rhs_emit, body.emit)
+            emit = self.make_residual_let_unread(rhs_emit, body.emit)
         return BodyCode(emit, *let_reads(var, shape, rhs, body))
 
     def if_(self, test: TrivCode, then: BodyCode, alt: BodyCode) -> BodyCode:
         return BodyCode(
-            make_residual_if(test.emit, then.emit, alt.emit),
+            self.make_residual_if(test.emit, then.emit, alt.emit),
             *if_reads(test, then, alt),
         )
 
     def ret(self, triv: TrivCode) -> BodyCode:
         return BodyCode(
-            make_residual_return(triv.emit), triv.free, triv.head, triv.later
+            self.make_residual_return(triv.emit), triv.free, triv.head,
+            triv.later,
         )
 
     def tail(self, serious: SeriousCode) -> BodyCode:
@@ -274,3 +282,26 @@ class ObjectCodeBackend:
             goal=goal, goal_params=goal_params, machine=self.machine
         )
 
+
+class ErasingBackend(ObjectCodeBackend):
+    """The annotation-erasing reading of the compilators (§6.2).
+
+    The fused backend with each printed combinator replaced by its
+    compilator run under :data:`~repro.compiler.annotated.DIRECT`
+    (:func:`~repro.compiler.annotated.erase`).  Folded over a program's
+    syntax (:func:`~repro.compiler.program.fold_program`) it is "still
+    usable as an ordinary compiler", and it emits the templates the
+    printed reading emits.
+    """
+
+    make_residual_call = staticmethod(erase(_annotated.compilator_call))
+    make_residual_const = staticmethod(erase(_annotated.compilator_const))
+    make_residual_if = staticmethod(erase(_annotated.compilator_if))
+    make_residual_lambda = staticmethod(erase(_annotated.compilator_lambda))
+    make_residual_let = staticmethod(erase(_annotated.compilator_let))
+    make_residual_let_held = staticmethod(erase(_annotated.compilator_let_held))
+    make_residual_let_unread = staticmethod(erase(_annotated.compilator_let_unread))
+    make_residual_prim = staticmethod(erase(_annotated.compilator_prim))
+    make_residual_return = staticmethod(erase(_annotated.compilator_return))
+    make_residual_tail_call = staticmethod(erase(_annotated.compilator_tail_call))
+    make_residual_variable = staticmethod(erase(_annotated.compilator_variable))

@@ -106,7 +106,10 @@ def fold_body(backend: Any, params: Sequence[Symbol], body: Expr) -> Any:
 
 
 def fold_program(program: Program, backend: Any) -> None:
-    """Define each of the ANF ``program``'s definitions in ``backend``."""
+    """Define each of the ANF ``program``'s definitions in ``backend``,
+    whose environment is rooted at the program's names: they shadow
+    primitives of the same name."""
+    backend.program = frozenset(d.name for d in program.defs)
     for d in program.defs:
         backend.define(d.name, d.params, fold_body(backend, d.params, d.body))
 
@@ -142,8 +145,8 @@ def compile_program(
 
     if any(has_assignments(d.body) for d in program.defs):
         program = eliminate_assignments(program)
-    program_names = frozenset(d.name for d in program.defs)
     if compiler == "stock":
+        program_names = frozenset(d.name for d in program.defs)
         stock = StockCompiler()
         templates = {
             d.name: stock.compile_procedure(
@@ -157,6 +160,5 @@ def compile_program(
     if not is_anf_program(program):
         program = anf_convert_program(program)
     backend = ObjectCodeBackend()
-    backend.program = program_names
     fold_program(program, backend)
     return CompiledProgram(backend.templates, program.goal)

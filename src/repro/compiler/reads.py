@@ -15,14 +15,10 @@ from three facts about the body's reads:
 
 A fourth, ``holds``, says the code is nothing but that run (a variable
 reference), so ``val`` still holds ``head`` after it.  Handles of the
-fused backend carry these facts as attributes and compose them with
-the functions below; :class:`ReadFacts` derives the same facts from
-ANF syntax for the annotation-erasing reading
-(:class:`~repro.compiler.annotated.DerivedANFCompiler`).  It counts a
-reference to a global as a read, which the handles do not (a global is
-never captured or held); the two can therefore pick different let
-shapes only where a closure names a global that sorts before its first
-captured variable.
+fused backend (:mod:`repro.compiler.fusion`) carry these facts as
+attributes and compose them with the functions below; every reading of
+the compilators — printed, derived or erased — gets its let shapes from
+them, so no second derivation from syntax exists to disagree with them.
 """
 
 from __future__ import annotations
@@ -108,62 +104,3 @@ def if_reads(test: Any, then: Any, alt: Any) -> tuple[frozenset, Any, frozenset]
 
 def _name(var: Symbol) -> str:
     return var.name
-
-
-class NodeReads:
-    """The read facts of one ANF node (see the module docstring)."""
-
-    __slots__ = ("free", "head", "later", "holds")
-
-    def __init__(self, free: frozenset, head: Any, later: frozenset,
-                 holds: bool = False):
-        self.free = free
-        self.head = head
-        self.later = later
-        self.holds = holds
-
-
-class ReadFacts:
-    """Read facts of ANF syntax, each node's computed once.
-
-    Nodes are memoized by identity and kept alive by the memo, so an
-    identity is never reused while the memo lives.
-    """
-
-    def __init__(self) -> None:
-        self._memo: dict[int, tuple[Any, NodeReads]] = {}
-
-    def of(self, node: Any) -> NodeReads:
-        hit = self._memo.get(id(node))
-        if hit is not None:
-            return hit[1]
-        reads = self._compute(node)
-        self._memo[id(node)] = (node, reads)
-        return reads
-
-    def _compute(self, node: Any) -> NodeReads:
-        from repro.lang.ast import App, If, Lam, Let, Prim, Var
-        from repro.lang.freevars import free_variables
-
-        if isinstance(node, Var):
-            return NodeReads(frozenset((node.name,)), node.name, EMPTY, True)
-        if isinstance(node, Lam):
-            free = frozenset(free_variables(node))
-            return NodeReads(free, *lambda_reads(free))
-        if isinstance(node, Prim):
-            return NodeReads(*sequence_reads([self.of(a) for a in node.args]))
-        if isinstance(node, App):
-            return NodeReads(*sequence_reads(
-                [self.of(node.fn)] + [self.of(a) for a in node.args]
-            ))
-        if isinstance(node, Let):
-            body = self.of(node.body)
-            shape = let_shape(node.var, body)
-            return NodeReads(*let_reads(
-                node.var, shape, self.of(node.rhs), body
-            ))
-        if isinstance(node, If):
-            return NodeReads(*if_reads(
-                self.of(node.test), self.of(node.then), self.of(node.alt)
-            ))
-        return NodeReads(EMPTY, None, EMPTY)  # a constant

@@ -785,8 +785,9 @@ def optimize(template: Template) -> OptimizationResult:
 
     The input is verified first, and a template with errors is returned
     unchanged (``skipped=True``): the passes only transform code whose
-    semantics the verifier pinned down.  The output is re-verified, and
-    any error raises :class:`TranslationValidationError`.
+    semantics the verifier pinned down.  An output that differs from the
+    input is re-verified, and any error raises
+    :class:`TranslationValidationError`.
     """
     before = template.instruction_count()
     if not check_template(template).ok:
@@ -801,11 +802,14 @@ def optimize(template: Template) -> OptimizationResult:
 
     tree = _TreeOptimizer()
     optimized = tree.template(template)
-    report = check_template(optimized)
-    if not report.ok:
-        raise TranslationValidationError(report)
-
-    after = optimized.instruction_count()
+    if optimized is template:
+        # Nothing was rewritten: the output is the input verified above.
+        after = before
+    else:
+        report = check_template(optimized)
+        if not report.ok:
+            raise TranslationValidationError(report)
+        after = optimized.instruction_count()
     obs.count("vm.optimize.templates")
     obs.count("vm.optimize.instructions_removed", before - after)
     return OptimizationResult(

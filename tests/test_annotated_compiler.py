@@ -2,22 +2,26 @@
 
 The same compilator definitions, read two ways, must agree:
 
-* annotation erasure yields a compiler identical to ``compile_program``,
-  whose ANF route folds the syntax into the printed combinators
-  (template-for-template);
+* annotation erasure (:class:`~repro.compiler.fusion.ErasingBackend`
+  folded by :func:`~repro.compiler.program.fold_program`) yields a
+  compiler identical to ``compile_program``, which folds the same
+  syntax into the printed combinators (template-for-template);
 * the derived ``make-residual-...`` combinators build the same fragments
   the compilators build.
 
-The let shapes of the two rest on the same read facts, derived twice:
-from ANF syntax (:class:`repro.compiler.reads.ReadFacts`, which the
-erasing reading uses) and composed on the fused backend's handles.
+Every reading takes its let shapes from the read facts of the fused
+backend's handles; :class:`TestReadFactsAgree` checks those facts
+against a derivation from ANF syntax written here.  That the derived,
+printed and erased readings agree on every pinned input is checked in
+``tests/test_readings.py``.  ``EXPR_CASES`` are expression inputs of
+the object-code pins.
 """
 
 from hypothesis import given, settings
 
 from repro.anf import anf_convert
 from repro.anf.convert import anf_convert_program
-from repro.compiler import DerivedANFCompiler, ObjectCodeBackend, compile_program
+from repro.compiler import ErasingBackend, ObjectCodeBackend, compile_program
 from repro.compiler.annotated import (
     DepthTracker,
     GenCenv,
@@ -32,24 +36,36 @@ from repro.compiler.annotated import (
     make_residual_variable,
 )
 from repro.compiler.cenv import CompileTimeEnv
-from repro.compiler.program import fold_body
-from repro.compiler.reads import ReadFacts
+from repro.compiler.program import CompiledProgram, fold_body, fold_program
+from repro.compiler.reads import (
+    EMPTY,
+    if_reads,
+    lambda_reads,
+    let_reads,
+    let_shape,
+    sequence_reads,
+)
 from repro.lang import parse_expr, parse_program
-from repro.lang.ast import App, If, Lam, Let, Prim
+from repro.lang.ast import App, If, Lam, Let, Prim, Var
+from repro.lang.freevars import free_variables
 from repro.lang.prims import PRIMITIVES
 from repro.sexp import sym
 from repro.vm import Machine, VmClosure, assemble, disassemble
 from tests.strategies import arith_exprs, higher_order_exprs, list_exprs
 
 
+def erase_compile(program) -> CompiledProgram:
+    """The ANF ``program`` compiled by the erasing reading."""
+    backend = ErasingBackend()
+    fold_program(program, backend)
+    return CompiledProgram(backend.templates, program.goal)
+
+
 def compile_both(source: str):
     program = anf_convert_program(parse_program(f"(define (t) {source})"))
     folded = compile_program(program).templates[sym("t")]
-    derived = DerivedANFCompiler().compile_procedure(
-        (), program.defs[0].body, name="t"
-    )
-    return folded, derived
-
+    erased = erase_compile(program).templates[sym("t")]
+    return folded, erased
 
 EXPR_CASES = [
     "42",
@@ -65,37 +81,78 @@ EXPR_CASES = [
 
 
 class TestErasureEqualsHandwritten:
-    """The erasing reading against ``compile_program``'s handwritten fold."""
+    """The erasing reading against ``compile_program``'s fold into the
+    printed combinators."""
 
     CASES = EXPR_CASES
 
     def test_identical_disassembly_on_cases(self):
         for source in self.CASES:
-            handwritten, derived = compile_both(source)
-            assert disassemble(handwritten) == disassemble(derived), source
+            handwritten, erased = compile_both(source)
+            assert disassemble(handwritten) == disassemble(erased), source
 
     @given(arith_exprs(depth=4))
     @settings(max_examples=50)
     def test_identical_on_random_arith(self, source):
-        handwritten, derived = compile_both(source)
-        assert disassemble(handwritten) == disassemble(derived)
+        handwritten, erased = compile_both(source)
+        assert disassemble(handwritten) == disassemble(erased)
 
     @given(higher_order_exprs(depth=4))
     @settings(max_examples=50)
     def test_identical_on_random_higher_order(self, source):
-        handwritten, derived = compile_both(source)
-        assert disassemble(handwritten) == disassemble(derived)
+        handwritten, erased = compile_both(source)
+        assert disassemble(handwritten) == disassemble(erased)
 
     @given(list_exprs(depth=3))
     @settings(max_examples=30)
     def test_identical_on_random_lists(self, source):
-        handwritten, derived = compile_both(source)
-        assert disassemble(handwritten) == disassemble(derived)
+        handwritten, erased = compile_both(source)
+        assert disassemble(handwritten) == disassemble(erased)
 
     def test_derived_compiler_runs(self):
-        expr = anf_convert(parse_expr("(let ((x (* 6 7))) x)"))
-        t = DerivedANFCompiler().compile_procedure((), expr, name="t")
-        assert Machine().call(VmClosure(t, ()), []) == 42
+        program = anf_convert_program(
+            parse_program("(define (t) (let ((x (* 6 7))) x))")
+        )
+        assert erase_compile(program).run([]) == 42
+
+
+class _Reads:
+    """Read facts of one ANF node (see :mod:`repro.compiler.reads`)."""
+
+    def __init__(self, free, head, later, holds=False):
+        self.free, self.head, self.later, self.holds = free, head, later, holds
+
+
+def syntax_reads(node, scope) -> _Reads:
+    """The read facts of ``node``, derived from its syntax.
+
+    ``scope`` holds the bound variables; any other name is a global or
+    a primitive, which is never captured or held, so it is no read.
+    """
+    if isinstance(node, Var):
+        if node.name in scope:
+            return _Reads(frozenset((node.name,)), node.name, EMPTY, True)
+        return _Reads(EMPTY, None, EMPTY)
+    if isinstance(node, Lam):
+        free = frozenset(free_variables(node)) & scope
+        return _Reads(free, *lambda_reads(free))
+    if isinstance(node, Prim):
+        return _Reads(*sequence_reads([syntax_reads(a, scope) for a in node.args]))
+    if isinstance(node, App):
+        return _Reads(*sequence_reads(
+            [syntax_reads(x, scope) for x in (node.fn, *node.args)]
+        ))
+    if isinstance(node, Let):
+        body = syntax_reads(node.body, scope | {node.var})
+        shape = let_shape(node.var, body)
+        return _Reads(*let_reads(
+            node.var, shape, syntax_reads(node.rhs, scope), body
+        ))
+    if isinstance(node, If):
+        return _Reads(*if_reads(*(
+            syntax_reads(x, scope) for x in (node.test, node.then, node.alt)
+        )))
+    return _Reads(EMPTY, None, EMPTY)  # a constant
 
 
 def _tail_bodies(expr, bound=()):
@@ -123,39 +180,48 @@ def _lambda_bodies(expr, bound):
             yield from _lambda_bodies(sub, bound)
 
 
-def assert_same_read_facts(source: str):
-    expr = anf_convert(parse_expr(source))
-    syntax = ReadFacts()
-    for bound, body in _tail_bodies(expr):
-        handle = fold_body(ObjectCodeBackend(), bound, body)
-        facts = syntax.of(body)
-        assert (handle.free, handle.head, handle.later) == (
-            facts.free, facts.head, facts.later
-        ), (source, body)
+def assert_same_read_facts(expr, params=()):
+    """At every tail body of the ANF ``expr``, the syntax facts equal
+    the handles' under the printed and the erasing backends."""
+    for bound, body in _tail_bodies(expr, tuple(params)):
+        facts = syntax_reads(body, frozenset(bound))
+        for backend_class in (ObjectCodeBackend, ErasingBackend):
+            handle = fold_body(backend_class(), bound, body)
+            assert (handle.free, handle.head, handle.later) == (
+                facts.free, facts.head, facts.later
+            ), (backend_class.__name__, body)
 
 
 class TestReadFactsAgree:
-    """Syntax read facts equal the fused handles' on closed programs
-    (a global reference is a read to the former, not to the latter)."""
+    """Syntax read facts equal the fused handles' (a global reference
+    is a read to neither)."""
 
     def test_cases(self):
         for source in EXPR_CASES:
-            assert_same_read_facts(source)
+            assert_same_read_facts(anf_convert(parse_expr(source)))
+        # A closure that names a global sorting before its one captured
+        # let variable.
+        program = anf_convert_program(parse_program(
+            "(define (g x) (+ x 1))"
+            " (define (t y0) (let ((y (car y0))) ((lambda () (g y)))))"
+        ))
+        for d in program.defs:
+            assert_same_read_facts(d.body, d.params)
 
     @given(arith_exprs(depth=4))
     @settings(max_examples=50)
     def test_random_arith(self, source):
-        assert_same_read_facts(source)
+        assert_same_read_facts(anf_convert(parse_expr(source)))
 
     @given(higher_order_exprs(depth=4))
     @settings(max_examples=50)
     def test_random_higher_order(self, source):
-        assert_same_read_facts(source)
+        assert_same_read_facts(anf_convert(parse_expr(source)))
 
     @given(list_exprs(depth=3))
     @settings(max_examples=30)
     def test_random_lists(self, source):
-        assert_same_read_facts(source)
+        assert_same_read_facts(anf_convert(parse_expr(source)))
 
 
 def _ctx(params=()):

@@ -229,6 +229,22 @@ class TestRecursionAndSkips:
             < inner.instruction_count()
         )
 
+    def test_template_no_pass_rewrites_comes_back_as_is(self, monkeypatch):
+        # The input is verified once; an output that is the input needs
+        # no second check.
+        t = _main_template("(define (main a) (if (< a 0) (- a) (car a)))")
+        checks = []
+        check = opt.check_template
+        monkeypatch.setattr(
+            opt, "check_template", lambda t: checks.append(t) or check(t)
+        )
+        result = opt.optimize(t)
+        assert result.template is t
+        assert result.passes == {}
+        assert result.before_instructions == result.after_instructions
+        assert result.after_instructions == t.instruction_count()
+        assert checks == [t]
+
     def test_unverifiable_input_is_returned_unchanged(self):
         bad = Template(
             code=((Op.LOCAL, 7), (Op.RETURN,)),  # out-of-range slot
