@@ -47,19 +47,20 @@ opt [FILE [--sig SIG]] [--builtin all|examples|workloads] [--json]
 lint [FILE [--sig SIG]] [--builtin all|examples|workloads] [--json]
     Static checks: bytecode-verify every template each target compiles
     to (both backends), and — for targets with a signature — re-check
-    the BTA's output with the variant-aware congruence linter.
-    ``--division`` appends the division-quality report (polyvariant
-    division vs. the monovariant baseline).  Exit status 1 if any error
-    is found; ``--json`` emits the findings as a JSON object.
+    the BTA's output with the variant-aware congruence linter.  Exit
+    status 1 if any error is found; ``--json`` emits the findings as a
+    JSON object.
 
-analyze [FILE --sig SIG] [--builtin all|examples|workloads] [--json]
+analyze [FILE --sig SIG] [--builtin all|examples|workloads] [--division] [--json]
     Specialization-safety analysis (termination + code bloat): prove
     that specializing FILE under SIG terminates with bounded residual
     code, or report ``possible-infinite-specialization`` /
     ``unbounded-polyvariance`` findings naming the offending call
     cycle.  ``--builtin`` additionally sweeps the bundled examples
-    and/or the §7 benchmark workloads (the CI self-gate).  Exit status
-    1 on any finding.
+    and/or the §7 benchmark workloads (the CI self-gate).
+    ``--division`` appends the division-quality report (polyvariant
+    division vs. the monovariant baseline).  Exit status 1 on any
+    finding.
 
 stats FILE --sig SIG [--static DATUM ...] [--repeat N] [--json]
     Build a generating extension, apply it N times to the same static
@@ -529,7 +530,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     warnings = 0
     bytecode_findings = []
     bta_findings = []
-    division_reports = []
     linted_sig = False
     for label, program, sig, goal in targets:
         for backend in ("stock", "auto"):
@@ -569,15 +569,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         prefix = f"{label}: " if multi else ""
         bta_findings.extend(prefix + str(v) for v in congruence)
         errors += len(congruence)
-        if args.division and args.bta == "poly":
-            from repro.analysis import analyze_division
-
-            division_reports.append((
-                label,
-                analyze_division(
-                    program, sig, memo_hints=memo, unfold_hints=unfold
-                ),
-            ))
     if args.json:
         payload = {
             "clean": errors == 0,
@@ -589,11 +580,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
             ],
             "bta": bta_findings,
         }
-        if division_reports:
-            payload["division"] = {
-                label: report.to_json()
-                for label, report in division_reports
-            }
         print(json.dumps(payload, indent=2))
         return 1 if errors else 0
     for f in bytecode_findings:
@@ -602,10 +588,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         print(f["pretty"])
     for v in bta_findings:
         print(f";; [bta] {v}")
-    for label, report in division_reports:
-        print(f";; [division] {label}:")
-        for line in str(report).splitlines():
-            print(";;   " + line)
     noun = "signature and bytecode" if linted_sig else "bytecode"
     if errors:
         print(f";; lint: {errors} error(s), {warnings} warning(s)")
@@ -1482,11 +1464,6 @@ def main(argv: list[str] | None = None) -> int:
         "--builtin", choices=("all", "examples", "workloads"),
         help="also lint the bundled example programs and/or the §7"
         " benchmark workloads (the CI self-gate)",
-    )
-    p.add_argument(
-        "--division", action="store_true",
-        help="append the division-quality report (polyvariant division"
-        " vs. the monovariant baseline) for each signed target",
     )
     p.add_argument(
         "--json", action="store_true",

@@ -31,7 +31,6 @@ from repro.analysis.callgraph import CallGraph, build_callgraph
 from repro.analysis.division import (
     DivisionReport,
     VariantQuality,
-    analyze_division,
     compare_divisions,
 )
 from repro.analysis.report import (
@@ -51,7 +50,6 @@ __all__ = [
     "UnsafeProgramError",
     "VariantQuality",
     "analyze_bta",
-    "analyze_division",
     "analyze_program",
     "build_callgraph",
     "compare_divisions",

@@ -31,7 +31,9 @@ yield comparable paths even though their node types differ.
 
 Everything here is a diagnostic, never a safety finding: a report with
 zero recovered parameters just means the program was monovariant-clean
-to begin with.
+to begin with.  :func:`repro.analysis.analyze_program` with
+``with_division=True`` runs both analyses and attaches the report
+(``python -m repro analyze FILE --sig SIG --division``).
 """
 
 from __future__ import annotations
@@ -54,9 +56,8 @@ from repro.lang.ast import (
     Prim,
     Var,
 )
-from repro.obs import traced
 from repro.pe.annprog import BindingTime
-from repro.pe.bta import BTAResult, analyze
+from repro.pe.bta import BTAResult
 
 S = BindingTime.STATIC
 D = BindingTime.DYNAMIC
@@ -106,7 +107,6 @@ class DivisionReport:
     signature: str
     variants: tuple = ()          # of VariantQuality, def order
     widened: tuple = ()           # origins that overflowed the variant cap
-    max_variants: int = 0
 
     @property
     def recovered_param_count(self) -> int:
@@ -166,7 +166,6 @@ class DivisionReport:
         return {
             "goal": self.goal,
             "signature": self.signature,
-            "max_variants": self.max_variants,
             "improved": self.improved,
             "recovered_params": self.recovered_param_count,
             "spurious_lifts_removed": self.spurious_lift_count,
@@ -290,7 +289,6 @@ def compare_divisions(poly: BTAResult, mono: BTAResult) -> DivisionReport:
         ),
         variants=tuple(qualities),
         widened=tuple(str(o) for o in sorted(poly.widened, key=str)),
-        max_variants=len(poly.variants),
     )
 
 
@@ -306,35 +304,3 @@ def _multiset_diff(a: tuple, b: tuple) -> list:
         else:
             out.append(x)
     return out
-
-
-@traced("analysis.division")
-def analyze_division(
-    program,
-    signature: str,
-    goal: str | None = None,
-    memo_hints: Iterable[str] = (),
-    unfold_hints: Iterable[str] = (),
-    max_variants: int = 8,
-) -> DivisionReport:
-    """BTA a program both ways and report the polyvariant quality delta."""
-    from repro.lang.parser import parse_program
-
-    if isinstance(program, str):
-        program = parse_program(program, goal=goal)
-    poly = analyze(
-        program,
-        signature,
-        memo_hints=memo_hints,
-        unfold_hints=unfold_hints,
-        bta="poly",
-        max_variants=max_variants,
-    )
-    mono = analyze(
-        program,
-        signature,
-        memo_hints=memo_hints,
-        unfold_hints=unfold_hints,
-        bta="mono",
-    )
-    return compare_divisions(poly, mono)

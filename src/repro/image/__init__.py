@@ -39,7 +39,6 @@ from repro.image.remote import (
     parse_endpoint,
     prefetch_store,
     sync_stores,
-    tiered,
 )
 from repro.image.store import (
     ImageStore,
@@ -76,6 +75,5 @@ __all__ = [
     "save_image",
     "store_key",
     "sync_stores",
-    "tiered",
     "verify_residual",
 ]

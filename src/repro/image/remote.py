@@ -2,7 +2,7 @@
 
 ``ObjectServer`` exposes a :class:`~repro.image.store.LocalStoreBackend`
 over TCP using the same length-prefixed JSON frame codec as the
-specialization service (:mod:`repro.serve.protocol`), with four new
+specialization service (:mod:`repro.serve.protocol`), with three new
 frame types:
 
 ``obj_get``
@@ -17,8 +17,6 @@ frame types:
     optionally writes a ``key -> digest`` index ref in the same request.
     A ``data``-less ``obj_put`` writes just the ref (used by sync when
     the object is already present).
-``obj_stat``
-    Existence/size/recency probe by digest or key, without payload.
 ``obj_sync``
     The full inventory — object stats plus the ref index — powering
     bulk ``image sync`` (push) and ``image prefetch`` (pull).
@@ -55,10 +53,9 @@ import base64
 import hashlib
 import threading
 import time
-from contextlib import contextmanager
 from pathlib import Path
 from queue import Empty, Queue
-from typing import Any, Iterator
+from typing import Any
 
 from repro import obs
 from repro.image.codec import CodecError, decode_residual, encode_residual
@@ -153,7 +150,7 @@ class ObjectServer(FrameServer):
     ACCEPTED = "connections"
     COUNTERS = (
         "get_hits", "get_misses", "puts", "dedups", "ref_writes",
-        "stats_probes", "corrupt", "digest_mismatch",
+        "corrupt", "digest_mismatch",
     )
 
     def __init__(
@@ -168,7 +165,6 @@ class ObjectServer(FrameServer):
         super().__init__(host, port, max_connections, max_frame_bytes, {
             "obj_get": self._handle_get,
             "obj_put": self._handle_put,
-            "obj_stat": self._handle_stat,
             "obj_sync": self._handle_sync,
         })
 
@@ -240,7 +236,7 @@ class ObjectServer(FrameServer):
             if raw is None:
                 if not present:
                     # A ref-only put for an object we don't hold: tell
-                    # the client to upload (sync's stat-first fast path).
+                    # the client to upload (sync's ref-only fast path).
                     return {
                         "type": "obj_put_result", "v": PROTOCOL_VERSION,
                         "stored": False, "deduped": False,
@@ -278,25 +274,6 @@ class ObjectServer(FrameServer):
             "indexed": indexed, "missing": False,
         }
 
-    def _handle_stat(self, frame: dict[str, Any]) -> dict[str, Any]:
-        self.metrics.count("stats_probes")
-        digest = self._resolve_digest(frame)
-        miss = {
-            "type": "obj_stat_result", "v": PROTOCOL_VERSION,
-            "found": False, "digest": None, "bytes": None, "mtime": None,
-        }
-        if digest is None:
-            return miss
-        try:
-            st = self.backend.stat_object(digest)
-        except OSError:
-            return miss
-        return {
-            "type": "obj_stat_result", "v": PROTOCOL_VERSION,
-            "found": True, "digest": digest,
-            "bytes": st.size, "mtime": st.mtime,
-        }
-
     def _handle_sync(self, frame: dict[str, Any]) -> dict[str, Any]:
         try:
             objects = self.backend.list_objects()
@@ -331,8 +308,8 @@ class ObjectServer(FrameServer):
 
 
 class RemoteStoreClient(FrameClient):
-    """The object-server protocol's client: ``fetch``, ``push``,
-    ``stat`` and ``inventory``, one per frame type.
+    """The object-server protocol's client: ``fetch``, ``push`` and
+    ``inventory``, one per frame type.
 
     ``RemoteStoreClient(host, port, timeout=5.0, retries=2,
     backoff=0.05, max_frame_bytes=MAX_FRAME_BYTES)`` — the
@@ -430,23 +407,6 @@ class RemoteStoreClient(FrameClient):
         if key is not None:
             frame["key"] = key
         return self._expect(frame, "obj_put_result")
-
-    def stat(
-        self, key: "str | None" = None, digest: "str | None" = None
-    ) -> "ObjectStat | None":
-        frame: dict[str, Any] = {"type": "obj_stat", "v": PROTOCOL_VERSION}
-        if digest is not None:
-            frame["digest"] = digest
-        else:
-            frame["key"] = key
-        response = self._expect(frame, "obj_stat_result")
-        if not response.get("found"):
-            return None
-        return ObjectStat(
-            digest=str(response.get("digest")),
-            size=int(response.get("bytes") or 0),
-            mtime=float(response.get("mtime") or 0.0),
-        )
 
     def inventory(self) -> "tuple[list[ObjectStat], dict[str, str]]":
         response = self._expect(
@@ -832,20 +792,3 @@ def prefetch_store(
         }
         obs.count("image.prefetch.objects", fetched)
         return report
-
-
-@contextmanager
-def tiered(
-    local_dir: "str | Path | None",
-    endpoint: "str | tuple[str, int]",
-    **kwargs: Any,
-) -> Iterator[TieredStore]:
-    """``with tiered("/var/store", "cache-host:7459") as store: ...`` —
-    a closed-on-exit tiered store for scripts and tests."""
-    host, port = parse_endpoint(endpoint)
-    local = ImageStore(local_dir) if local_dir is not None else None
-    store = TieredStore(local, RemoteStoreClient(host, port), **kwargs)
-    try:
-        yield store
-    finally:
-        store.close()

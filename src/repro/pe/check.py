@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 from repro.obs import traced
 from repro.lang.ast import (
@@ -165,30 +164,6 @@ def verify_annotated(
 def check_bta(result) -> list[CongruenceViolation]:
     """Lint a :class:`~repro.pe.bta.BTAResult`'s annotated output."""
     return check_annotated(result.annotated, getattr(result, "variants", None))
-
-
-def check_specialization_safety(result):
-    """Run the specialization-safety analyses on a BTA result.
-
-    Congruence (this module) says the annotation is *consistent*; the
-    safety analyses (:mod:`repro.analysis`) say specializing under it
-    *terminates with bounded output*.  Returns the
-    :class:`~repro.analysis.AnalysisReport` — findings instead of
-    exceptions, in the style of :func:`check_annotated`.
-    """
-    from repro.analysis import analyze_bta
-
-    return analyze_bta(result)
-
-
-def verify_specialization_safety(result) -> None:
-    """Raise :class:`~repro.analysis.UnsafeProgramError` on findings
-    (the ``forbid`` discipline, mirroring :func:`verify_annotated`)."""
-    from repro.analysis import UnsafeProgramError
-
-    report = check_specialization_safety(result)
-    if not report.safe:
-        raise UnsafeProgramError(report)
 
 
 # Position disciplines.
@@ -412,13 +387,3 @@ class _Checker:
             else:
                 self.check(a, env, _CODE, arg_path)
         return D
-
-
-def lint_signature(
-    annotated: AnnotatedProgram,
-) -> Iterable[str]:  # pragma: no cover - convenience for interactive use
-    """Human-readable one-liners for each definition's division."""
-    for d in annotated.defs:
-        bts = "".join(bt.value for bt in d.bts)
-        marker = "memoized" if d.residual else "unfolded"
-        yield f"{d.name} [{bts}] ({marker})"

@@ -20,8 +20,9 @@ server adds the multi-tenant production pieces:
   via the single-flight cache, per-tenant quotas, and graceful
   degradation (typed ``BUSY``/``BUDGET`` responses);
 * admission control (:mod:`repro.serve.admission`) — the PR-4 safety
-  analyzer gates untrusted tenants' programs, verdicts cached by
-  program digest;
+  analyzer, run on the division of the extension the server builds,
+  gates untrusted tenants' programs, verdicts cached by program
+  digest;
 * a blocking client with connection reuse (:mod:`repro.serve.client`);
 * a load generator (:mod:`repro.serve.loadgen`) reporting p50/p99
   latency and throughput over the §7 workloads.

@@ -4,11 +4,16 @@ Untrusted callers hand the server arbitrary programs to specialize, and
 specialization is a fixpoint computation that need not terminate — the
 exact threat the PR-4 safety analyzer (size-change termination +
 quasi-termination + bloat bounds, :mod:`repro.analysis`) was built to
-rule out statically.  The admission controller runs that analyzer once
-per distinct program and caches the verdict by *program digest*, so a
+rule out statically.  The analyzer needs a binding-time division, and
+the generating extension the server builds for a program already holds
+one (``ext.bta``), so admission analyzes that division instead of
+running a BTA of its own: each admitted program costs one BTA.
+
+The admission controller caches the verdict by *program digest*, so a
 tenant re-submitting the same program (the common case — the whole point
 of the service is re-application) pays for the analysis exactly once per
-server lifetime.
+server lifetime, and a cached unsafe verdict turns an untrusted tenant
+away before anything is built.
 
 Policy is the server's: tenants marked trusted get ``"warn"`` semantics
 (findings are reported in the response, specialization proceeds under
@@ -24,9 +29,11 @@ import threading
 from typing import Any, Iterable
 
 from repro import obs
-from repro.analysis import AnalysisReport, analyze_bta, compare_divisions
-from repro.lang.ast import Program
-from repro.pe.bta import analyze as bta_analyze
+from repro.analysis import AnalysisReport, analyze_bta
+from repro.pe.bta import BTAResult
+
+#: Most verdicts the cache holds; on overflow the older half is dropped.
+MAX_VERDICTS = 1024
 
 
 def program_admission_digest(
@@ -59,77 +66,51 @@ def program_admission_digest(
 
 
 class AdmissionController:
-    """Runs the specialization-safety analyzer, caching verdicts.
+    """A cache of specialization-safety verdicts, keyed by digest.
 
-    The cache is keyed by :func:`program_admission_digest` and shared
-    across tenants — a verdict is a property of the (program, signature,
-    hints) triple, not of who asked.  Thread-safe; concurrent first
-    requests for one digest may race the analysis, which is harmless
-    (same verdict, last writer wins).  Its counters reach ``obs`` as
+    The key is :func:`program_admission_digest`, shared across tenants —
+    a verdict is a property of the (program, signature, hints) triple,
+    not of who asked.  Thread-safe; concurrent first requests for one
+    digest may race the analysis, which is harmless (same verdict, last
+    writer wins).  Its counters reach ``obs`` as
     ``serve.admission.<key>``.
     """
 
-    def __init__(self, max_entries: int = 1024):
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._verdicts: dict[str, AnalysisReport] = {}
         self.metrics = obs.Counters(
             "serve.admission", ("analyzed", "cache_hits", "denied")
         )
 
-    def check(
-        self,
-        digest: str,
-        program: Program,
-        signature: str,
-        memo_hints: Iterable[str] = (),
-        unfold_hints: Iterable[str] = (),
-        bta: str = "poly",
-    ) -> AnalysisReport:
-        """The cached safety verdict for an already-parsed program.
-
-        Under ``bta="poly"`` the verdict also carries the
-        division-quality diagnostic (poly vs. mono baseline) — cached
-        with the verdict, so the mono baseline is computed once per
-        distinct program.
-        """
+    def lookup(self, digest: str) -> AnalysisReport | None:
+        """The cached verdict for an admission question, if any; the
+        server asks this before it builds anything."""
         with self._lock:
             report = self._verdicts.get(digest)
         if report is not None:
             self.metrics.count("cache_hits")
-            return report
+        return report
+
+    def check(self, digest: str, bta: BTAResult) -> AnalysisReport:
+        """Analyze ``bta`` (the division of the extension just built for
+        an uncached ``digest``) and cache the verdict."""
         with obs.span("serve.admission.analyze", digest=digest[:12]):
-            result = bta_analyze(
-                program,
-                signature,
-                memo_hints=memo_hints,
-                unfold_hints=unfold_hints,
-                bta=bta,
-            )
-            division = None
-            if bta == "poly":
-                mono = bta_analyze(
-                    program,
-                    signature,
-                    memo_hints=memo_hints,
-                    unfold_hints=unfold_hints,
-                    bta="mono",
-                )
-                division = compare_divisions(result, mono)
-            report = analyze_bta(result, division=division)
+            report = analyze_bta(bta)
         self.metrics.count("analyzed")
         with self._lock:
-            if len(self._verdicts) >= self.max_entries:
+            if len(self._verdicts) >= MAX_VERDICTS:
                 # Verdict cache overflow: drop the oldest insertions.
                 # Correctness is unaffected — a dropped verdict is
                 # simply re-analyzed on its next request.
-                for stale in list(self._verdicts)[: self.max_entries // 2]:
+                for stale in list(self._verdicts)[: MAX_VERDICTS // 2]:
                     del self._verdicts[stale]
             self._verdicts[digest] = report
         return report
 
     def verdict(self, digest: str) -> AnalysisReport | None:
-        """The cached verdict, if any (no analysis is triggered)."""
+        """The cached verdict, if any, read for a response (not an
+        admission question, so not counted)."""
         with self._lock:
             return self._verdicts.get(digest)
 

@@ -16,7 +16,8 @@ exists in-process.  What this module adds is the production envelope:
   single-flight cache runs the specializer once and hands every waiter
   the same residual (one ``specializer_runs`` increment per key).
 * **Admission control.**  Untrusted tenants' programs must pass the
-  safety analyzer (``forbid`` semantics → ``ADMISSION_DENIED``);
+  safety analyzer, run on the new extension's own BTA (``forbid``
+  semantics → ``ADMISSION_DENIED``, and the extension is dropped);
   trusted tenants get ``warn`` semantics — findings travel in the
   response and the runtime budgets backstop divergence.
 * **Quotas and graceful degradation.**  A per-tenant in-flight cap
@@ -40,8 +41,11 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from repro import obs
+from repro.analysis import AnalysisReport
 from repro.image.codec import residual_digest
+from repro.lang.ast import Program
 from repro.lang.parser import parse_program
+from repro.pe.annprog import parse_signature
 from repro.pe.errors import BudgetExceeded, PEError
 from repro.rtcg.system import GeneratingExtension
 from repro.runtime.errors import SchemeError
@@ -52,6 +56,7 @@ from repro.serve.admission import (
 )
 from repro.serve.protocol import (
     E_ADMISSION_DENIED,
+    E_BAD_REQUEST,
     E_BUDGET_EXCEEDED,
     E_BUSY,
     E_PARSE_ERROR,
@@ -268,34 +273,40 @@ class SpecializationServer(FrameServer):
         unfold, size = self._budgets(req)
         return (digest, unfold, size), digest
 
+    def _admit(self, tenant: _Tenant, report: AnalysisReport) -> None:
+        """Deny an unsafe program to an untrusted tenant (``forbid``);
+        a trusted tenant gets its findings in the response (``warn``)."""
+        if report.safe or tenant.trusted:
+            return
+        tenant.denials += 1
+        self.admission.record_denial()
+        raise Refusal(
+            E_ADMISSION_DENIED,
+            f"the specialization-safety analyzer reported"
+            f" {len(report.findings)} finding(s); untrusted tenants"
+            f" may only specialize provably safe programs",
+            findings=[str(f) for f in report.findings],
+        )
+
     def _build_extension(
         self, tenant: _Tenant, req: dict[str, Any], digest: str
     ) -> GeneratingExtension:
+        cached = self.admission.lookup(digest)
+        if cached is not None:
+            self._admit(tenant, cached)
         try:
             program = parse_program(req["program"], goal=req["goal"])
         except ValueError as exc:  # ParseError / ReaderError
             raise Refusal(
                 E_PARSE_ERROR, f"program does not parse: {exc}"
             ) from None
-        report = self.admission.check(
-            digest, program, req["signature"],
-            memo_hints=req["memo_hints"], unfold_hints=req["unfold_hints"],
-        )
-        if not report.safe and not tenant.trusted:
-            tenant.denials += 1
-            self.admission.record_denial()
-            raise Refusal(
-                E_ADMISSION_DENIED,
-                f"the specialization-safety analyzer reported"
-                f" {len(report.findings)} finding(s); untrusted tenants"
-                f" may only specialize provably safe programs",
-                findings=[str(f) for f in report.findings],
-            )
+        self._check_signature(program, req["signature"])
         unfold, size = self._budgets(req)
-        # Admission already ran (and cached) the analysis, so the
-        # extension itself skips it; the runtime budgets stay on as the
-        # dynamic backstop for warn-mode (trusted) tenants.
-        return GeneratingExtension(
+        # The extension skips the safety analysis (``analyze="off"``):
+        # admission runs it on the extension's own BTA, once per digest.
+        # The runtime budgets stay on as the dynamic backstop for
+        # warn-mode (trusted) tenants.
+        ext = GeneratingExtension(
             program,
             req["signature"],
             memo_hints=req["memo_hints"],
@@ -307,6 +318,27 @@ class SpecializationServer(FrameServer):
             max_unfold_depth=unfold,
             max_residual_size=size,
         )
+        if cached is None:
+            # A denied extension is dropped unregistered.  It has run
+            # nothing, and its store opens no connection or thread
+            # before first use, so there is nothing to close.
+            self._admit(tenant, self.admission.check(digest, ext.bta))
+        return ext
+
+    @staticmethod
+    def _check_signature(program: Program, signature: str) -> None:
+        """Refuse a signature that is not one S or D per goal parameter."""
+        try:
+            bts = parse_signature(signature)
+        except ValueError as exc:
+            raise Refusal(E_BAD_REQUEST, str(exc)) from None
+        arity = len(program.goal_def().params)
+        if len(bts) != arity:
+            raise Refusal(
+                E_BAD_REQUEST,
+                f"signature {signature!r} has {len(bts)} binding time(s);"
+                f" goal {program.goal} takes {arity} parameter(s)",
+            )
 
     @staticmethod
     def _parse_data(items: list[str], what: str) -> list[Any]:
@@ -407,17 +439,6 @@ class SpecializationServer(FrameServer):
                 response["admission_warnings"] = [
                     str(f) for f in report.findings
                 ]
-        if report is not None and report.division is not None:
-            # Division-quality diagnostics from admission: how much the
-            # polyvariant BTA sharpened this program's division.
-            d = report.division
-            response["division"] = {
-                "variants": len(d.variants),
-                "recovered_params": d.recovered_param_count,
-                "spurious_lifts_removed": d.spurious_lift_count,
-                "decision_deltas": d.decision_delta_count,
-                "widened": list(d.widened),
-            }
         if req["want_residual"]:
             response["residual"] = residual.fingerprint()
         response["fingerprint_digest"] = residual_digest(residual)

@@ -103,28 +103,46 @@ class Template:
         A nested template that appears several times — whether as the
         *same object* in several literal slots or as several
         structurally identical copies — is counted once: dedup is by
-        :meth:`content_digest`, not object identity, so the count does
-        not depend on whether equal subtemplates are shared.  The fig7
-        before/after comparison depends on both sides being counted
-        under this same rule.
+        structure (the content :meth:`content_digest` hashes), not
+        object identity, so the count does not depend on whether equal
+        subtemplates are shared.  The fig7 before/after comparison
+        depends on both sides being counted under this same rule.
         """
         if not recursive:
             return len(self.code)
-        count = 0
-        memo: dict[int, str] = {}
-        seen: set[str] = set()
-        stack: list[Template] = [self]
-        while stack:
-            template = stack.pop()
-            digest = _content_digest(template, memo)
-            if digest in seen:
-                continue
-            seen.add(digest)
-            count += len(template.code)
-            for lit in template.literals:
-                if isinstance(lit, Template):
-                    stack.append(lit)
-        return count
+        classes: dict[tuple, int] = {}
+        _structure_class(self, classes, {})
+        return sum(len(code) for _, _, _, code, _ in classes)
+
+
+def _structure_class(
+    template: Template, classes: dict[tuple, int], memo: dict[int, int]
+) -> int:
+    """The index of ``template``'s structural equivalence class.
+
+    The key holds the content :func:`_content_digest` hashes (name,
+    arity, frame size, code and literals), with each nested template
+    replaced by its class index, so each key is hashed once and no
+    digest is computed.
+    """
+    found = memo.get(id(template))
+    if found is not None:
+        return found
+    from repro.lang.prims import PrimSpec
+
+    literals = tuple(
+        _structure_class(lit, classes, memo) if isinstance(lit, Template)
+        else (PrimSpec, lit.name) if isinstance(lit, PrimSpec)
+        else (type(lit).__name__, repr(lit))
+        for lit in template.literals
+    )
+    key = (
+        template.name, template.arity, template.nlocals, template.code,
+        literals,
+    )
+    index = classes.setdefault(key, len(classes))
+    memo[id(template)] = index
+    return index
 
 
 def _content_digest(template: Template, memo: dict[int, str]) -> str:

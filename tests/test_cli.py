@@ -1,10 +1,21 @@
 """Tests for the command-line driver."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
 
 POWER = "(define (power x n) (if (zero? n) 1 (* x (power x (- n 1)))))"
+
+# README's division example: one dynamic call site of ``check`` makes
+# the monovariant join dynamize its static one.
+DIVISION = """\
+(define (main s d)
+  (cons (check s) (check d)))
+(define (check x)
+  (if (pair? x) (car x) x))
+"""
 
 
 @pytest.fixture()
@@ -161,6 +172,48 @@ class TestStaticAnalysisCommands:
         ) == 0
         out = capsys.readouterr().out
         assert "signature and bytecode clean" in out
+
+    @pytest.fixture()
+    def division_file(self, tmp_path):
+        f = tmp_path / "division.scm"
+        f.write_text(DIVISION)
+        return str(f)
+
+    def test_analyze_division_text(self, division_file, capsys):
+        assert main([
+            "analyze", division_file, "--sig", "SD", "--goal", "main",
+            "--division",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "division quality for main [SD]: 3 variant(s),"
+            " 1 recovered static parameter(s)"
+        ) in out
+        assert "check@Sv [S] vs mono [D] (recovered x)" in out
+
+    def test_analyze_division_json(self, division_file, capsys):
+        assert main([
+            "analyze", division_file, "--sig", "SD", "--goal", "main",
+            "--division", "--json",
+        ]) == 0
+        division = json.loads(capsys.readouterr().out)["programs"][
+            division_file
+        ]["division"]
+        assert list(division) == [
+            "goal", "signature", "improved", "recovered_params",
+            "spurious_lifts_removed", "decision_deltas", "widened",
+            "variants",
+        ]
+        assert list(division["variants"][0]) == [
+            "name", "origin", "display", "signature", "role",
+            "mono_signature", "recovered_params", "spurious_lifts_removed",
+            "lifts_introduced", "lift_sites", "classification_delta",
+            "decision_deltas", "call_sites",
+        ]
+        assert [v["display"] for v in division["variants"]] == [
+            "main@SDr", "check@Dv", "check@Sv",
+        ]
+        assert division["recovered_params"] == 1
 
     def test_disasm_prints_templates(self, power_file, capsys):
         assert main(["disasm", power_file, "--goal", "power"]) == 0

@@ -1,6 +1,6 @@
 """The remote L3 object tier: protocol, client, and TieredStore.
 
-Covers the obj_get/obj_put/obj_stat/obj_sync frames end to end over a
+Covers the obj_get/obj_put/obj_sync frames end to end over a
 real socket, the client's retry/refusal split, and the TieredStore
 semantics the ISSUE pins: read-through with replicate-down, TTL'd
 negative caching, graceful degradation when L3 is unreachable, the
@@ -128,14 +128,6 @@ class TestProtocol:
 
     def test_dataless_push_of_absent_object_reports_missing(self, client):
         assert client.push("cd" * 32, None).get("missing")
-
-    def test_stat(self, gen, client):
-        digest, data = _image_bytes(gen)
-        client.push(digest, data, key=_key().digest)
-        st = client.stat(digest=digest)
-        assert st is not None and st.size == len(data)
-        assert client.stat(key=_key().digest).digest == digest
-        assert client.stat(digest="ab" * 32) is None
 
     def test_inventory(self, gen, client):
         digest, data = _image_bytes(gen)

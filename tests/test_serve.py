@@ -22,6 +22,7 @@ The load-bearing properties:
 """
 
 import socket
+import sys
 import threading
 
 import pytest
@@ -246,6 +247,41 @@ class TestAdmission:
             assert admission["denied"] == 3
             assert admission["analyzed"] == 1  # analyzed once, cached after
 
+    def test_each_admitted_program_runs_one_bta(self, server, monkeypatch):
+        # Admission analyzes the division of the extension the server
+        # builds, so a first request costs one BTA; a cached unsafe
+        # verdict denies an untrusted tenant before anything is built.
+        from repro.pe.bta import analyze
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("bta", "poly"))
+            return analyze(*args, **kwargs)
+
+        # Every module-level name bound to the BTA entry point, whatever
+        # it is imported as, counts.
+        for name, module in list(sys.modules.items()):
+            if name == "repro" or name.startswith("repro."):
+                for attr, value in list(vars(module).items()):
+                    if value is analyze:
+                        monkeypatch.setattr(module, attr, counting)
+        with client_for(server) as c:
+            c.specialize(POWER, "SD", ["4"], dynamics=["3"], tenant="t1")
+            assert calls == ["poly"]
+            with pytest.raises(ServiceError):
+                c.specialize(COUNT_UP, "SD", ["0"], tenant="outsider")
+            assert len(calls) == 2
+            for _ in range(3):
+                with pytest.raises(ServiceError) as exc_info:
+                    c.specialize(COUNT_UP, "SD", ["0"], tenant="outsider")
+                assert exc_info.value.code == "ADMISSION_DENIED"
+            assert len(calls) == 2
+        # a denied program is never registered, so never specialized
+        outsider = server.stats()["tenants"]["outsider"]
+        assert outsider["programs"] == 0
+        assert outsider["denials"] == 4
+
     def test_trusted_tenant_reaches_the_runtime_backstop(self, server):
         with client_for(server) as c:
             with pytest.raises(ServiceError) as exc_info:
@@ -287,6 +323,15 @@ class TestGracefulDegradation:
             with pytest.raises(ServiceError) as exc_info:
                 c.request({"type": "no-such-thing", "v": PROTOCOL_VERSION})
             assert exc_info.value.code == "BAD_REQUEST"
+
+    @pytest.mark.parametrize("signature", ["SDS", "DX"])
+    def test_bad_signature_is_a_bad_request(self, server, signature):
+        with client_for(server) as c:
+            with pytest.raises(ServiceError) as exc_info:
+                c.specialize(POWER, signature, ["1"])
+            assert exc_info.value.code == "BAD_REQUEST"
+            assert not exc_info.value.retryable
+            assert c.stats()["counters"]["internal_errors"] == 0
 
     def test_parse_error_is_typed_not_a_traceback(self, server):
         with client_for(server) as c:
