@@ -562,9 +562,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         linted_sig = True
         memo = args.memo or () if label == args.file else ()
         unfold = args.unfold or () if label == args.file else ()
-        result = analyze(
-            program, sig, memo_hints=memo, unfold_hints=unfold, bta=args.bta
-        )
+        result = analyze(program, sig, memo_hints=memo, unfold_hints=unfold)
         congruence = check_bta(result)
         prefix = f"{label}: " if multi else ""
         bta_findings.extend(prefix + str(v) for v in congruence)
@@ -657,7 +655,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         unfold = args.unfold or () if label == args.file else ()
         report = analyze_program(
             program, sig, goal=goal, memo_hints=memo, unfold_hints=unfold,
-            bta=args.bta, with_division=args.division,
+            with_division=args.division,
         )
         reports.append((label, report))
         total += len(report.findings)
@@ -696,22 +694,19 @@ def cmd_bta(args: argparse.Namespace) -> int:
     for label, program, sig, goal in targets:
         memo = args.memo or () if label == args.file else ()
         unfold = args.unfold or () if label == args.file else ()
-        result = analyze(
-            program, sig, memo_hints=memo, unfold_hints=unfold,
-            bta=args.bta, max_variants=args.max_variants,
-        )
+        result = analyze(program, sig, memo_hints=memo, unfold_hints=unfold)
         violations = check_bta(result)
         violations_total += len(violations)
         variants = []
         for d in result.annotated.defs:
-            info = result.variants.get(d.name)
+            info = result.variants[d.name]
             variants.append({
                 "name": str(d.name),
-                "display": info.display if info else str(d.name),
-                "origin": str(result.origin_of(d.name)),
+                "display": info.display,
+                "origin": str(info.origin),
                 "signature": "".join(bt.value for bt in d.bts),
                 "classification": "memo" if d.residual else "unfold",
-                "call_sites": list(info.call_sites) if info else [],
+                "call_sites": list(info.call_sites),
                 "lift_sites": list(lift_sites(d.body)),
                 "decisions": [
                     {"path": path, "callee": str(callee), "decision": dec}
@@ -1445,65 +1440,46 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.set_defaults(fn=cmd_disasm)
 
+    def division_targets(p: argparse.ArgumentParser, verb: str) -> None:
+        # The arguments of the three commands that divide a program
+        # (or the bundled ones) and report on it: lint, analyze, bta.
+        p.add_argument("file", nargs="?", help="Scheme source file")
+        p.add_argument("--goal", help="goal function name")
+        p.add_argument(
+            "--prelude", action="store_true", help="splice in the prelude"
+        )
+        p.add_argument("--sig", help="binding-time signature, e.g. SD")
+        p.add_argument("--memo", action="append", help="memoization hint")
+        p.add_argument("--unfold", action="append", help="unfold hint")
+        p.add_argument(
+            "--builtin", choices=("all", "examples", "workloads"),
+            help=f"also {verb} the bundled example programs and/or the §7"
+            " benchmark workloads (the CI self-gate)",
+        )
+        p.add_argument(
+            "--json", action="store_true",
+            help="emit the report as a JSON object",
+        )
+
     p = sub.add_parser(
         "lint", help="bytecode-verify templates; lint BTA output with --sig"
     )
-    p.add_argument("file", nargs="?", help="Scheme source file")
-    p.add_argument("--goal", help="goal function name")
-    p.add_argument(
-        "--prelude", action="store_true", help="splice in the prelude"
-    )
-    p.add_argument("--sig", help="binding-time signature, e.g. SD")
-    p.add_argument("--memo", action="append", help="memoization hint")
-    p.add_argument("--unfold", action="append", help="unfold hint")
-    p.add_argument(
-        "--bta", default="poly", choices=("mono", "poly"),
-        help="binding-time discipline to lint under (default: poly)",
-    )
-    p.add_argument(
-        "--builtin", choices=("all", "examples", "workloads"),
-        help="also lint the bundled example programs and/or the §7"
-        " benchmark workloads (the CI self-gate)",
-    )
-    p.add_argument(
-        "--json", action="store_true",
-        help="emit the findings as a JSON object",
-    )
+    division_targets(p, "lint")
     p.set_defaults(fn=cmd_lint)
 
     p = sub.add_parser(
         "analyze",
         help="specialization-safety analysis: termination and code bloat",
     )
-    p.add_argument("file", nargs="?", help="Scheme source file")
-    p.add_argument("--goal", help="goal function name")
-    p.add_argument(
-        "--prelude", action="store_true", help="splice in the prelude"
-    )
-    p.add_argument("--sig", help="binding-time signature, e.g. SD")
-    p.add_argument("--memo", action="append", help="memoization hint")
-    p.add_argument("--unfold", action="append", help="unfold hint")
-    p.add_argument(
-        "--builtin", choices=("all", "examples", "workloads"),
-        help="also analyze the bundled example programs and/or the §7"
-        " benchmark workloads (the CI self-gate)",
-    )
+    division_targets(p, "analyze")
     p.add_argument(
         "--metrics", action="store_true",
         help="print per-specialization-point code-bloat metrics",
     )
     p.add_argument(
-        "--bta", default="poly", choices=("mono", "poly"),
-        help="binding-time discipline to analyze under (default: poly)",
-    )
-    p.add_argument(
         "--division", action="store_true",
         help="append the division-quality report (polyvariant division"
         " vs. the monovariant baseline)",
-    )
-    p.add_argument(
-        "--json", action="store_true",
-        help="emit reports as a JSON object",
     )
     p.set_defaults(fn=cmd_analyze)
 
@@ -1512,31 +1488,7 @@ def main(argv: list[str] | None = None) -> int:
         help="print the binding-time division: variants, unfold/memo"
         " decisions, lift sites",
     )
-    p.add_argument("file", nargs="?", help="Scheme source file")
-    p.add_argument("--goal", help="goal function name")
-    p.add_argument(
-        "--prelude", action="store_true", help="splice in the prelude"
-    )
-    p.add_argument("--sig", help="binding-time signature, e.g. SD")
-    p.add_argument("--memo", action="append", help="memoization hint")
-    p.add_argument("--unfold", action="append", help="unfold hint")
-    p.add_argument(
-        "--bta", default="poly", choices=("mono", "poly"),
-        help="binding-time discipline (default: poly)",
-    )
-    p.add_argument(
-        "--max-variants", type=int, default=8, dest="max_variants",
-        help="polyvariant fan-out cap per function (default: 8)",
-    )
-    p.add_argument(
-        "--builtin", choices=("all", "examples", "workloads"),
-        help="also divide the bundled example programs and/or the §7"
-        " benchmark workloads (the CI self-gate)",
-    )
-    p.add_argument(
-        "--json", action="store_true",
-        help="emit the division as a JSON object",
-    )
+    division_targets(p, "divide")
     p.set_defaults(fn=cmd_bta)
 
     def observability(p: argparse.ArgumentParser) -> None:

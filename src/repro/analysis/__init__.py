@@ -81,35 +81,24 @@ def analyze_program(
     goal: str | None = None,
     memo_hints: Iterable[str] = (),
     unfold_hints: Iterable[str] = (),
-    bta: str = "poly",
     with_division: bool = False,
 ) -> AnalysisReport:
     """BTA a program and run the specialization-safety analyses on it.
 
-    ``with_division`` additionally runs the monovariant baseline and
-    attaches the :class:`DivisionReport` quality comparison (only
-    meaningful with ``bta="poly"``).
+    The analyses run over the polyvariant division, the one a
+    generating extension runs.  ``with_division`` additionally runs the
+    monovariant baseline and attaches the :class:`DivisionReport`
+    quality comparison.
     """
     from repro.lang.parser import parse_program
     from repro.pe.bta import analyze
 
     if isinstance(program, str):
         program = parse_program(program, goal=goal)
-    result = analyze(
-        program,
-        signature,
-        memo_hints=memo_hints,
-        unfold_hints=unfold_hints,
-        bta=bta,
-    )
+    hints = {"memo_hints": memo_hints, "unfold_hints": unfold_hints}
+    result = analyze(program, signature, **hints)
     division = None
-    if with_division and bta == "poly":
-        mono = analyze(
-            program,
-            signature,
-            memo_hints=memo_hints,
-            unfold_hints=unfold_hints,
-            bta="mono",
-        )
+    if with_division:
+        mono = analyze(program, signature, bta="mono", **hints)
         division = compare_divisions(result, mono)
     return analyze_bta(result, division=division)

@@ -9,9 +9,9 @@ get dynamized, and calls that could unfold at specialization time are
 memoized instead.
 
 This module measures that imprecision.  It compares the polyvariant
-division (:func:`repro.pe.bta.analyze` with ``bta="poly"``) against the
-monovariant baseline of the *same* program and reports, per function
-variant:
+division (:func:`repro.pe.bta.analyze`, the one every generating
+extension runs) against the monovariant baseline of the *same* program
+and reports, per function variant:
 
 * **recovered parameters** — parameters static under the variant's
   division but dynamic under the monovariant join;
@@ -238,8 +238,8 @@ def compare_divisions(poly: BTAResult, mono: BTAResult) -> DivisionReport:
     }
     qualities = []
     for d in poly.annotated.defs:
-        info = poly.variants.get(d.name)
-        origin = info.origin if info is not None else poly.origin_of(d.name)
+        info = poly.variants[d.name]
+        origin = info.origin
         md = mono_defs.get(origin)
         if md is None:
             continue  # unreachable under mono: nothing to compare against
@@ -269,9 +269,9 @@ def compare_divisions(poly: BTAResult, mono: BTAResult) -> DivisionReport:
             VariantQuality(
                 name=str(d.name),
                 origin=str(origin),
-                display=info.display if info is not None else str(d.name),
+                display=info.display,
                 signature=_sig(d.bts),
-                role=info.role if info is not None else "mono",
+                role=info.role,
                 mono_signature=_sig(md.bts),
                 recovered_params=recovered,
                 spurious_lifts_removed=removed,
@@ -279,7 +279,7 @@ def compare_divisions(poly: BTAResult, mono: BTAResult) -> DivisionReport:
                 lift_sites=poly_lifts,
                 classification_delta=delta,
                 decision_deltas=tuple(deltas),
-                call_sites=tuple(info.call_sites) if info is not None else (),
+                call_sites=tuple(info.call_sites),
             )
         )
     return DivisionReport(

@@ -6,7 +6,10 @@ computations" (§1).  Given a program and a binding-time signature for the
 goal function's parameters, the analysis computes a congruent division and
 produces Annotated Core Scheme for the specializer.
 
-Two division disciplines are available (``bta="mono"|"poly"``):
+Two division disciplines are available (``bta="mono"|"poly"``).  A
+generating extension always runs the polyvariant one; the monovariant
+join stays here as the baseline the division report, the pinned
+divisions and the Fig. 7 ablation compare against:
 
 * **monovariant** — one binding time per parameter per function: every
   call site's argument binding times join into the same division, so a
@@ -21,8 +24,8 @@ Two division disciplines are available (``bta="mono"|"poly"``):
   specialization-time value).  Cloning by role is what removes the
   classic lift infelicity on fully static non-tail recursion: the goal's
   residual variant gets lifts in its branches while the unfolded value
-  variant stays lift-free.  Variant fan-out is bounded by a configurable
-  cap (``max_variants``); a function whose request set overflows the cap
+  variant stays lift-free.  Variant fan-out is bounded by a fixed cap
+  (:data:`MAX_VARIANTS`); a function whose request set overflows the cap
   is *widened* back to its monovariant join (a single clone receiving
   every call site).  The joint closure/binding-time/demand fixpoint is
   re-run over the cloned program — the variant graph — until the variant
@@ -814,6 +817,10 @@ _WIDENED_KEY = ("widened",)
 # monovariant division (the variant request set then failed to stabilise).
 _MAX_POLY_ROUNDS = 12
 
+#: Most variants the polyvariant division clones one function into; a
+#: function requested under more abstract signatures is widened.
+MAX_VARIANTS = 8
+
 
 @dataclass(frozen=True)
 class _Site:
@@ -955,7 +962,6 @@ def _polyvariant_solve(
     signature: tuple[BindingTime, ...],
     memo: frozenset,
     unfold: frozenset,
-    max_variants: int,
 ) -> tuple[_Analysis, dict, frozenset, dict[Symbol, list[_Site]]]:
     """The outer clone/retarget fixpoint around :class:`_Analysis`.
 
@@ -1007,7 +1013,7 @@ def _polyvariant_solve(
                     continue
                 seen.add((o, k))
                 needed.setdefault(o, set()).add(k)
-                if len(needed[o]) > max_variants and o not in capped:
+                if len(needed[o]) > MAX_VARIANTS and o not in capped:
                     overflow = o
                     break
                 for s in sites_by_host.get(donor_for(o, k), ()):
@@ -1099,7 +1105,6 @@ def analyze(
     memo_hints: Iterable[str | Symbol] = (),
     unfold_hints: Iterable[str | Symbol] = (),
     bta: str = "poly",
-    max_variants: int = 8,
 ) -> BTAResult:
     """Run the front end and binding-time analysis; return annotated output.
 
@@ -1107,7 +1112,7 @@ def analyze(
     ``"SD"`` for a two-argument goal with a static first argument.
     ``bta`` selects the division discipline: ``"poly"`` (the default)
     clones functions per abstract call-site signature, bounded by
-    ``max_variants`` per function; ``"mono"`` computes the classic
+    :data:`MAX_VARIANTS` per function; ``"mono"`` computes the classic
     monovariant join division.
     """
     if bta not in ("mono", "poly"):
@@ -1119,12 +1124,11 @@ def analyze(
     unfold = frozenset(sym(h) if isinstance(h, str) else h for h in unfold_hints)
     variants: dict = {}
     widened: frozenset = frozenset()
-    if bta == "poly" and max_variants >= 1:
+    if bta == "poly":
         analysis, variants, widened, sites = _polyvariant_solve(
-            prepared, signature, memo, unfold, max_variants
+            prepared, signature, memo, unfold
         )
     else:
-        bta = "mono"
         analysis = _Analysis(prepared, signature, memo, unfold)
         analysis.solve()
         sites = _collect_sites(analysis)

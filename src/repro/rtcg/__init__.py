@@ -13,7 +13,6 @@ This package wires the pieces into the artifacts the paper describes:
 
 from repro.rtcg.system import (
     GeneratingExtension,
-    bta_cache_key,
     make_generating_extension,
     program_digest,
     run_specialized,
@@ -23,7 +22,6 @@ from repro.rtcg.system import (
 
 __all__ = [
     "GeneratingExtension",
-    "bta_cache_key",
     "make_generating_extension",
     "program_digest",
     "run_specialized",

@@ -28,33 +28,19 @@ from repro.pe.residual_cache import ResidualCache
 from repro.pe.values import freeze_static
 
 
-def bta_cache_key(bta: str, max_variants: int = 8) -> str:
-    """The BTA-discipline cache discriminator.
-
-    Shared by the residual cache, :meth:`GeneratingExtension.peek`, and
-    :func:`program_digest`: residual programs specialized under
-    different divisions (mono vs. poly, or poly under different variant
-    caps) must never share a cache entry or an on-disk image.
-    """
-    return "mono" if bta == "mono" else f"poly{max_variants}"
-
-
 def program_digest(
     program: Program,
     signature: str,
     memo_hints: Iterable[str] = (),
     unfold_hints: Iterable[str] = (),
-    bta: str = "poly",
-    max_variants: int = 8,
 ) -> str:
     """A stable cross-process identity for a specialization problem.
 
     Hashes the unparsed program text together with the goal, the
-    binding-time signature, the analysis hints, and the BTA discipline
-    (mono vs. poly and the variant cap — the annotation, and therefore
-    the residual code, depends on it; a mono-keyed image must never
-    satisfy a poly request, hence the v2 prefix): everything that
-    determines what a generating extension will emit for given statics.
+    binding-time signature and the analysis hints: everything that
+    determines what a generating extension will emit for given statics
+    (every extension runs the polyvariant division).  The v3 prefix
+    retires the v2 keys, which also hashed a division discipline.
     On-disk image keys must include this — the in-memory residual cache
     is per-extension, so the program is implicit there, but a store
     shared between processes is not.
@@ -63,12 +49,10 @@ def program_digest(
     from repro.sexp.writer import write
 
     h = hashlib.sha256()
-    h.update(b"repro-program-v2\x00")
+    h.update(b"repro-program-v3\x00")
     h.update(program.goal.name.encode("utf-8"))
     h.update(b"\x00")
     h.update(signature.encode("utf-8"))
-    h.update(b"\x00")
-    h.update(bta_cache_key(bta, max_variants).encode("utf-8"))
     h.update(b"\x00")
     for hint in sorted(memo_hints):
         h.update(b"m:" + hint.encode("utf-8") + b"\x00")
@@ -84,12 +68,19 @@ class GeneratingExtension:
     """A generating extension p-gen for a program p (§3).
 
     Built once from a program and a binding-time signature (the expensive
-    part: front end + binding-time analysis, then compiling the annotated
-    program into a generating extension, :mod:`repro.pe.cogen`), then
-    applied any number of times to static inputs, producing residual
-    programs — as source (``to_source``) or directly as executable
-    object code (``to_object_code``), the paper's run-time code
-    generation.
+    part: front end + binding-time analysis, then compiling the
+    annotated program into a generating extension,
+    :mod:`repro.pe.cogen`), then applied any number of times to static
+    inputs, producing residual programs — as source (``to_source``) or
+    directly as executable object code (``to_object_code``), the paper's
+    run-time code generation.
+
+    An extension has one division, the polyvariant one
+    (:func:`repro.pe.bta.analyze`), as the paper builds a generating
+    extension from one annotated program.  The monovariant baseline is
+    not an option here: compile the baseline's annotated program with
+    :func:`repro.pe.cogen.compile_generating_extension` and call its
+    ``generate`` directly.
 
     Applications are memoized in a bounded, thread-safe LRU **residual
     cache** keyed by ``(frozen static args, dif strategy, backend
@@ -112,8 +103,7 @@ class GeneratingExtension:
     signature warm-starts from disk without specializing at all.  Every
     image loaded from disk is untrusted and re-checked by the bytecode
     verifier; an image that fails the check is a miss, and the program
-    is specialized again.  ``store_max_bytes`` bounds the store;
-    eviction is LRU.
+    is specialized again.
 
     ``remote_store`` (a ``"host:port"`` endpoint of a
     ``python -m repro image serve-store`` object server, or a
@@ -136,28 +126,17 @@ class GeneratingExtension:
         unfold_hints: Iterable[str] = (),
         cache_size: int = 128,
         store_dir: Any = None,
-        store_max_bytes: int | None = None,
         remote_store: Any = None,
         analyze: str = "warn",
         max_unfold_depth: int = 5_000,
         max_residual_size: int = 1_000_000,
-        bta: str = "poly",
-        max_variants: int = 8,
     ):
         if analyze not in ("warn", "forbid", "off"):
             raise ValueError(f"unknown analyze mode {analyze!r}")
-        if bta not in ("mono", "poly"):
-            raise ValueError(f"unknown bta mode {bta!r} (use 'mono' or 'poly')")
         if isinstance(program, str):
             program = parse_program(program, goal=goal)
         self.program = program
         self.signature = signature
-        self.bta_mode = bta
-        self.max_variants = max_variants
-        # The BTA-discipline discriminator threaded into every residual
-        # cache key and on-disk image key (with program_digest): a
-        # mono-keyed entry must never satisfy a poly request.
-        self._bta_key = bta_cache_key(bta, max_variants)
         # Always-on counters; the spans of construction and of every
         # generation record into the same registry, which
         # ``cache_stats()["stages"]`` reads.
@@ -165,7 +144,7 @@ class GeneratingExtension:
         with obs.recording(self.metrics.registry):
             self.bta: BTAResult = bta_analyze(
                 program, signature, memo_hints=memo_hints,
-                unfold_hints=unfold_hints, bta=bta, max_variants=max_variants,
+                unfold_hints=unfold_hints,
             )
             # Re-check the analysis output with the independent
             # linter: a BTA bug surfaces here as an AnnotationViolation
@@ -208,7 +187,7 @@ class GeneratingExtension:
             if store_dir is not None:
                 from repro.image.store import ImageStore
 
-                local = ImageStore(store_dir, max_bytes=store_max_bytes)
+                local = ImageStore(store_dir)
             if remote_store is not None:
                 from repro.image.remote import (
                     RemoteStoreClient,
@@ -226,8 +205,7 @@ class GeneratingExtension:
             else:
                 self.store = local
             self._program_digest = program_digest(
-                program, signature, memo_hints, unfold_hints,
-                bta=bta, max_variants=max_variants,
+                program, signature, memo_hints, unfold_hints
             )
 
     def compiled(self) -> CompiledGeneratingExtension:
@@ -314,7 +292,7 @@ class GeneratingExtension:
         ) as sp:
             if self.cache.maxsize <= 0:
                 return produce()
-            key = (frozen, dif_strategy, kind, self._bta_key)
+            key = (frozen, dif_strategy, kind)
             cached, hit = self.cache.get_or_generate(key, produce)
             sp.set(cache_hit=hit)
             # The cached object is shared between every caller that
@@ -372,7 +350,7 @@ class GeneratingExtension:
         if self.cache.maxsize <= 0:
             return None
         frozen = tuple(freeze_static(a) for a in static_args)
-        return self.cache.peek((frozen, dif_strategy, kind, self._bta_key))
+        return self.cache.peek((frozen, dif_strategy, kind))
 
     def cache_stats(self) -> dict[str, Any]:
         """Hit/miss/eviction/wait counters of the cache.

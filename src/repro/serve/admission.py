@@ -42,20 +42,17 @@ def program_admission_digest(
     goal: str | None,
     memo_hints: Iterable[str] = (),
     unfold_hints: Iterable[str] = (),
-    bta: str = "poly",
 ) -> str:
     """A stable identity for an admission question.
 
     Hashes everything the analyzer's verdict depends on: the program
     *text* (pre-parse — two textually equal submissions are the same
-    question), the binding-time signature, the goal, the hints, and the
-    BTA discipline (the verdict is computed over the variant graph, so
-    a mono verdict must never answer a poly question or vice versa —
-    hence the v2 prefix).
+    question), the binding-time signature, the goal and the hints.  The
+    verdict is computed over the extension's polyvariant variant graph.
     """
     h = hashlib.sha256()
-    h.update(b"repro-admission-v2\x00")
-    for part in (program_text, signature, goal or "", bta):
+    h.update(b"repro-admission-v3\x00")
+    for part in (program_text, signature, goal or ""):
         h.update(part.encode("utf-8"))
         h.update(b"\x00")
     for hint in sorted(memo_hints):

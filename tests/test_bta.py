@@ -12,6 +12,17 @@ from tests.strategies import guarded_descent_programs
 S, D = BindingTime.STATIC, BindingTime.DYNAMIC
 
 
+def mono_extension(program, signature):
+    """The monovariant baseline's generating extension, compiled from its
+    annotated program (a ``GeneratingExtension`` runs only the
+    polyvariant division)."""
+    from repro.pe.cogen import compile_generating_extension
+
+    return compile_generating_extension(
+        analyze(program, signature, bta="mono").annotated
+    )
+
+
 def ann_body(src, signature, goal=None, **kw):
     program = parse_program(src, goal=goal)
     res = analyze(program, signature, **kw)
@@ -277,6 +288,7 @@ class TestPolyvariantProperties:
         # Differential property over the workload corpus: the mono and
         # poly divisions must produce semantically equal residual
         # programs, on both dispatch loops (plain and counting).
+        from repro.compiler.fusion import ObjectCodeBackend
         from repro.lang.prims import write_value
         from repro.rtcg import GeneratingExtension
         from repro.runtime.values import datum_to_value
@@ -304,8 +316,13 @@ class TestPolyvariantProperties:
         for name, program, sig, statics, dynamics in corpus:
             outcomes = {}
             for mode in ("mono", "poly"):
-                gen = GeneratingExtension(program, sig, bta=mode)
-                rp = gen.to_object_code(statics, dif_strategy="join")
+                if mode == "mono":
+                    rp = mono_extension(program, sig).generate(
+                        statics, ObjectCodeBackend(), dif_strategy="join"
+                    )
+                else:
+                    gen = GeneratingExtension(program, sig)
+                    rp = gen.to_object_code(statics, dif_strategy="join")
                 outcomes[mode] = (
                     write_value(rp.run(list(dynamics))),
                     write_value(rp.run_profiled(list(dynamics), VMProfile())),
@@ -332,16 +349,14 @@ class TestMonoLiftInfelicity:
         return next(e for e in SAFE if e.name == "ackermann")
 
     def test_mono_reproduces_the_binding_time_error(self):
-        from repro.rtcg import GeneratingExtension
-
         entry = self._ackermann()
-        gen = GeneratingExtension(
-            entry.source, entry.signature, goal=entry.goal, bta="mono"
+        gen = mono_extension(
+            parse_program(entry.source, goal=entry.goal), entry.signature
         )
         with pytest.raises(
             BindingTimeError, match="dynamic argument to static"
         ):
-            gen.to_source([2, 3])
+            gen.generate([2, 3])
 
     def test_poly_folds_ackermann_to_a_constant(self):
         from repro.rtcg import GeneratingExtension
@@ -352,6 +367,57 @@ class TestMonoLiftInfelicity:
         )
         rp = gen.to_source([2, 3])
         assert rp.run([]) == 9
+
+
+class TestVariantCap:
+    """The polyvariant fan-out cap, ``MAX_VARIANTS`` clones per function.
+
+    ``main`` calls ``f`` under distinct S/D patterns of its four
+    arguments: up to the cap each pattern gets its own clone, one
+    pattern more widens ``f`` back to its monovariant join.
+    """
+
+    # a is static in the first eight patterns, dynamic in the ninth.
+    PATTERNS = [
+        (a, b, c, e)
+        for a in "sd" for b in "sd" for c in "sd" for e in "sd"
+    ][:8] + [("d", "s", "s", "s")]
+
+    @classmethod
+    def _program(cls, n):
+        calls = " ".join(f"(f {' '.join(p)})" for p in cls.PATTERNS[:n])
+        return parse_program(
+            f"""
+            (define (main s d) (list {calls}))
+            (define (f a b c e) (+ a b c e))
+            """,
+            goal="main",
+        )
+
+    def test_eight_patterns_do_not_widen(self):
+        from repro.pe.bta import MAX_VARIANTS
+
+        res = analyze(self._program(8), "SD")
+        assert res.widened == frozenset()
+        f_variants = [
+            info for info in res.variants.values() if str(info.origin) == "f"
+        ]
+        assert len(f_variants) == MAX_VARIANTS == 8
+
+    def test_nine_patterns_widen_f(self):
+        from repro.interp import run_program
+        from repro.lang.prims import write_value
+        from repro.pe.check import check_bta
+        from repro.rtcg import GeneratingExtension
+
+        program = self._program(9)
+        res = analyze(program, "SD")
+        assert {str(o) for o in res.widened} == {"f"}
+        assert check_bta(res) == []
+        residual = GeneratingExtension(program, "SD").to_object_code([3])
+        value = write_value(residual.run([5]))
+        assert value == write_value(run_program(program, [3, 5]))
+        assert value == "(12 14 14 16 14 16 16 18 14)"
 
 
 class TestSolveSchedule:

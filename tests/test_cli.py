@@ -215,6 +215,20 @@ class TestStaticAnalysisCommands:
         ]
         assert division["recovered_params"] == 1
 
+    @pytest.mark.parametrize("command", ["lint", "analyze", "bta"])
+    def test_division_discipline_is_not_a_flag(
+        self, command, division_file, capsys
+    ):
+        # Every command divides with the polyvariant BTA; a discipline
+        # flag is a usage error, never a silently different report.
+        with pytest.raises(SystemExit) as exc:
+            main([
+                command, division_file, "--sig", "SD", "--goal", "main",
+                "--bta", "mono",
+            ])
+        assert exc.value.code == 2
+        assert "--bta" in capsys.readouterr().err
+
     def test_disasm_prints_templates(self, power_file, capsys):
         assert main(["disasm", power_file, "--goal", "power"]) == 0
         out = capsys.readouterr().out

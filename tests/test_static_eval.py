@@ -28,7 +28,9 @@ from repro.lang.ast import (
     Prim,
     Var,
 )
+from repro.lang.parser import parse_program
 from repro.pe.annprog import D, S, AnnDef, AnnotatedProgram
+from repro.pe.bta import analyze
 from repro.pe.cogen import compile_generating_extension
 from repro.pe.errors import BindingTimeError, BudgetExceeded
 from repro.pe.specializer import Specializer
@@ -198,13 +200,23 @@ def _digest(residual) -> str:
 _EXTENSIONS: dict = {}
 
 
-def _extension(workload: str, bta: str) -> GeneratingExtension:
+def _extension(workload: str, bta: str):
+    """The workload's generating extension.  The polyvariant division is
+    a ``GeneratingExtension``'s; the monovariant baseline is its
+    annotated program compiled directly (an extension runs only the
+    polyvariant division)."""
     key = (workload, bta)
     if key not in _EXTENSIONS:
         source, signature, goal, _ = WORKLOADS[workload]
-        _EXTENSIONS[key] = GeneratingExtension(
-            source, signature, goal=goal, bta=bta, cache_size=0
-        )
+        if bta == "poly":
+            _EXTENSIONS[key] = GeneratingExtension(
+                source, signature, goal=goal, cache_size=0
+            )
+        else:
+            program = parse_program(source, goal=goal)
+            _EXTENSIONS[key] = compile_generating_extension(
+                analyze(program, signature, bta=bta).annotated
+            )
     return _EXTENSIONS[key]
 
 
@@ -215,12 +227,17 @@ def test_section7_residuals_are_unchanged(key):
     workload, bta, strategy, route = key
     gen = _extension(workload, bta)
     static = WORKLOADS[workload][3]()
+    backend = ObjectCodeBackend() if route == "object" else None
     if strategy == "cogen":
-        backend = ObjectCodeBackend() if route == "object" else None
-        residual = gen.compiled().generate([static], backend=backend)
-    else:
+        compiled = gen.compiled() if bta == "poly" else gen
+        residual = compiled.generate([static], backend=backend)
+    elif bta == "poly":
         make = gen.to_object_code if route == "object" else gen.to_source
         residual = make([static], dif_strategy=strategy)
+    else:
+        residual = gen.generate(
+            [static], backend=backend, dif_strategy=strategy
+        )
     stats = residual.stats
     assert (
         _digest(residual), stats["residual_defs"], stats["residual_size"]
