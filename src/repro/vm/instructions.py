@@ -60,6 +60,24 @@ CALL = Op.CALL.value
 TAIL_CALL = Op.TAIL_CALL.value
 RETURN = Op.RETURN.value
 
+#: Operand slots per (plain-int) opcode: an instruction is the tuple
+#: ``(op, operand, ...)`` of this many operands after the opcode.
+OPERAND_COUNTS: dict[int, int] = {
+    CONST: 1,
+    LOCAL: 1,
+    CLOSED: 1,
+    GLOBAL: 1,
+    PUSH: 0,
+    SETLOC: 1,
+    PRIM: 2,
+    MAKE_CLOSURE: 2,
+    JUMP: 1,
+    JUMP_IF_FALSE: 1,
+    CALL: 1,
+    TAIL_CALL: 1,
+    RETURN: 0,
+}
+
 # Opcodes whose single operand is a literal-frame index.
 LITERAL_OPERAND_OPS = frozenset({CONST, GLOBAL})
 

@@ -37,6 +37,24 @@ class VmClosure:
 register_procedure_type(VmClosure)
 
 
+def entry_frame(fn: Any, args: Sequence[Any]) -> tuple[Template, list, tuple]:
+    """``(template, locals, closed)`` of a top-level call of ``fn`` on ``args``.
+
+    The one entry check of both dispatch loops: ``Machine.call`` and
+    ``vm/profile.py::call_profiled`` raise the same errors.
+    """
+    if not isinstance(fn, VmClosure):
+        raise VMError(f"attempt to apply non-procedure {fn!r}")
+    template = fn.template
+    if template.arity != len(args):
+        raise VMError(
+            f"{template.name}: expected {template.arity} arguments,"
+            f" got {len(args)}"
+        )
+    locals_ = list(args) + [None] * (template.nlocals - template.arity)
+    return template, locals_, fn.env
+
+
 class Machine:
     """A VM instance with a global environment."""
 
@@ -54,32 +72,21 @@ class Machine:
 
     def call(self, fn: Any, args: Sequence[Any]) -> Any:
         """Apply a VM procedure value to arguments and run to completion."""
-        if not isinstance(fn, VmClosure):
-            raise VMError(f"attempt to apply non-procedure {fn!r}")
-        template = fn.template
-        if template.arity != len(args):
-            raise VMError(
-                f"{template.name}: expected {template.arity} arguments,"
-                f" got {len(args)}"
-            )
-        locals_ = list(args) + [None] * (template.nlocals - template.arity)
-        return self._run(template, locals_, fn.env)
+        return self._run(*entry_frame(fn, args))
 
     def call_named(self, name: Symbol, args: Sequence[Any]) -> Any:
         return self.call(self.procedure(name), args)
 
     # -- the dispatch loop ---------------------------------------------------
     #
-    # Generated from the declarative instruction table in
-    # ``repro.vm.dispatch`` — do not edit by hand.  Regenerate with
-    # ``python -m repro.vm.dispatch --write`` (CI runs ``--check``).
+    # ``vm/profile.py::_run_counting`` is this loop plus its count lines;
+    # ``tests/test_dispatch.py`` holds the two congruent.  Each arm tests
+    # a plain int (``op == 1:  # CONST``): a named constant would cost a
+    # global load on every arm test (DESIGN §5h).
 
-    # --- BEGIN GENERATED DISPATCH: production loop ---
     def _run(self, template, locals_, closed):
         """Run ``template`` to completion.
 
-        Generated from the instruction table in
-        ``repro.vm.dispatch`` -- do not edit by hand.
         Continuations are (template, pc, locals, stack, closed)."""
         code = template.code
         literals = template.literals
@@ -195,4 +202,3 @@ class Machine:
                 literals = template.literals
             else:  # pragma: no cover - unreachable, sound assembler
                 raise VMError(f"unknown opcode {op!r}")
-    # --- END GENERATED DISPATCH: production loop ---

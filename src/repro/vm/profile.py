@@ -17,11 +17,11 @@ code the time goes into.  The trust model is explicit: profiled numbers
 come from a different loop than production runs, so they are execution
 *counts* (exact, deterministic), not wall-clock attributions.
 
-Both the production and the counting loop are generated from the
-declarative instruction table in :mod:`repro.vm.dispatch`, so they stay
-congruent by construction; the checked-in rendering below sits between
-``BEGIN/END GENERATED DISPATCH`` markers and is policed by the
-``python -m repro.vm.dispatch --check`` drift gate.
+The counting loop is checked-in code like the production loop, and
+``tests/test_dispatch.py`` keeps the two congruent: past the frame
+set-up, :func:`_run_counting` must be ``Machine._run`` plus exactly its
+count lines, and no arm of either may read an operand slot beyond
+:data:`~repro.vm.instructions.OPERAND_COUNTS`.
 
 Attribution identity
 --------------------
@@ -42,7 +42,7 @@ from typing import Any, NamedTuple, Sequence
 from repro.lang.prims import PrimSpec
 from repro.sexp.datum import Symbol
 from repro.vm.instructions import opcode_name
-from repro.vm.machine import Machine, VmClosure, VMError
+from repro.vm.machine import Machine, VmClosure, VMError, entry_frame
 from repro.vm.template import Template
 
 
@@ -192,17 +192,9 @@ def call_profiled(
     Mirrors :meth:`Machine.call`; results and raised errors are
     identical to the unprofiled loop.
     """
-    if not isinstance(fn, VmClosure):
-        raise VMError(f"attempt to apply non-procedure {fn!r}")
-    template = fn.template
-    if template.arity != len(args):
-        raise VMError(
-            f"{template.name}: expected {template.arity} arguments,"
-            f" got {len(args)}"
-        )
-    locals_ = list(args) + [None] * (template.nlocals - template.arity)
+    template, locals_, closed = entry_frame(fn, args)
     profile.calls += 1
-    return _run_counting(machine, template, locals_, fn.env, profile)
+    return _run_counting(machine, template, locals_, closed, profile)
 
 
 def call_named_profiled(
@@ -211,19 +203,10 @@ def call_named_profiled(
     return call_profiled(machine, machine.procedure(name), args, profile)
 
 
-# Generated from the declarative instruction table in
-# ``repro.vm.dispatch`` — do not edit by hand.  Regenerate with
-# ``python -m repro.vm.dispatch --write`` (CI runs ``--check``).
-
-# --- BEGIN GENERATED DISPATCH: counting loop ---
 def _run_counting(machine, template, locals_, closed, profile):
-    """Counting twin of ``Machine._run``.
-
-    Generated from the instruction table in
-    ``repro.vm.dispatch`` -- semantics match the
-    production loop by construction; the only additions
-    are the count updates (opcodes and per-template
-    attribution by content identity)."""
+    """Counting twin of ``Machine._run``: the same loop plus its count
+    lines (per opcode, per template, per frame entry), so an edit to an
+    arm of one loop is made to both."""
     opcode_counts = profile.opcode_counts
     tmpl_instrs = profile.template_instructions
     tmpl_invocations = profile.template_invocations
@@ -351,4 +334,3 @@ def _run_counting(machine, template, locals_, closed, profile):
             tkey = profile._ident(template)
         else:  # pragma: no cover - unreachable, sound assembler
             raise VMError(f"unknown opcode {op!r}")
-# --- END GENERATED DISPATCH: counting loop ---

@@ -50,13 +50,13 @@ from repro.vm.instructions import (
     BRANCH_OPS,
     CALL,
     CLOSED,
-    CONST,
     GLOBAL,
-    JUMP,
-    JUMP_IF_FALSE,
+    LITERAL_COUNT_OPS,
+    LITERAL_OPERAND_OPS,
     LOCAL,
     MAKE_CLOSURE,
     OP_NAMES,
+    OPERAND_COUNTS,
     PRIM,
     PUSH,
     RETURN,
@@ -158,26 +158,6 @@ class VerificationError(SchemeError):
         super().__init__(f"bytecode verification failed: {summary}")
 
 
-# Expected operand counts per (plain-int) opcode.
-_OPERAND_COUNTS = {
-    CONST: 1,
-    LOCAL: 1,
-    CLOSED: 1,
-    GLOBAL: 1,
-    PUSH: 0,
-    SETLOC: 1,
-    PRIM: 2,
-    MAKE_CLOSURE: 2,
-    JUMP: 1,
-    JUMP_IF_FALSE: 1,
-    CALL: 1,
-    TAIL_CALL: 1,
-    RETURN: 0,
-}
-
-# Opcodes whose second operand is a pop count.
-_COUNTED_OPS = frozenset({PRIM, MAKE_CLOSURE})
-_LITERAL_OPS = frozenset({CONST, GLOBAL}) | _COUNTED_OPS
 _SLOT_OPS = frozenset({LOCAL, SETLOC})
 _CALL_OPS = frozenset({CALL, TAIL_CALL})
 
@@ -277,7 +257,7 @@ def _structural_pass(
             # Hand-built code may hold ``Op`` members; a bool, float or
             # anything else that merely compares equal is no opcode.
             op = int(op) if isinstance(op, Op) else -1
-        expected = _OPERAND_COUNTS.get(op)
+        expected = OPERAND_COUNTS.get(op)
         if expected is None:
             err(
                 ViolationKind.BAD_OPCODE, pc,
@@ -307,7 +287,7 @@ def _structural_pass(
             cfg_ok = False
             continue
 
-        if op in _LITERAL_OPS:
+        if op in LITERAL_OPERAND_OPS or op in LITERAL_COUNT_OPS:
             k = instr[1]
             if not 0 <= k < len(literals):
                 err(
@@ -482,7 +462,7 @@ def _stack_effect(op: int, instr: tuple) -> tuple[int, int]:
     """(pops, pushes) on the operand stack.  ``val`` is not modelled."""
     if op == PUSH:
         return 0, 1
-    if op in _COUNTED_OPS:
+    if op in LITERAL_COUNT_OPS:
         return instr[2], 0
     if op in _CALL_OPS:
         return instr[1] + 1, 0     # arguments plus the operator

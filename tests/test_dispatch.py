@@ -1,48 +1,89 @@
-"""The declarative instruction table and its generated dispatch loops.
+"""The two checked-in dispatch loops and the ISA table they must agree with.
 
-The production loop in :mod:`repro.vm.machine` and the counting twin in
-:mod:`repro.vm.profile` are both *renderings* of one table
-(:mod:`repro.vm.dispatch`); the tests here pin the table's shape and
-the congruence gate (checked-in loops == freshly rendered loops).
+``Machine._run`` (:mod:`repro.vm.machine`) runs all residual code; its
+counting twin ``_run_counting`` (:mod:`repro.vm.profile`) serves
+profiling.  Both are ordinary source.  The tests here read them with
+:func:`inspect.getsource` and hold them congruent: (a) every opcode has
+exactly one arm in each loop; (b) past the frame set-up, the counting
+loop is the production loop plus exactly its four count lines; (c) no
+arm reads an operand slot beyond the opcode's entry in
+:data:`~repro.vm.instructions.OPERAND_COUNTS`, the table the bytecode
+verifier checks instructions against.
 """
 
-import subprocess
-import sys
+import ast
+import inspect
+import textwrap
 
 import pytest
 
-from repro.vm.dispatch import (
-    ORDER,
-    TABLE,
-    check_drift,
-    counting_loop_source,
-    operand_count,
-    production_loop_source,
-)
 from repro.vm.instructions import (
     BRANCH_OPS,
     LITERAL_COUNT_OPS,
     LITERAL_OPERAND_OPS,
+    OPERAND_COUNTS,
     Op,
     opcode_name,
 )
+from repro.vm.machine import Machine
+from repro.vm.profile import _run_counting
+
+LOOPS = {"production": Machine._run, "counting": _run_counting}
+
+
+def _source(loop) -> str:
+    return textwrap.dedent(inspect.getsource(loop))
+
+
+def _arms(loop) -> list[tuple[int, list[ast.stmt]]]:
+    """``(opcode, arm body)`` of the loop's ``if op == N`` chain, in order."""
+    (func,) = ast.parse(_source(loop)).body
+    (dispatch,) = [node for node in ast.walk(func) if isinstance(node, ast.While)]
+    chain = dispatch.body[-1]
+    arms = []
+    while isinstance(chain, ast.If):
+        test = chain.test
+        assert isinstance(test, ast.Compare), ast.unparse(test)
+        assert ast.unparse(test.left) == "op"
+        assert isinstance(test.ops[0], ast.Eq)
+        (value,) = test.comparators
+        assert type(value) is ast.Constant and type(value.value) is int, (
+            f"arm test {ast.unparse(test)!r} is not a plain-int comparison"
+        )
+        arms.append((value.value, chain.body))
+        chain = chain.orelse[0] if chain.orelse else None
+    return arms
+
+
+def _instr_reads(body: list[ast.stmt]) -> list[ast.Subscript]:
+    """Every ``instr[...]`` subscript in an arm body."""
+    return [
+        node
+        for stmt in body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Subscript) and ast.unparse(node.value) == "instr"
+    ]
 
 
 class TestTable:
     def test_every_opcode_has_exactly_one_spec(self):
-        assert set(TABLE) == set(Op)
-        assert len(ORDER) == len(Op)
+        assert set(OPERAND_COUNTS) == {op.value for op in Op}
+        for name, loop in LOOPS.items():
+            opcodes = [op for op, _body in _arms(loop)]
+            assert sorted(opcodes) == sorted(op.value for op in Op), name
 
     def test_operand_counts_match_instruction_classification(self):
-        # The table must agree with instructions.py about encoding.
+        # The operand counts must agree with the operand classes.
         for op in Op:
-            n = operand_count(op)
+            n = OPERAND_COUNTS[op]
             if op in LITERAL_COUNT_OPS:
-                assert n == 2
+                assert n == 2, op.name
             elif op in LITERAL_OPERAND_OPS or op in BRANCH_OPS:
-                assert n == 1
-            elif op in (Op.RETURN,):
-                assert n == 0
+                assert n == 1, op.name
+            elif op in (Op.PUSH, Op.RETURN):
+                assert n == 0, op.name
+            else:
+                assert n == 1, op.name
 
     def test_opcode_name_renders_any_int(self):
         assert opcode_name(Op.CONST) == "CONST"
@@ -50,46 +91,38 @@ class TestTable:
         assert opcode_name(99) == "OP_99"
 
     def test_operand_placeholders_stay_in_range(self):
-        # A body may only reference operand slots its spec declares.
-        for op, spec in TABLE.items():
-            for slot in range(spec.operands, 4):
-                assert "{a%d}" % slot not in spec.body, op
+        # An arm may only read the operand slots its opcode declares:
+        # instr[1] .. instr[OPERAND_COUNTS[op]], each by a constant index.
+        for name, loop in LOOPS.items():
+            for op, body in _arms(loop):
+                for node in _instr_reads(body):
+                    slot = node.slice
+                    assert isinstance(slot, ast.Constant), ast.unparse(node)
+                    assert 1 <= slot.value <= OPERAND_COUNTS[op], (
+                        f"{name} loop: {opcode_name(op)} reads"
+                        f" {ast.unparse(node)} but has"
+                        f" {OPERAND_COUNTS[op]} operand(s)"
+                    )
 
 
 class TestDriftGate:
     def test_checked_in_loops_match_the_table(self):
-        # The repo invariant the CI gate enforces: regenerating both
-        # loops from the table is a no-op.
-        assert check_drift() == []
-
-    def test_cli_check_passes(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.vm.dispatch", "--check"],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-
-    def test_cli_print_emits_both_loops(self):
-        for mode, marker in (
-            ("production", "def _run("),
-            ("counting", "def _run_counting("),
-        ):
-            proc = subprocess.run(
-                [sys.executable, "-m", "repro.vm.dispatch", "--print", mode],
-                capture_output=True, text=True,
-            )
-            assert proc.returncode == 0, proc.stderr
-            assert marker in proc.stdout
+        # Both loops test the opcodes in the same order, each arm as a
+        # plain int with the opcode's name beside it, and end in the
+        # unknown-opcode arm.
+        orders = {name: [op for op, _ in _arms(loop)] for name, loop in LOOPS.items()}
+        assert orders["production"] == orders["counting"]
+        for name, loop in LOOPS.items():
+            source = _source(loop)
+            for op in Op:
+                arm = f"op == {op.value}:  # {op.name}\n"
+                assert source.count(arm) == 1, (name, op.name)
+            assert 'raise VMError(f"unknown opcode {op!r}")' in source
 
     def test_counting_loop_is_production_plus_accounting(self):
-        prod = production_loop_source()
-        count = counting_loop_source()
+        prod = _source(Machine._run)
+        count = _source(_run_counting)
         assert "profile" in count and "profile" not in prod
-        # Both render every opcode arm once, as a plain-int comparison.
-        for op in Op:
-            arm = f"op == {op.value}:  # {op.name}\n"
-            assert prod.count(arm) == 1
-            assert count.count(arm) == 1
         # Past the signature and docstring, the counting loop is the
         # production loop plus per-opcode and per-template count lines.
         prod_body = _body(prod)
@@ -122,7 +155,7 @@ def _body(source: str) -> list[str]:
 
 # (workload, dynamic input) -> instructions the §7 residual retires on
 # its hot input.  perfbench's exact ``vm.dispatches`` is a sum of these
-# counts, so a change to either generated loop or to residual code
+# counts, so a change to either dispatch loop or to residual code
 # shows up here first.
 HOT_DISPATCHES = {
     "mixwell": ([1, 0, 1, 1, 0, 1], 8355),

@@ -1,9 +1,9 @@
-"""VM dispatch edge cases, run through BOTH generated dispatch loops.
+"""VM dispatch edge cases, run through BOTH dispatch loops.
 
-These lock in the semantics the loops generated from the instruction
-table (:mod:`repro.vm.dispatch`) must preserve: first-class ``PrimSpec``
-in non-tail ``CALL`` position, ``TAIL_CALL`` of a prim with an empty
-continuation stack, and ``JUMP_IF_FALSE`` treating only ``#f`` as false.
+These lock in the semantics the production and counting loops must
+both preserve: first-class ``PrimSpec`` in non-tail ``CALL`` position,
+``TAIL_CALL`` of a prim with an empty continuation stack, and
+``JUMP_IF_FALSE`` treating only ``#f`` as false.
 Every test is parametrized over ``Machine.call`` (the production loop)
 and :func:`~repro.vm.profile.call_profiled` (the counting twin), so a
 divergence between the two fails here by construction.
