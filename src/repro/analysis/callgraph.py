@@ -708,7 +708,19 @@ class _Builder:
                 penv, pdyn, pvia = prev
                 merged_env = dict(penv)
                 for k, v in body_env.items():
-                    merged_env[k] = join_bounds(penv.get(k), v)
+                    old = penv.get(k)
+                    joined = join_bounds(old, v)
+                    # Widen: a bound whose constant grows over the same
+                    # terms (an accumulator re-entering its own body)
+                    # would grow on every re-entry.
+                    if (
+                        isinstance(old, Bound)
+                        and isinstance(joined, Bound)
+                        and joined.terms == old.terms
+                        and joined.const > old.const
+                    ):
+                        joined = TOP
+                    merged_env[k] = joined
                 for k in penv:
                     if k not in body_env:
                         merged_env[k] = TOP

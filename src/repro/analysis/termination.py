@@ -37,6 +37,7 @@ from typing import Any, Iterable
 from repro.analysis.callgraph import Bound, CallEdge, CallGraph, NumBound
 from repro.analysis.fixpoint import close_arrows
 from repro.analysis.report import AnalysisFinding, AnalysisKind
+from repro.pe.bta import strongly_connected_components
 
 # Arc relations, finite by construction:
 #   eq     value equal to the source parameter
@@ -150,31 +151,9 @@ def _edge_scg(edge: CallEdge, graph: CallGraph) -> SCG:
     )
 
 
-def _arc_index(arcs: frozenset) -> dict:
-    """``dst_param -> [(rel, src_param)]`` for one graph's arc set.
-
-    The closure composes each graph against many partners, so the
-    index is memoized on the arc set (arc sets repeat heavily across
-    composed graphs).
-    """
-    cached = _ARC_INDEX_CACHE.get(arcs)
-    if cached is None:
-        if len(_ARC_INDEX_CACHE) > 4096:
-            _ARC_INDEX_CACHE.clear()
-        cached = {}
-        for q, rel, p in arcs:
-            cached.setdefault(q, []).append((rel, p))
-        _ARC_INDEX_CACHE[arcs] = cached
-    return cached
-
-
-_ARC_INDEX_CACHE: dict = {}
-
-
-def _compose(g1: SCG, g2: SCG) -> SCG | None:
-    if g1.dst != g2.src:
-        return None
-    by_param = _arc_index(g1.arcs)
+def _compose(g1: SCG, by_param: dict, g2: SCG) -> SCG:
+    """``g1`` then ``g2``; ``by_param`` indexes ``g1``'s arcs as
+    ``dst_param -> [(rel, src_param)]``."""
     arcs = set()
     for q, rel2, m in g2.arcs:
         if rel2 == "const":
@@ -192,27 +171,57 @@ def _compose(g1: SCG, g2: SCG) -> SCG | None:
     )
 
 
-def _closure_with_witnesses(
-    edges: list, graph: CallGraph
-) -> tuple[set, dict]:
-    """All composed graphs, each with one witness edge sequence."""
+def _idempotent_cycles(edges: list, graph: CallGraph) -> list:
+    """Every idempotent cyclic composed graph under dynamic control,
+    each with one witness edge sequence.
+
+    Every edge of a cycle, and so of every composite a cyclic graph is
+    built from, lies in one strongly connected component of the edge
+    graph: only those edges seed the closure.  The arc index of a
+    graph is memoized on its arc set for this call (arc sets repeat
+    heavily across composed graphs).
+    """
+    successors: dict[str, set] = {}
+    for edge in edges:
+        successors.setdefault(edge.src, set()).add(edge.dst)
+        successors.setdefault(edge.dst, set())
+    component = {
+        node: i
+        for i, members in enumerate(strongly_connected_components(successors))
+        for node in members
+    }
+    indexes: dict[frozenset, dict] = {}
+
+    def compose(a: SCG, b: SCG) -> SCG:
+        by_param = indexes.get(a.arcs)
+        if by_param is None:
+            by_param = indexes[a.arcs] = {}
+            for q, rel, p in a.arcs:
+                by_param.setdefault(q, []).append((rel, p))
+        return _compose(a, by_param, b)
+
     witness: dict[SCG, tuple] = {}
     seeds = []
     for edge in edges:
-        g = _edge_scg(edge, graph)
-        seeds.append(g)
-        witness.setdefault(g, (edge,))
+        if component[edge.src] == component[edge.dst]:
+            g = _edge_scg(edge, graph)
+            seeds.append(g)
+            witness.setdefault(g, (edge,))
 
-    def combine(a: SCG, b: SCG) -> SCG | None:
-        g = _compose(a, b)
-        if g is not None and g not in witness:
+    def combine(a: SCG, b: SCG) -> SCG:
+        g = compose(a, b)
+        if g not in witness:
             witness[g] = witness[a] + witness[b]
         return g
 
     closed = close_arrows(
         seeds, lambda g: g.src, lambda g: g.dst, combine
     )
-    return closed, witness
+    return [
+        (g, witness[g])
+        for g in closed
+        if g.src == g.dst and g.under_dynamic and compose(g, g) == g
+    ]
 
 
 def _cycle_lines(edges: tuple) -> tuple:
@@ -222,17 +231,11 @@ def _cycle_lines(edges: tuple) -> tuple:
 def check_unfolding(graph: CallGraph) -> list:
     """T1: every idempotent cyclic unfold graph needs a strict self-arc."""
     unfold = [e for e in graph.unfold_edges if e.kind in ("unfold", "closure")]
-    closed, witness = _closure_with_witnesses(unfold, graph)
     findings = []
     seen_cycles = set()
-    for g in closed:
-        if g.src != g.dst or not g.under_dynamic:
-            continue
-        if _compose(g, g) != g:
-            continue
+    for g, edges in _idempotent_cycles(unfold, graph):
         if any(q == p and rel in _STRICT for q, rel, p in g.arcs):
             continue
-        edges = witness[g]
         cycle_key = tuple(sorted((e.src, e.dst, e.sites) for e in edges))
         if cycle_key in seen_cycles:
             continue
@@ -266,14 +269,9 @@ class MemoCycleFailure:
 
 def check_memo_growth(graph: CallGraph) -> list:
     """T2: every static parameter needs a bound around every memo cycle."""
-    closed, witness = _closure_with_witnesses(graph.memo_edges, graph)
     failures = []
     seen = set()
-    for g in closed:
-        if g.src != g.dst or not g.under_dynamic:
-            continue
-        if _compose(g, g) != g:
-            continue
+    for g, edges in _idempotent_cycles(graph.memo_edges, graph):
         node = graph.nodes[g.src]
         bounded = {q for q, _, _ in g.arcs}
         missing = tuple(
@@ -281,7 +279,6 @@ def check_memo_growth(graph: CallGraph) -> list:
         )
         if not missing:
             continue
-        edges = witness[g]
         key = (g.src, missing)
         if key in seen:
             continue

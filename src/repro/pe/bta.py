@@ -44,9 +44,12 @@ The analysis is a joint fixpoint over three interleaved, monotone maps:
   its parameters.
 
 The fixpoint runs in rounds over the definitions, in definition order,
-until a round changes nothing.  Each definition walk records which
-facts it read; a round re-walks only the definitions with a fact that
-grew since they last read it.  The skipped walks could only repeat
+until a round changes nothing.  A walk pushes demand into a lambda's
+body, a let's body and an if's branches before it descends into them,
+so demand known at a nest's root reaches its leaves in that walk, not
+one nesting level per round.  Each definition walk records which facts
+it read; a round re-walks only the definitions with a fact that grew
+since they last read it.  The skipped walks could only repeat
 joins already made, so the result is the one a full sweep per round
 computes.  The order matters because the unfold/memoize decision below
 is not monotone, which is also why the analysis keeps its own schedule
@@ -294,16 +297,16 @@ def _eta_expand_def_values(program: Program, gs: Gensym) -> Program:
     )
 
 
-def _strongly_connected_components(
-    graph: dict[Symbol, set[Symbol]],
-) -> list[set[Symbol]]:
+def strongly_connected_components(graph: dict[Any, set]) -> list[set]:
     """Tarjan's algorithm over a caller -> callees map, iteratively (a
-    long call chain must not hit Python's recursion limit)."""
-    index: dict[Symbol, int] = {}
-    low: dict[Symbol, int] = {}
-    stack: list[Symbol] = []
-    on_stack: set[Symbol] = set()
-    components: list[set[Symbol]] = []
+    long call chain must not hit Python's recursion limit).  Every
+    callee must be a key of ``graph``.  The safety analysis runs it on
+    its call graph too (:mod:`repro.analysis.termination`)."""
+    index: dict[Any, int] = {}
+    low: dict[Any, int] = {}
+    stack: list = []
+    on_stack: set = set()
+    components: list[set] = []
     for root in graph:
         if root in index:
             continue
@@ -328,7 +331,7 @@ def _strongly_connected_components(
                     caller = work[-1][0]
                     low[caller] = min(low[caller], low[node])
                 if low[node] == index[node]:
-                    component: set[Symbol] = set()
+                    component: set = set()
                     while True:
                         member = stack.pop()
                         on_stack.discard(member)
@@ -406,7 +409,7 @@ class _Analysis:
         self.ann_closure_apps: dict[int, tuple[int, ...]] = {}
 
         graph = self._call_graph()
-        self.sccs = _strongly_connected_components(graph)
+        self.sccs = strongly_connected_components(graph)
         self.recursive: set[Symbol] = set()
         for comp in self.sccs:
             if len(comp) > 1:
@@ -691,32 +694,30 @@ class _Analysis:
             self._flow_bt(name, nid)
             return
 
+        # A lambda, let or if pushes demand to its body or branches
+        # before walking them, so demand reaches a nest's leaves in the
+        # walk that finds it.
         if isinstance(e, Lam):
             self._add_aval(nid, ("lam", nid))
-            self._analyze(e.body, host)
             if self._forced(nid):
                 self._raise_bt(nid)
                 self._demand(id(e.body))
+            self._analyze(e.body, host)
             return
 
         if isinstance(e, Let):
             self._analyze(e.rhs, host)
+            if self._demanded(nid):
+                self._demand(id(e.body))
             self._analyze(e.body, host)
             self._flow_aval(id(e.rhs), e.var)
             self._flow_bt(id(e.rhs), e.var)
             self._flow_aval(id(e.body), nid)
             self._flow_bt(id(e.body), nid)
-            if self._demanded(nid):
-                self._demand(id(e.body))
             return
 
         if isinstance(e, If):
             self._analyze(e.test, host)
-            self._analyze(e.then, host)
-            self._analyze(e.alt, host)
-            for br in (e.then, e.alt):
-                self._flow_aval(id(br), nid)
-                self._flow_bt(id(br), nid)
             if self._get_bt(id(e.test)) is D:
                 self._raise_bt(nid)
                 self._demand(id(e.test))
@@ -725,6 +726,11 @@ class _Analysis:
             elif self._demanded(nid):
                 self._demand(id(e.then))
                 self._demand(id(e.alt))
+            self._analyze(e.then, host)
+            self._analyze(e.alt, host)
+            for br in (e.then, e.alt):
+                self._flow_aval(id(br), nid)
+                self._flow_bt(id(br), nid)
             return
 
         if isinstance(e, Prim):

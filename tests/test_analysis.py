@@ -117,6 +117,53 @@ class TestCorpusSeparation:
         assert gen.cache_stats()["budget_trips"] == 1
 
 
+# Analyses every corpus entry under every S/D signature of its goal and
+# prints one line per pair that gets a report.
+_EVERY_SIGNATURE = """
+import itertools
+from repro.analysis import analyze_program
+from repro.lang.parser import parse_program
+from tests.corpus_termination import DIVERGING, SAFE
+
+for e in DIVERGING + SAFE:
+    program = parse_program(e.source, goal=e.goal)
+    arity = len(program.lookup(program.goal).params)
+    for sig in map("".join, itertools.product("SD", repeat=arity)):
+        analyze_program(
+            program, sig, memo_hints=e.memo_hints, unfold_hints=e.unfold_hints
+        )
+        print(e.name, sig, flush=True)
+"""
+
+
+def test_every_signature_of_the_corpus_gets_a_report():
+    # Under an all-static signature an accumulator re-enters its own
+    # body in the memo summaries with an ever larger bound unless that
+    # bound is widened; a child process with a timeout turns such a
+    # hang into a failure naming the last pair reported.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    env = dict(
+        os.environ, PYTHONPATH=f"{root / 'src'}{os.pathsep}{root}"
+    )
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", _EVERY_SIGNATURE],
+            capture_output=True, text=True, env=env, cwd=root, timeout=60,
+        )
+    except subprocess.TimeoutExpired as exc:
+        out = exc.stdout or b""
+        done = (out.decode() if isinstance(out, bytes) else out).split()
+        pytest.fail(f"timed out after the report of {done[-2:]}")
+    assert proc.returncode == 0, proc.stderr
+    reported = {line.split()[0] for line in proc.stdout.splitlines()}
+    assert reported == {e.name for e in DIVERGING + SAFE}
+
+
 class TestBundledProgramsAreSafe:
     """The acceptance gate: examples and §7 workloads analyze clean."""
 

@@ -439,3 +439,21 @@ class TestSolveSchedule:
         analysis.changed = False
         analysis._memo_called(g)
         assert not analysis.changed
+
+    def test_demand_reaches_a_deep_cond_in_one_round(self):
+        # The residual goal's body is demanded after its first walk.  The
+        # 20 nested ifs pass that demand to their branches before walking
+        # them, so the second round lifts every arm and the third finds
+        # nothing to change; a walk that pushes only after descending
+        # would move the demand down one arm per round.
+        from repro import obs
+
+        arms = " ".join(f"((= s {i}) {i})" for i in range(20))
+        program = prepare(parse_program(
+            f"(define (f s d) (cond {arms} (else d)))", goal="f"
+        ))
+        analysis = _Analysis(program, parse_signature("SD"),
+                             frozenset(), frozenset())
+        with obs.tracing() as (_, metrics):
+            analysis.solve()
+        assert metrics.counter_value("pe.bta.rounds") <= 3

@@ -8,7 +8,8 @@ with the digest checked in at ``bta_pins.json``.  A change to the
 analysis's schedule or data structures must leave every digest as it
 is; a change that means to alter a division regenerates the file and
 says why.  The same inputs also check the solver's internal state
-against a schedule that re-walks every definition after any change.
+against a schedule that re-walks every definition after any change,
+and against a walk that pushes demand only after it has descended.
 
 Regenerate with ``PYTHONPATH=src python -m tests.test_bta_pins --write``
 from the repository root.
@@ -17,14 +18,15 @@ from the repository root.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.lang import parse_program, unparse
-from repro.pe import BindingTimeError, analyze
+from repro.lang import If, Lam, Let, parse_program, unparse
+from repro.pe import BindingTime, BindingTimeError, analyze
 from repro.pe.bta import _Analysis
 from repro.sexp.writer import write
 from tests.corpus_termination import DIVERGING, SAFE
@@ -35,6 +37,7 @@ from tests.strategies import (
 )
 
 PINS = Path(__file__).with_name("bta_pins.json")
+D = BindingTime.DYNAMIC
 MODES = ("mono", "poly")
 
 # The higher-order shapes of test_bta.py: closures through static and
@@ -145,6 +148,50 @@ class _FullSweep(_Analysis):
         self._dirty.update(self.defs)
 
 
+class _PostOrderWalk(_Analysis):
+    """The reference walk order: a lambda, let or if pushes demand to
+    its body or branches only after walking them, so demand moves down
+    one nesting level per round."""
+
+    def _analyze(self, e, host):
+        nid = id(e)
+        if isinstance(e, Lam):
+            self.node_of[nid] = e
+            self._add_aval(nid, ("lam", nid))
+            self._analyze(e.body, host)
+            if self._forced(nid):
+                self._raise_bt(nid)
+                self._demand(id(e.body))
+        elif isinstance(e, Let):
+            self.node_of[nid] = e
+            self._analyze(e.rhs, host)
+            self._analyze(e.body, host)
+            self._flow_aval(id(e.rhs), e.var)
+            self._flow_bt(id(e.rhs), e.var)
+            self._flow_aval(id(e.body), nid)
+            self._flow_bt(id(e.body), nid)
+            if self._demanded(nid):
+                self._demand(id(e.body))
+        elif isinstance(e, If):
+            self.node_of[nid] = e
+            self._analyze(e.test, host)
+            self._analyze(e.then, host)
+            self._analyze(e.alt, host)
+            for br in (e.then, e.alt):
+                self._flow_aval(id(br), nid)
+                self._flow_bt(id(br), nid)
+            if self._get_bt(id(e.test)) is D:
+                self._raise_bt(nid)
+                self._demand(id(e.test))
+                self._demand(id(e.then))
+                self._demand(id(e.alt))
+            elif self._demanded(nid):
+                self._demand(id(e.then))
+                self._demand(id(e.alt))
+        else:
+            super()._analyze(e, host)
+
+
 def _state(analysis: _Analysis) -> tuple:
     return (
         analysis.bt,
@@ -177,6 +224,51 @@ def test_solve_ends_clean_at_the_full_sweep_state(mode, monkeypatch):
     for program, sig, memo, unfold in _CASES.values():
         analyze(program, sig, memo_hints=memo, unfold_hints=unfold, bta=mode)
     assert len(solved) >= len(_CASES)
+
+
+def _every_signature() -> list:
+    """The pinned inputs, plus every other S/D signature of the
+    termination corpus and of the section-7 interpreters."""
+    from repro.workloads import lazy_interpreter, mixwell_interpreter
+
+    cases = list(_CASES.values())
+    programs = [(mixwell_interpreter(), (), ()), (lazy_interpreter(), (), ())]
+    for entry in DIVERGING + SAFE:
+        programs.append((
+            parse_program(entry.source, goal=entry.goal),
+            entry.memo_hints,
+            entry.unfold_hints,
+        ))
+    for program, memo, unfold in programs:
+        arity = len(program.lookup(program.goal).params)
+        for sig in itertools.product("SD", repeat=arity):
+            cases.append((program, "".join(sig), memo, unfold))
+    return cases
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_walk_reaches_the_post_order_state(mode, monkeypatch):
+    # Pushing demand before descending only reaches the fixpoint in
+    # fewer rounds: every solve ends in the state the post-order walk
+    # ends in, demand and forced lambdas included.
+    solve = _Analysis.solve
+    solved = []
+
+    def checked_solve(self):
+        twin = _PostOrderWalk(
+            self.program, self.signature, self.memo_hints,
+            self.unfold_hints, self._origin,
+        )
+        solve(twin)
+        solve(self)
+        assert _state(self) == _state(twin)
+        solved.append(self)
+
+    monkeypatch.setattr(_Analysis, "solve", checked_solve)
+    cases = _every_signature()
+    for program, sig, memo, unfold in cases:
+        analyze(program, sig, memo_hints=memo, unfold_hints=unfold, bta=mode)
+    assert len(solved) >= len(cases)
 
 
 if __name__ == "__main__":

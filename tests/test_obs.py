@@ -334,6 +334,11 @@ class TestPipelineInstrumentation:
             GeneratingExtension(mixwell_interpreter(), MIXWELL_SIGNATURE)
         assert metrics.counter_value("pe.bta.solves") == len(full_sweeps) > 1
         assert 0 < metrics.counter_value("pe.bta.walks") < sum(full_sweeps)
+        # Demand is pushed before the walk descends; the post-order
+        # reference walk of test_bta_pins.py takes 83 rounds and 230
+        # walks.
+        assert metrics.counter_value("pe.bta.rounds") == 27
+        assert metrics.counter_value("pe.bta.walks") == 152
 
     def test_l1_hit_and_miss_counters(self):
         from repro.rtcg import GeneratingExtension
