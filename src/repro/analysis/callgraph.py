@@ -21,6 +21,12 @@ analyses:
   is a substructure of one of its parameters (needed to see that an
   interpreter's ``lookup``-style helpers do not grow the static state).
 
+Both edge kinds come from one pre-order walk over a body
+(:meth:`_Builder._walk_calls`) that hands each call site, with the
+bounds of the names in scope, to a callback: the unfold-edge builder
+turns a call into an edge out of the body's node, the memo summary into
+a memo edge or an entry into the unfolded body.
+
 The bound domain: ``size(value) <= const + sum(size(path(param)))``
 over *terms* ``(param, path, exact)``, where ``path`` is a chain of
 pair destructors and ``exact`` means the value embeds exactly that
@@ -376,6 +382,13 @@ def _weaken_summary(s: Any) -> Any:
 
 # -- the walker ----------------------------------------------------------------------
 
+# Path segment prefix of an argument position, per node type.
+_ARG_TAGS = {
+    Prim: "prim", DPrim: "dprim", MemoCall: "memo", App: "app", DApp: "dapp",
+}
+# Nodes with no call below them; a static lambda is walked as its own node.
+_LEAVES = frozenset({Const, Var, Lam})
+
 
 class _Builder:
     def __init__(self, bta: BTAResult):
@@ -425,20 +438,11 @@ class _Builder:
                 )
         # Per-node unfold/closure/memo edges (the T1 graph).
         for d in self.annotated.defs:
-            env = {p: Bound(0, ((p, (), True),)) for p in
-                   self._static_params(d.params, d.bts)}
-            self._walk_edges(
-                str(d.name), d.body, env, path=(), dyn=False, guard=False
-            )
+            self._node_edges(str(d.name), d.body, ())
         if self.closure is not None:
             for lam_id, site in self.closure.lams.items():
                 name = self._lam_name(lam_id, site.host)
-                statics = self.graph.nodes[name].static_params
-                env = {p: Bound(0, ((p, (), True),)) for p in statics}
-                self._walk_edges(
-                    name, site.node.body, env, path=("lam.body",),
-                    dyn=False, guard=False,
-                )
+                self._node_edges(name, site.node.body, ("lam.body",))
         # Residual-level memo summary edges (the T2 graph).
         for d in self.annotated.defs:
             if d.residual:
@@ -569,130 +573,111 @@ class _Builder:
         terms.sort(key=lambda t: (str(t[0]), t[1], t[2]))
         return Bound(const, tuple(terms), literal)
 
-    # -- per-node edges (T1) -------------------------------------------------------
+    # -- the call-site walk ----------------------------------------------------------
 
-    def _add_edge(self, **kw) -> None:
-        self.graph.unfold_edges.append(CallEdge(**kw))
+    def _identity_env(self, name: str) -> dict:
+        """Each static parameter of a node bounded by itself."""
+        return {
+            p: Bound(0, ((p, (), True),))
+            for p in self.graph.nodes[name].static_params
+        }
 
-    def _edge_args(self, dst_node: Node, params, bts, args, env) -> tuple:
-        out = []
-        for p, bt, a in zip(params, bts, args):
-            if bt is S:
-                out.append((p, self._bound_of(a, env)))
-        return tuple(out)
-
-    def _walk_edges(self, src, e, env, path, dyn, guard) -> None:
-        seg = "/".join(path) if path else "body"
-        if isinstance(e, (Const, Var)):
-            return
-        if isinstance(e, Lift):
-            self._walk_edges(src, e.expr, env, path + ("lift",), dyn, guard)
-            return
-        if isinstance(e, Let):
-            self._walk_edges(src, e.rhs, env, path + ("let.rhs",), dyn, guard)
-            inner = dict(env)
-            inner[e.var] = self._bound_of(e.rhs, env)
-            self._walk_edges(src, e.body, inner, path + ("let.body",), dyn, guard)
-            return
-        if isinstance(e, If):
-            self._walk_edges(src, e.test, env, path + ("if.test",), dyn, guard)
-            self._walk_edges(src, e.then, env, path + ("if.then",), dyn, True)
-            self._walk_edges(src, e.alt, env, path + ("if.alt",), dyn, True)
-            return
-        if isinstance(e, DIf):
-            self._walk_edges(src, e.test, env, path + ("dif.test",), dyn, guard)
-            self._walk_edges(src, e.then, env, path + ("dif.then",), True, guard)
-            self._walk_edges(src, e.alt, env, path + ("dif.alt",), True, guard)
-            return
-        if isinstance(e, (Prim, DPrim)):
-            tag = "prim" if isinstance(e, Prim) else "dprim"
-            for i, a in enumerate(e.args):
-                self._walk_edges(
-                    src, a, env, path + (f"{tag}.arg{i}",), dyn, guard
-                )
-            return
-        if isinstance(e, DLam):
+    def _walk_calls(self, e, env, path, dyn, guard, visit) -> None:
+        """Walk ``e`` in pre-order and hand each ``MemoCall`` and static
+        ``App`` to ``visit(e, env, seg, dyn, guard)``: ``env`` bounds the
+        names in scope, ``seg`` is the node's path, ``dyn`` says it runs
+        under dynamic control and ``guard`` under a static test.  A
+        static lambda's body is not entered: the lambda is its own graph
+        node."""
+        walk = self._walk_calls
+        kind = type(e)
+        if kind is MemoCall or kind is App:
+            visit(e, env, "/".join(path) if path else "body", dyn, guard)
+        if kind is Let:
+            walk(e.rhs, env, path + ("let.rhs",), dyn, guard, visit)
+            inner = {**env, e.var: self._bound_of(e.rhs, env)}
+            walk(e.body, inner, path + ("let.body",), dyn, guard, visit)
+        elif kind is If:
+            walk(e.test, env, path + ("if.test",), dyn, guard, visit)
+            walk(e.then, env, path + ("if.then",), dyn, True, visit)
+            walk(e.alt, env, path + ("if.alt",), dyn, True, visit)
+        elif kind is DIf:
+            walk(e.test, env, path + ("dif.test",), dyn, guard, visit)
+            walk(e.then, env, path + ("dif.then",), True, guard, visit)
+            walk(e.alt, env, path + ("dif.alt",), True, guard, visit)
+        elif kind is Lift:
+            walk(e.expr, env, path + ("lift",), dyn, guard, visit)
+        elif kind is DLam:
             # The body is specialized inline at the definition site; its
             # execution is under dynamic control, its params dynamic.
-            self._walk_edges(
-                src, e.body, env, path + ("dlam.body",), True, guard
-            )
-            return
-        if isinstance(e, Lam):
-            # A static lambda is its own graph node; walked separately.
-            return
-        if isinstance(e, MemoCall):
-            callee = self.defs[e.name]
-            self._add_edge(
-                src=src,
-                dst=str(e.name),
-                kind="memo",
-                sites=(f"{seg}/memo[{e.name}]",),
-                under_dynamic=dyn,
-                static_guarded=guard,
-                args=self._edge_args(
-                    None, callee.params, callee.bts, e.args, env
-                ),
-            )
+            walk(e.body, env, path + ("dlam.body",), True, guard, visit)
+        elif kind in _ARG_TAGS:
+            tag = _ARG_TAGS[kind]
+            if kind is App or kind is DApp:
+                walk(e.fn, env, path + (f"{tag}.fn",), dyn, guard, visit)
             for i, a in enumerate(e.args):
-                self._walk_edges(
-                    src, a, env, path + (f"memo.arg{i}",), dyn, guard
-                )
-            return
-        if isinstance(e, (App, DApp)):
-            tag = "app" if isinstance(e, App) else "dapp"
-            if isinstance(e, App):
-                self._app_edges(src, e, env, seg, dyn, guard)
-            self._walk_edges(src, e.fn, env, path + (f"{tag}.fn",), dyn, guard)
-            for i, a in enumerate(e.args):
-                self._walk_edges(
-                    src, a, env, path + (f"{tag}.arg{i}",), dyn, guard
-                )
-            return
-        raise TypeError(f"unexpected node {type(e).__name__}")
+                if type(a) not in _LEAVES:
+                    walk(a, env, path + (f"{tag}.arg{i}",), dyn, guard, visit)
+        elif kind not in _LEAVES:
+            raise TypeError(f"unexpected node {kind.__name__}")
 
-    def _app_edges(self, src, e: App, env, seg, dyn, guard) -> None:
+    def _targets(self, e) -> list:
+        """The nodes a visited call enters, as ``(key, name, kind, site,
+        params, bts)``: ``key`` is the definition name or the static
+        lambda's id, ``site`` the call's last path segment."""
+        if isinstance(e, MemoCall):
+            d = self.defs[e.name]
+            name = str(e.name)
+            return [(e.name, name, "memo", f"memo[{name}]", d.params, d.bts)]
         if isinstance(e.fn, Var) and e.fn.name in self.defs:
-            callee = self.defs[e.fn.name]
-            self._add_edge(
-                src=src,
-                dst=str(e.fn.name),
-                kind="unfold",
-                sites=(f"{seg}/app[{e.fn.name}]",),
-                under_dynamic=dyn,
-                static_guarded=guard,
-                args=self._edge_args(
-                    None, callee.params, callee.bts, e.args, env
-                ),
-            )
-            return
+            d = self.defs[e.fn.name]
+            name = str(e.fn.name)
+            return [(e.fn.name, name, "unfold", f"app[{name}]", d.params, d.bts)]
         if self.closure is None:
-            return
+            return []
+        out = []
         for lam_id in self.closure.apps.get(id(e), ()):
-            site = self.closure.lams.get(lam_id)
-            if site is None:
-                continue
-            name = self._lam_name(lam_id, site.host)
-            self._add_edge(
-                src=src,
-                dst=name,
-                kind="closure",
-                sites=(f"{seg}/app[{name}]",),
-                under_dynamic=dyn,
-                static_guarded=guard,
-                args=self._edge_args(
-                    None, site.node.params, site.param_bts, e.args, env
-                ),
-            )
+            lam = self.closure.lams.get(lam_id)
+            if lam is not None:
+                name = self._lam_name(lam_id, lam.host)
+                out.append((
+                    lam_id, name, "closure", f"app[{name}]",
+                    lam.node.params, lam.param_bts,
+                ))
+        return out
+
+    def _edge_args(self, params, bts, args, env) -> tuple:
+        return tuple(
+            (p, self._bound_of(a, env))
+            for p, bt, a in zip(params, bts, args)
+            if bt is S
+        )
+
+    # -- per-node edges (T1) -------------------------------------------------------
+
+    def _node_edges(self, src: str, body, path: tuple) -> None:
+        """Every call in one node's body, as an edge out of the node."""
+
+        def visit(e, env, seg, dyn, guard):
+            for _, dst, kind, site, params, bts in self._targets(e):
+                self.graph.unfold_edges.append(CallEdge(
+                    src=src,
+                    dst=dst,
+                    kind=kind,
+                    sites=(f"{seg}/{site}",),
+                    under_dynamic=dyn,
+                    static_guarded=guard,
+                    args=self._edge_args(params, bts, e.args, env),
+                ))
+
+        self._walk_calls(
+            body, self._identity_env(src), path, False, False, visit
+        )
 
     # -- residual memo summaries (T2) ---------------------------------------------
 
     def _summarize_residual(self, d) -> None:
         root = str(d.name)
-        env0 = {
-            p: Bound(0, ((p, (), True),))
-            for p in self._static_params(d.params, d.bts)
-        }
         # state: key -> (env, under_dyn, via chain); key is a def name
         # or a lam id, for bodies reachable from the root by unfolding.
         state: dict[Any, tuple] = {}
@@ -733,164 +718,41 @@ class _Builder:
 
         def walk(key):
             if key == "__root__":
-                body, env, dyn, via = d.body, env0, False, ()
-            elif isinstance(key, Symbol):
+                body, env, dyn, via = d.body, self._identity_env(root), False, ()
+                here = "body"
+            else:
                 env, dyn, via = state[key]
-                body = self.defs[key].body
-            else:  # lam id
-                env, dyn, via = state[key]
-                body = self.closure.lams[key].node.body
-            self._walk_summary(
-                key, body, env, (), dyn, False, via, enter, edges
-            )
+                if isinstance(key, Symbol):
+                    body = self.defs[key].body
+                else:  # lam id
+                    body = self.closure.lams[key].node.body
+                here = str(key)
+
+            def visit(e, env, seg, dyn, guard):
+                for target, dst, kind, call, params, bts in self._targets(e):
+                    site = f"{here}: {seg}/{call}"
+                    args = self._edge_args(params, bts, e.args, env)
+                    if kind == "memo":
+                        edges[(key, id(e))] = CallEdge(
+                            src=root,
+                            dst=dst,
+                            kind="memo",
+                            sites=(site,) + via,
+                            under_dynamic=dyn,
+                            static_guarded=guard,
+                            args=args,
+                        )
+                    else:
+                        enter(target, dict(args), dyn, via, site)
+
+            self._walk_calls(body, env, (), dyn, False, visit)
 
         while work:
             key = work.pop()
             queued.discard(key)
             walk(key)
 
-        for edge in edges.values():
-            self.graph.memo_edges.append(
-                CallEdge(
-                    src=root,
-                    dst=edge.dst,
-                    kind="memo",
-                    sites=edge.sites,
-                    under_dynamic=edge.under_dynamic,
-                    static_guarded=edge.static_guarded,
-                    args=edge.args,
-                )
-            )
-
-    def _walk_summary(
-        self, key, e, env, path, dyn, guard, via, enter, edges
-    ) -> None:
-        seg = "/".join(path) if path else "body"
-        here = f"{key if key != '__root__' else 'body'}"
-        if isinstance(e, (Const, Var)):
-            return
-        if isinstance(e, Lift):
-            self._walk_summary(
-                key, e.expr, env, path + ("lift",), dyn, guard, via,
-                enter, edges,
-            )
-            return
-        if isinstance(e, Let):
-            self._walk_summary(
-                key, e.rhs, env, path + ("let.rhs",), dyn, guard, via,
-                enter, edges,
-            )
-            inner = dict(env)
-            inner[e.var] = self._bound_of(e.rhs, env)
-            self._walk_summary(
-                key, e.body, inner, path + ("let.body",), dyn, guard,
-                via, enter, edges,
-            )
-            return
-        if isinstance(e, If):
-            self._walk_summary(
-                key, e.test, env, path + ("if.test",), dyn, guard, via,
-                enter, edges,
-            )
-            for br, tag in ((e.then, "if.then"), (e.alt, "if.alt")):
-                self._walk_summary(
-                    key, br, env, path + (tag,), dyn, True, via, enter,
-                    edges,
-                )
-            return
-        if isinstance(e, DIf):
-            self._walk_summary(
-                key, e.test, env, path + ("dif.test",), dyn, guard,
-                via, enter, edges,
-            )
-            for br, tag in ((e.then, "dif.then"), (e.alt, "dif.alt")):
-                self._walk_summary(
-                    key, br, env, path + (tag,), True, guard, via,
-                    enter, edges,
-                )
-            return
-        if isinstance(e, (Prim, DPrim)):
-            tag = "prim" if isinstance(e, Prim) else "dprim"
-            for i, a in enumerate(e.args):
-                self._walk_summary(
-                    key, a, env, path + (f"{tag}.arg{i}",), dyn, guard,
-                    via, enter, edges,
-                )
-            return
-        if isinstance(e, DLam):
-            self._walk_summary(
-                key, e.body, env, path + ("dlam.body",), True, guard,
-                via, enter, edges,
-            )
-            return
-        if isinstance(e, Lam):
-            return
-        if isinstance(e, MemoCall):
-            callee = self.defs[e.name]
-            site = f"{here}: {seg}/memo[{e.name}]"
-            edges[(key, id(e))] = CallEdge(
-                src="",
-                dst=str(e.name),
-                kind="memo",
-                sites=(site,) + via,
-                under_dynamic=dyn,
-                static_guarded=guard,
-                args=self._edge_args(
-                    None, callee.params, callee.bts, e.args, env
-                ),
-            )
-            for i, a in enumerate(e.args):
-                self._walk_summary(
-                    key, a, env, path + (f"memo.arg{i}",), dyn, guard,
-                    via, enter, edges,
-                )
-            return
-        if isinstance(e, (App, DApp)):
-            tag = "app" if isinstance(e, App) else "dapp"
-            if isinstance(e, App):
-                self._summary_app(
-                    key, e, env, seg, here, dyn, guard, via, enter
-                )
-            self._walk_summary(
-                key, e.fn, env, path + (f"{tag}.fn",), dyn, guard, via,
-                enter, edges,
-            )
-            for i, a in enumerate(e.args):
-                self._walk_summary(
-                    key, a, env, path + (f"{tag}.arg{i}",), dyn, guard,
-                    via, enter, edges,
-                )
-            return
-        raise TypeError(f"unexpected node {type(e).__name__}")
-
-    def _summary_app(
-        self, key, e: App, env, seg, here, dyn, guard, via, enter
-    ) -> None:
-        site = f"{here}: {seg}/app"
-        if isinstance(e.fn, Var) and e.fn.name in self.defs:
-            callee = self.defs[e.fn.name]
-            body_env = {
-                p: self._bound_of(a, env)
-                for p, bt, a in zip(callee.params, callee.bts, e.args)
-                if bt is S
-            }
-            enter(e.fn.name, body_env, dyn, via, f"{site}[{e.fn.name}]")
-            return
-        if self.closure is None:
-            return
-        for lam_id in self.closure.apps.get(id(e), ()):
-            lam_site = self.closure.lams.get(lam_id)
-            if lam_site is None:
-                continue
-            name = self._lam_name(lam_id, lam_site.host)
-            body_env = {
-                p: self._bound_of(a, env)
-                for p, bt, a in zip(
-                    lam_site.node.params, lam_site.param_bts, e.args
-                )
-                if bt is S
-            }
-            enter(lam_id, body_env, dyn, via, f"{site}[{name}]")
+        self.graph.memo_edges.extend(edges.values())
 
 
 def build_callgraph(bta: BTAResult) -> CallGraph:

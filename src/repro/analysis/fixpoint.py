@@ -4,18 +4,13 @@ Two solvers cover everything :mod:`repro.analysis` needs:
 
 * :class:`Solver` — a classic monotone worklist fixpoint over a finite
   key set with an explicit join.  Clients: the interprocedural
-  result-source summaries and the per-residual-definition abstract
-  environments in :mod:`repro.analysis.callgraph`, and the
+  result-source summaries in :mod:`repro.analysis.callgraph` and the
   unboundedness propagation in :mod:`repro.analysis.bloat`.
 
-* :func:`saturate` — closure of a finite set under a binary combination.
-
-* :func:`close_arrows` — the categorical special case of
-  :func:`saturate`: closure of a set of *arrows* under
+* :func:`close_arrows` — closure of a set of *arrows* under
   endpoint-compatible composition, with the candidate pairs indexed by
   endpoint so only composable pairs are tried (used for the size-change
-  graph composition closure in :mod:`repro.analysis.termination`, where
-  the all-pairs formulation dominated the analysis' running time).
+  graph composition closure in :mod:`repro.analysis.termination`).
 
 Both terminate whenever the client's domain has finite height — every
 domain in this package is flat or near-flat, so the bounds are small.
@@ -81,48 +76,23 @@ class Solver:
         return self.env
 
 
-def saturate(
-    seeds: Iterable[T],
-    combine: Callable[[T, T], Iterable[T]],
-) -> set[T]:
-    """Close ``seeds`` under ``combine``.
-
-    ``combine(a, b)`` yields the items induced by the ordered pair
-    ``(a, b)``; the result is the least set containing the seeds and
-    closed under it.  Terminates iff the closure is finite.
-    """
-    items: set[T] = set()
-    work: list[T] = []
-    for s in seeds:
-        if s not in items:
-            items.add(s)
-            work.append(s)
-    while work:
-        x = work.pop()
-        for y in list(items):
-            for produced in (*combine(x, y), *combine(y, x)):
-                if produced not in items:
-                    items.add(produced)
-                    work.append(produced)
-    return items
-
-
 def close_arrows(
     seeds: Iterable[T],
     source: Callable[[T], Hashable],
     target: Callable[[T], Hashable],
     compose: Callable[[T, T], T | None],
-) -> set[T]:
+) -> list[T]:
     """Close a set of arrows under endpoint-compatible composition.
 
     ``source(a)`` / ``target(a)`` name an arrow's endpoints;
     ``compose(a, b)`` is consulted only for pairs with
     ``target(a) == source(b)`` and returns the composite arrow or
-    ``None``.  Semantically this equals :func:`saturate` with a combine
-    that rejects mismatched endpoints, but the endpoint index avoids
-    the all-pairs scan.  Terminates iff the closure is finite.
+    ``None``.  The result is the least set that contains the seeds and
+    every composite of two of its arrows, as a list in the order the
+    arrows were found, so a deterministic ``compose`` gives the same
+    list under every hash seed.  Terminates iff the closure is finite.
     """
-    items: set[T] = set()
+    items: dict[T, None] = {}
     by_source: dict[Hashable, list[T]] = {}
     by_target: dict[Hashable, list[T]] = {}
     work: list[T] = []
@@ -130,7 +100,7 @@ def close_arrows(
 
     def add(arrow: T) -> None:
         if arrow not in items:
-            items.add(arrow)
+            items[arrow] = None
             by_source.setdefault(source(arrow), []).append(arrow)
             by_target.setdefault(target(arrow), []).append(arrow)
             work.append(arrow)
@@ -152,4 +122,4 @@ def close_arrows(
             attempt(x, y)
         for y in list(by_target.get(source(x), ())):
             attempt(y, x)
-    return items
+    return list(items)

@@ -63,7 +63,11 @@ per site:
 * calls within a recursive component unfold when some static argument is a
   structural *descent* (a chain of list destructors) of an enclosing
   static variable — the classic criterion that lets an interpreter's
-  expression walk be unfolded while its function-call loop is memoized;
+  expression walk be unfolded while its function-call loop is memoized.
+  The decision judges the argument at the call, through the right-hand
+  sides of the let-bound names it mentions (bound names are unique
+  after :func:`prepare`), with the binding times known at that point;
+  no separate pass precomputes it;
 * everything else is a memoization point (a residual specialization
   point), as are all calls to functions listed in ``memo_hints``.
 
@@ -407,6 +411,9 @@ class _Analysis:
         # (annotated Lam, host def), annotated-App id -> prepared-lam ids.
         self.ann_lams: dict[int, tuple[Lam, Symbol]] = {}
         self.ann_closure_apps: dict[int, tuple[int, ...]] = {}
+        # Let-bound name -> right-hand side (bound names are unique after
+        # prepare), filled by _call_graph for the descent test.
+        self._let_rhs: dict[Symbol, Expr] = {}
 
         graph = self._call_graph()
         self.sccs = strongly_connected_components(graph)
@@ -427,9 +434,6 @@ class _Analysis:
         for p, bt in zip(goal.params, signature):
             if bt is D:
                 self._raise_bt(p)
-
-        # Per-node structural-descent status, recomputed each pass.
-        self.chain: dict[int, str | None] = {}
 
     # -- small lattice helpers -------------------------------------------------
 
@@ -510,7 +514,8 @@ class _Analysis:
         return self._origin.get(f, f)
 
     def _call_graph(self) -> dict[Symbol, set[Symbol]]:
-        """The call graph over *origin* functions: caller -> callees."""
+        """The call graph over *origin* functions: caller -> callees.
+        The same walk records every let's right-hand side."""
         from repro.lang.ast import walk
 
         graph: dict[Symbol, set[Symbol]] = {
@@ -518,7 +523,9 @@ class _Analysis:
         }
         for name, d in self.defs.items():
             for node in walk(d.body):
-                if (
+                if isinstance(node, Let):
+                    self._let_rhs[node.var] = node.rhs
+                elif (
                     isinstance(node, App)
                     and isinstance(node.fn, Var)
                     and node.fn.name in self.defs
@@ -551,8 +558,6 @@ class _Analysis:
                 self._dirty.discard(d.name)
                 walks += 1
                 self._walking = d.name
-                self.chain = {}
-                self._chain_pass(d.body, {})
                 self._analyze(d.body, d.name)
                 # A definition's result.
                 self._flow_aval(id(d.body), ("result", d.name))
@@ -611,7 +616,7 @@ class _Analysis:
         # static argument.
         callee_def = self.defs[callee]
         for arg, p in zip(app.args, callee_def.params):
-            if self._get_bt(p) is S and self.chain.get(id(arg)) == "desc":
+            if self._get_bt(p) is S and self._descent(arg) == "desc":
                 return "unfold"
         return "memo"
 
@@ -623,53 +628,37 @@ class _Analysis:
 
     # -- structural descent ---------------------------------------------------------------
 
-    def _chain_pass(self, e: Expr, env: dict[Symbol, str | None]) -> str | None:
-        """Compute descent status: 'var' (a static variable), 'desc'
-        (a destructor chain over a static variable), or None."""
-        status: str | None = None
+    def _descent(self, e: Expr) -> str | None:
+        """Descent status: 'var' (a static variable), 'desc' (a
+        destructor chain over a static variable), or None.  A let-bound
+        name has its right-hand side's status, a let its body's."""
         if isinstance(e, Var):
-            if e.name in env:
-                status = env[e.name]
-            elif self._get_bt(e.name) is S and e.name not in self.defs:
-                status = "var"
-        elif isinstance(e, Prim):
-            for a in e.args:
-                self._chain_pass(a, env)
-            if e.op in _DESTRUCTORS and e.args:
-                first = self.chain.get(id(e.args[0]))
-                if first in ("var", "desc"):
-                    status = "desc"
-            elif e.op in _NUMERIC_DESCENT and len(e.args) == 2:
-                # (- n k) / (quotient n k) with a positive constant k is
-                # treated as numeric descent (the usual induction pattern).
-                first = self.chain.get(id(e.args[0]))
-                step = e.args[1]
-                if (
-                    first in ("var", "desc")
-                    and isinstance(step, Const)
-                    and isinstance(step.value, int)
-                    and not isinstance(step.value, bool)
-                    and step.value >= 1
-                    and (e.op is not _QUOTIENT or step.value >= 2)
-                ):
-                    status = "desc"
-            elif e.op is _SUB1 and e.args:
-                first = self.chain.get(id(e.args[0]))
-                if first in ("var", "desc"):
-                    status = "desc"
-        elif isinstance(e, Let):
-            rhs_status = self._chain_pass(e.rhs, env)
-            self._chain_pass(e.body, {**env, e.var: rhs_status})
-            status = self.chain.get(id(e.body))
-        elif isinstance(e, If):
-            self._chain_pass(e.test, env)
-            self._chain_pass(e.then, env)
-            self._chain_pass(e.alt, env)
-        else:
-            for c in e.children():
-                self._chain_pass(c, env)
-        self.chain[id(e)] = status
-        return status
+            rhs = self._let_rhs.get(e.name)
+            if rhs is not None:
+                return self._descent(rhs)
+            if self._get_bt(e.name) is S and e.name not in self.defs:
+                return "var"
+            return None
+        if isinstance(e, Let):
+            return self._descent(e.body)
+        if not isinstance(e, Prim) or not e.args:
+            return None
+        if e.op in _NUMERIC_DESCENT:
+            # (- n k) / (quotient n k) with a positive constant k is
+            # treated as numeric descent (the usual induction pattern).
+            step = e.args[-1]
+            if not (
+                len(e.args) == 2
+                and isinstance(step, Const)
+                and isinstance(step.value, int)
+                and not isinstance(step.value, bool)
+                and step.value >= 1
+                and (e.op is not _QUOTIENT or step.value >= 2)
+            ):
+                return None
+        elif e.op not in _DESTRUCTORS and e.op is not _SUB1:
+            return None
+        return None if self._descent(e.args[0]) is None else "desc"
 
     # -- per-node analysis -------------------------------------------------------------------
 
@@ -884,8 +873,6 @@ def _collect_sites(analysis: _Analysis) -> dict[Symbol, list[_Site]]:
             walk(host, c, path + (f"child{i}",))
 
     for d in analysis.program.defs:
-        analysis.chain = {}
-        analysis._chain_pass(d.body, {})
         sites.setdefault(d.name, [])
         walk(d.name, d.body, ())
     return sites
@@ -1194,8 +1181,6 @@ def _annotate_program(analysis: _Analysis) -> AnnotatedProgram:
     for d in program.defs:
         if d.name not in reachable:
             continue
-        analysis.chain = {}
-        analysis._chain_pass(d.body, {})
         annotator = _Annotator(analysis, d.name)
         residual = analysis.is_residual(d.name)
         body = annotator.annotate(d.body, demand=residual)

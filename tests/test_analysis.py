@@ -24,7 +24,7 @@ from repro.analysis import (
     analyze_program,
     build_callgraph,
 )
-from repro.analysis.fixpoint import Solver, saturate
+from repro.analysis.fixpoint import Solver, close_arrows
 from repro.pe.bta import analyze
 from repro.pe.errors import BudgetExceeded, SpecializationError
 from repro.lang.parser import parse_program
@@ -245,13 +245,16 @@ class TestAnalysisInternals:
         assert solver.env["a"] == 3
         assert solver.env["b"] == 4
 
-    def test_saturate_closes_under_composition(self):
-        # Transitive closure of a -> b -> c as pair composition.
-        def combine(x, y):
-            return ((x[0], y[1]),) if x[1] == y[0] else ()
-
-        closed = saturate([("a", "b"), ("b", "c")], combine)
-        assert ("a", "c") in closed
+    def test_close_arrows_closes_under_composition(self):
+        # Transitive closure of a -> b -> c as arrow composition, in the
+        # order the arrows are found.
+        closed = close_arrows(
+            [("a", "b"), ("b", "c")],
+            lambda x: x[0],
+            lambda x: x[1],
+            lambda x, y: (x[0], y[1]),
+        )
+        assert closed == [("a", "b"), ("b", "c"), ("a", "c")]
 
 
 # -- GeneratingExtension modes and budgets -------------------------------------

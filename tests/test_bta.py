@@ -89,6 +89,37 @@ class TestCallAnnotations:
         res, body = ann_body(src, "SD", goal="len")
         assert not any(isinstance(n, MemoCall) for n in walk(body))
 
+    # The edges of the descent criterion: a static argument counts as
+    # descent through let-bound names, a quotient by 2 or more, or sub1;
+    # a quotient by 1, a subtraction of 0, or a destructor over a
+    # constructed pair does not.
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "(if (null? s) d (let ((t (cdr s))) (g t (+ d (length t)))))",
+            "(if (null? s) d (let ((t (let ((u (cdr s))) u))) (g t d)))",
+            "(if (zero? s) d (g (quotient s 2) d))",
+            "(if (zero? s) d (g (sub1 s) d))",
+        ],
+        ids=["let-used-twice", "let-of-let", "quotient-2", "sub1"],
+    )
+    def test_descent_edge_unfolds(self, body):
+        res, ann = ann_body(f"(define (g s d) {body})", "SD", goal="g")
+        assert not any(isinstance(n, MemoCall) for n in walk(ann))
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "(if (zero? s) d (g (quotient s 1) d))",
+            "(if (zero? s) d (g (- s 0) d))",
+            "(if (null? s) d (let ((t (cdr s))) (g (car (cons t t)) d)))",
+        ],
+        ids=["quotient-1", "minus-0", "car-of-cons"],
+    )
+    def test_non_descent_edge_memoizes(self, body):
+        res, ann = ann_body(f"(define (g s d) {body})", "SD", goal="g")
+        assert any(isinstance(n, MemoCall) for n in walk(ann))
+
     def test_numeric_descent_unfolds(self):
         res, body = ann_body(
             "(define (p x n) (if (zero? n) 1 (* x (p x (- n 1)))))", "DS"
