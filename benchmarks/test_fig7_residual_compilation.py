@@ -121,8 +121,8 @@ class TestFig7Headline:
 
 
 # Static instruction counts of the two fig7 residuals as the parent of
-# the let-shape compilators generated them (commit 579653a, measured with
-# ``repro opt --builtin all``): plain, and after the then default-on
+# the let-shape compilators generated them (commit 579653a, summed over
+# each residual's templates): plain, and after the then default-on
 # optimizer.
 PARENT_PLAIN_INSTRUCTIONS = 1506 + 501      # MIXWELL + LAZY
 PARENT_OPTIMIZED_INSTRUCTIONS = 1132 + 409

@@ -25,8 +25,8 @@ bta [FILE --sig SIG] [--builtin all|examples|workloads] [--json]
     Print the computed binding-time division: every function variant
     with its per-variant S/D parameter signature, unfold-vs-memoize
     classification, per-call-site unfold/memo decisions, and lift
-    sites.  ``--bta mono`` shows the monovariant join instead.  Exit
-    status 1 on any congruence violation (the CI self-gate).
+    sites.  Exit status 1 on any congruence violation (the CI
+    self-gate).
 
 disasm FILE [--compiler auto|stock] [--verify] [--cfg] [--json]
     Compile FILE and print the disassembly of every template, with block
@@ -34,15 +34,6 @@ disasm FILE [--compiler auto|stock] [--verify] [--cfg] [--json]
     verification report; ``--cfg`` appends the basic-block boundaries
     and successor edges; ``--json`` emits templates and findings as a
     JSON object.
-
-opt [FILE [--sig SIG]] [--builtin all|examples|workloads] [--json]
-    Run the dataflow bytecode optimizer (:mod:`repro.vm.opt`) over the
-    templates of FILE — residual templates when ``--sig`` is given,
-    the straight compilation otherwise — and/or the built-in targets.
-    Prints before/after disassembly and per-pass instruction-count
-    deltas; every optimized template is re-verified and differentially
-    executed against its unoptimized twin on both dispatch loops.  Exit
-    status 1 on any violation or semantic mismatch (the CI self-gate).
 
 lint [FILE [--sig SIG]] [--builtin all|examples|workloads] [--json]
     Static checks: bytecode-verify every template each target compiles
@@ -303,219 +294,6 @@ def cmd_disasm(args: argparse.Namespace) -> int:
                 print(f";; {entry['template']}: verified ok")
         print()
     return 0
-
-
-def _opt_template_entries(named_templates) -> tuple[list[dict], dict, bool]:
-    """Optimize each ``(name, template)``: the report entries, the
-    reported templates by name, and an ok flag.
-
-    The optimizer verifies its input and re-verifies its output; the
-    output is verified once more here so the entry lists any violation.
-    ``ok`` drops on a violation or a
-    :class:`~repro.vm.opt.TranslationValidationError`, whose template
-    stays unoptimized in the returned templates.
-    """
-    from repro.vm.opt import TranslationValidationError, optimize
-    from repro.vm.verify import check_template
-
-    entries: list[dict] = []
-    optimized: dict = {}
-    ok = True
-    for name, template in named_templates:
-        optimized[name] = template
-        try:
-            result = optimize(template)
-        except TranslationValidationError as exc:
-            entries.append({
-                "template": str(name),
-                "error": str(exc),
-                "verified": False,
-            })
-            ok = False
-            continue
-        optimized[name] = result.template
-        report = check_template(result.template)
-        entry = {
-            "template": str(name),
-            "before_instructions": result.before_instructions,
-            "after_instructions": result.after_instructions,
-            "removed": result.removed,
-            "passes": dict(sorted(result.passes.items())),
-            "skipped": result.skipped,
-            "verified": not report.violations,
-            "violations": [str(v) for v in report.violations],
-            "before_disassembly": disassemble(template),
-            "after_disassembly": disassemble(result.template),
-        }
-        if report.violations:
-            ok = False
-        entries.append(entry)
-    return entries, optimized, ok
-
-
-def _opt_differential(run_pairs) -> tuple[dict, bool]:
-    """Differentially execute unoptimized/optimized twins.
-
-    ``run_pairs`` maps a dispatch-loop label to a ``(run_base,
-    run_optimized)`` pair of thunks; results are compared by their
-    written (external) representation.
-    """
-    runs: dict = {}
-    agree = True
-    for label, (run_base, run_opt) in run_pairs.items():
-        base_repr = write_value(run_base())
-        opt_repr = write_value(run_opt())
-        same = base_repr == opt_repr
-        runs[label] = {
-            "unoptimized": base_repr,
-            "optimized": opt_repr,
-            "agree": same,
-        }
-        agree = agree and same
-    return runs, agree
-
-
-def cmd_opt(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.compiler.program import CompiledProgram
-    from repro.pe.backend import ResidualProgram
-    from repro.vm.machine import VmClosure
-    from repro.vm.profile import VMProfile, call_named_profiled
-
-    # Specialization targets (--builtin, and FILE when --sig is given)
-    # optimize *residual* templates; a FILE without --sig optimizes the
-    # straight compilation of the program itself.  Either way the
-    # optimized twin that runs is built from the reported templates.
-    plain_file = args.file if args.file and not args.sig else None
-    if plain_file:
-        args.file = None
-    spec_targets = (
-        _runnable_targets(args) if args.builtin or args.file else []
-    )
-    if plain_file:
-        args.file = plain_file
-    if not spec_targets and not plain_file:
-        raise ValueError("opt needs FILE [--sig SIG], and/or --builtin")
-
-    target_reports: dict[str, dict] = {}
-    ok = True
-
-    if plain_file:
-        program = _load(plain_file, args.goal, args.prelude)
-        base = compile_program(program, compiler="auto")
-        entries, optimized, t_ok = _opt_template_entries(sorted(
-            base.templates.items(), key=lambda item: item[0].name
-        ))
-        optd = CompiledProgram(optimized, base.goal)
-        report: dict = {"templates": entries}
-        if args.dynamic:
-            dynamics = _data(args.dynamic)
-            runs, agree = _opt_differential({
-                "machine": (
-                    lambda: base.run(dynamics),
-                    lambda: optd.run(dynamics),
-                ),
-                "profiled": (
-                    lambda: call_named_profiled(
-                        base.machine(), base.goal, dynamics, VMProfile()
-                    ),
-                    lambda: call_named_profiled(
-                        optd.machine(), optd.goal, dynamics, VMProfile()
-                    ),
-                ),
-            })
-            report["differential"] = runs
-            t_ok = t_ok and agree
-        target_reports[plain_file] = report
-        ok = ok and t_ok
-
-    if spec_targets:
-        from repro.rtcg import GeneratingExtension
-
-        for label, program, sig, goal, statics, dynamics in spec_targets:
-            gen = GeneratingExtension(program, sig, goal=goal)
-            base = gen.to_object_code(statics, dif_strategy=args.dif_strategy)
-            named = sorted(
-                (
-                    (name, value.template)
-                    for name, value in base.machine.globals.items()
-                    if isinstance(value, VmClosure)
-                ),
-                key=lambda item: item[0].name,
-            )
-            entries, optimized, t_ok = _opt_template_entries(named)
-            optd = ResidualProgram(
-                goal=base.goal,
-                goal_params=base.goal_params,
-                machine=CompiledProgram(optimized, base.goal).machine(),
-            )
-            runs, agree = _opt_differential({
-                "machine": (
-                    lambda b=base: b.run(dynamics),
-                    lambda o=optd: o.run(dynamics),
-                ),
-                "profiled": (
-                    lambda b=base: b.run_profiled(dynamics, VMProfile()),
-                    lambda o=optd: o.run_profiled(dynamics, VMProfile()),
-                ),
-            })
-            target_reports[label] = {
-                "templates": entries,
-                "differential": runs,
-            }
-            ok = ok and t_ok and agree
-
-    for report in target_reports.values():
-        entries = [e for e in report["templates"] if "error" not in e]
-        before = sum(e["before_instructions"] for e in entries)
-        after = sum(e["after_instructions"] for e in entries)
-        report["before_instructions"] = before
-        report["after_instructions"] = after
-        report["reduction"] = (before - after) / before if before else 0.0
-
-    if args.json:
-        print(json.dumps(
-            {"targets": target_reports, "ok": ok}, indent=2
-        ))
-        return 0 if ok else 1
-
-    for label, report in target_reports.items():
-        print(f";; {label}")
-        for e in report["templates"]:
-            if "error" in e:
-                print(f";; template {e['template']}: {e['error']}")
-                continue
-            passes = ", ".join(
-                f"{name} x{n}" for name, n in e["passes"].items()
-            ) or "none"
-            print(
-                f";; template {e['template']}:"
-                f" {e['before_instructions']} ->"
-                f" {e['after_instructions']} instruction(s)"
-                f"  (passes: {passes})"
-            )
-            print(e["before_disassembly"])
-            print(";;   -- optimized to -->")
-            print(e["after_disassembly"])
-            if e["violations"]:
-                print("\n".join(";; " + v for v in e["violations"]))
-        if "differential" in report:
-            for loop, run in report["differential"].items():
-                verdict = (
-                    f"ok (result: {run['optimized']})" if run["agree"]
-                    else f"MISMATCH ({run['unoptimized']}"
-                    f" vs {run['optimized']})"
-                )
-                print(f";; differential [{loop}]: {verdict}")
-        print(
-            f";; total: {report['before_instructions']} ->"
-            f" {report['after_instructions']} instruction(s)"
-            f"  (-{report['reduction'] * 100:.1f}%)"
-        )
-        print()
-    print(";; opt: ok" if ok else ";; opt: FAILED")
-    return 0 if ok else 1
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -794,7 +572,7 @@ def _gather_targets(
 ) -> list:
     """Sample-program loading shared by every multi-target subcommand.
 
-    ``lint``/``analyze``/``bta``/``opt``/``trace``/``profile`` all accept
+    ``lint``/``analyze``/``bta``/``trace``/``profile`` all accept
     ``--builtin all|examples|workloads`` targets plus an optional FILE;
     this is their one loader with one error path: every usage problem
     (missing FILE and ``--builtin``, FILE without a required ``--sig``)
@@ -1548,17 +1326,6 @@ def main(argv: list[str] | None = None) -> int:
         help="emit the profile as a JSON object",
     )
     p.set_defaults(fn=cmd_profile)
-
-    p = sub.add_parser(
-        "opt",
-        help="dataflow-optimize templates, with translation validation",
-    )
-    observability(p)
-    p.add_argument(
-        "--json", action="store_true",
-        help="emit per-template deltas and differential results as JSON",
-    )
-    p.set_defaults(fn=cmd_opt)
 
     p = sub.add_parser(
         "stats", help="residual-cache statistics for repeated application"

@@ -27,8 +27,8 @@ Residual code handles:
   :mod:`repro.compiler.reads` (``head``, ``later``), from which
   :meth:`ObjectCodeBackend.let` picks one of the three let combinators —
   so no binding is stored that only its first read needs, and the
-  residual templates are the fixpoint of the slot passes of
-  :mod:`repro.vm.opt`, which generation never runs.
+  residual templates carry no dead store, reload or unused slot for an
+  optimizer to remove.
 * serious code has two emitters because ANF's control-flow distinction is
   resolved by the *consumer*: a let-rhs compiles to ``CALL`` and a tail
   position to ``TAIL_CALL``.
@@ -143,9 +143,8 @@ class ObjectCodeBackend:
     Every template is run through the bytecode verifier as it is
     relocated — RTCG-generated code is checked at generation time, before
     it is installed in the machine.  The
-    combinators already emit what the dataflow bytecode optimizer
-    (:mod:`repro.vm.opt`) would keep of naive code, so no optimizer runs
-    here.
+    combinators emit no slot traffic an optimizer would remove, so none
+    runs here.
     """
 
     kind = "object"

@@ -134,10 +134,8 @@ def compile_program(
     (:mod:`repro.vm.verify`) — on the ANF route as the backend defines
     it — so a compiler bug is rejected here with a
     :class:`~repro.vm.verify.VerificationError` instead of crashing the
-    machine mid-run.  No optimizer runs here: the combinators already
-    emit what the dataflow bytecode optimizer (:mod:`repro.vm.opt`)
-    would keep of naive code, bar constant folding, and ``repro opt``
-    runs that optimizer over finished templates.
+    machine mid-run.  No optimizer runs here: the combinators emit no
+    dead store, reload or unused slot to remove (DESIGN §1 item 7).
     """
     if compiler not in ("auto", "stock"):
         raise ValueError(f"unknown compiler {compiler!r}")

@@ -36,8 +36,9 @@ Robustness properties:
 * **Trust boundary** — every image read from disk is *untrusted*; each
   loaded template is re-checked by the bytecode verifier before the
   residual program is returned.
-* **Bounded size** — :meth:`ImageStore.gc` evicts least-recently-used
-  objects until the store fits ``max_bytes`` and drops dangling refs.
+* **Eviction** — :meth:`ImageStore.gc` evicts least-recently-used
+  objects until the store fits the budget it is given (``image gc
+  --max-bytes``) and drops dangling refs.  Writes never evict.
 * **Repair** — :meth:`ImageStore.fsck` scans every object, quarantines
   anything torn (content-address or framing mismatch), and prunes the
   refs that pointed at it.
@@ -394,15 +395,11 @@ class ImageStore:
 
     Integrity, trust, counters, and eviction policy live here; byte
     storage is the :class:`LocalStoreBackend` over ``root``.
-
-    ``max_bytes`` (optional) bounds the total object payload; exceeding
-    it triggers an LRU :meth:`gc` after each write.
     """
 
-    def __init__(self, root: str | os.PathLike, max_bytes: int | None = None):
+    def __init__(self, root: str | os.PathLike):
         self.backend = LocalStoreBackend(root)
         self.root = self.backend.root
-        self.max_bytes = max_bytes
         self.metrics = obs.Counters("image.l2", STORE_COUNTERS)
 
     @property
@@ -473,8 +470,6 @@ class ImageStore:
                 if not self.backend.has_object(digest):
                     self.backend.write_object(digest, data, durable=durable)
                 self.backend.write_ref(key.digest, digest, durable=durable)
-                if self.max_bytes is not None:
-                    self._gc_locked(self.max_bytes)
         except OSError:
             self.metrics.count("write_errors")
             return False
@@ -595,80 +590,74 @@ class ImageStore:
         anything (the report gains ``would_remove`` and keeps
         ``bytes_after`` at the projected post-gc size).
         """
-        limit = self.max_bytes if max_bytes is None else max_bytes
         with self.backend.locked():
-            return self._gc_locked(limit, dry_run=dry_run)
-
-    def _gc_locked(
-        self, limit: int | None, dry_run: bool = False
-    ) -> dict[str, Any]:
-        try:
-            objects = sorted(
-                self.backend.list_objects(),
-                key=lambda st: (st.mtime, st.size, st.digest),
-            )
-        except OSError:
-            report: dict[str, Any] = {
-                "removed_objects": 0, "removed_refs": 0,
-                "bytes_before": 0, "bytes_after": 0,
+            try:
+                objects = sorted(
+                    self.backend.list_objects(),
+                    key=lambda st: (st.mtime, st.size, st.digest),
+                )
+            except OSError:
+                report: dict[str, Any] = {
+                    "removed_objects": 0, "removed_refs": 0,
+                    "bytes_before": 0, "bytes_after": 0,
+                }
+                if dry_run:
+                    report["dry_run"] = True
+                    report["would_remove"] = []
+                return report
+            total = sum(st.size for st in objects)
+            before = total
+            removed = 0
+            doomed: set[str] = set()
+            would_remove: list[dict[str, Any]] = []
+            if max_bytes is not None and total > max_bytes:
+                for st in objects:  # oldest first
+                    if total <= max_bytes:
+                        break
+                    if dry_run:
+                        would_remove.append(
+                            {"object": st.digest, "bytes": st.size}
+                        )
+                    elif not self.backend.delete_object(st.digest):
+                        continue
+                    doomed.add(st.digest)
+                    total -= st.size
+                    removed += 1
+            removed_refs = 0
+            try:
+                keys = self.backend.list_ref_keys()
+            except OSError:
+                keys = []
+            for key in keys:
+                try:
+                    digest = self.backend.read_ref(key)
+                except OSError:
+                    continue
+                dangling = (
+                    not plausible_digest(digest)  # torn/garbage ref
+                    or digest in doomed
+                    or not self.backend.has_object(digest)
+                )
+                if dangling:
+                    if dry_run:
+                        removed_refs += 1
+                    elif self.backend.delete_ref(key):
+                        removed_refs += 1
+            if not dry_run:
+                if removed:
+                    self.metrics.count("gc_removed_objects", removed)
+                if removed_refs:
+                    self.metrics.count("gc_removed_refs", removed_refs)
+            report = {
+                "removed_objects": removed,
+                "removed_refs": removed_refs,
+                "bytes_before": before,
+                "bytes_after": total,
             }
             if dry_run:
                 report["dry_run"] = True
-                report["would_remove"] = []
+                report["would_remove"] = would_remove
             return report
-        total = sum(st.size for st in objects)
-        before = total
-        removed = 0
-        doomed: set[str] = set()
-        would_remove: list[dict[str, Any]] = []
-        if limit is not None and total > limit:
-            for st in objects:  # oldest first
-                if total <= limit:
-                    break
-                if dry_run:
-                    would_remove.append(
-                        {"object": st.digest, "bytes": st.size}
-                    )
-                elif not self.backend.delete_object(st.digest):
-                    continue
-                doomed.add(st.digest)
-                total -= st.size
-                removed += 1
-        removed_refs = 0
-        try:
-            keys = self.backend.list_ref_keys()
-        except OSError:
-            keys = []
-        for key in keys:
-            try:
-                digest = self.backend.read_ref(key)
-            except OSError:
-                continue
-            dangling = (
-                not plausible_digest(digest)  # torn/garbage ref
-                or digest in doomed
-                or not self.backend.has_object(digest)
-            )
-            if dangling:
-                if dry_run:
-                    removed_refs += 1
-                elif self.backend.delete_ref(key):
-                    removed_refs += 1
-        if not dry_run:
-            if removed:
-                self.metrics.count("gc_removed_objects", removed)
-            if removed_refs:
-                self.metrics.count("gc_removed_refs", removed_refs)
-        report = {
-            "removed_objects": removed,
-            "removed_refs": removed_refs,
-            "bytes_before": before,
-            "bytes_after": total,
-        }
-        if dry_run:
-            report["dry_run"] = True
-            report["would_remove"] = would_remove
-        return report
 
     def fsck(self) -> dict[str, Any]:
         """Scan every object for corruption and repair the store.

@@ -14,10 +14,11 @@ Subsystems:
   (the A3 baseline);
 * :mod:`repro.pe.fig3` — a literal, expression-level transliteration of
   Fig. 3 used to validate the production engine;
-* :mod:`repro.pe.bta` — binding-time analysis with a closure analysis;
+* :mod:`repro.pe.annprog` — Annotated Core Scheme;
+* :mod:`repro.pe.bta` — binding-time analysis with a closure analysis,
+  which annotates the program (Annotated Core Scheme);
 * :mod:`repro.pe.check` — the independent congruence linter over the
   BTA's output (well-annotatedness re-checked after the fact);
-* :mod:`repro.pe.annotate` — producing Annotated Core Scheme;
 * :mod:`repro.pe.cogen` — generating extensions (compiled specializers),
   the engine :class:`~repro.rtcg.GeneratingExtension` runs.
 """

@@ -320,8 +320,7 @@ class GeneratingExtension:
 
         Every generated template is bytecode-verified at generation time
         (:mod:`repro.vm.verify`).  No optimizer runs: the combinators
-        already emit what the dataflow bytecode optimizer
-        (:mod:`repro.vm.opt`) would keep of naive code.
+        emit no dead store, reload or unused slot to remove.
         """
         return self._generate(static_args, dif_strategy, ObjectCodeBackend)
 

@@ -1,15 +1,15 @@
 """Dataflow bytecode optimizer for templates, with translation validation.
 
 A stand-alone pass over finished templates: no generation, compilation
-or serving path runs it.  Its callers are ``repro opt``, the Fig. 6/7
-benchmark harness and the tests.  The ANF compilators already emit what
-its slot passes would keep of naive code — no dead stores, no
-``SETLOC k; LOCAL k`` reloads, dense locals (DESIGN §1 item 7) — so on
-their output it finds only constants recomputable at optimization time,
-branches on known constants and the dead code those leave; on the stock
-compiler's output it finds everything.  The slot passes stay because
-they are the reference ``tests/test_compilator_fixpoint.py`` checks the
-compilators against.  It runs a fixpoint pass pipeline over the
+or serving path runs it.  Its callers are the Fig. 6/7 benchmark
+harness, the layer tracer of ``perfbench/`` and the tests.  The ANF
+compilators already emit what its slot passes would keep of naive code
+— no dead stores, no ``SETLOC k; LOCAL k`` reloads, dense locals
+(DESIGN §1 item 7), which ``tests/test_compilator_fixpoint.py`` checks
+on the emitted code itself — so on their output it finds only
+constants recomputable at optimization time, branches on known
+constants and the dead code those leave; on the stock compiler's
+output it finds everything.  It runs a fixpoint pass pipeline over the
 basic-block graph from :mod:`repro.vm.cfg`:
 
 * **jump threading** — branches through empty forwarding blocks are
@@ -43,8 +43,8 @@ Every input is verified and every optimized template goes through
 :mod:`repro.vm.verify` and any error raises
 :class:`TranslationValidationError` — the passes are not trusted, the
 checker is.  (Differential execution against the unoptimized twin, the
-other half of validation, lives in the test suite and the ``opt`` CLI,
-where a corpus is available.)  Nothing is cached between calls.
+other half of validation, lives in the test suite, where a corpus is
+available.)  Nothing is cached between calls.
 """
 
 from __future__ import annotations

@@ -644,73 +644,6 @@ class TestDisasmCfg:
         assert all(s in starts for b in blocks for s in b["succs"])
 
 
-class TestOptCommand:
-    def test_opt_plain_file_reports_reduction(self, tmp_path, capsys):
-        f = tmp_path / "chain.scm"
-        # let-chains compile to the SETLOC/LOCAL slack the optimizer
-        # exists to remove.
-        f.write_text(
-            "(define (main d)"
-            " (let ((x (+ d 1))) (let ((y x)) (let ((z y)) (* z 2)))))"
-        )
-        assert main(["opt", str(f)]) == 0
-        out = capsys.readouterr().out
-        assert ";; opt: ok" in out
-        assert "-- optimized to -->" in out
-
-    def test_opt_differential_runs_both_loops(self, tmp_path, capsys):
-        import json
-
-        f = tmp_path / "chain.scm"
-        f.write_text(
-            "(define (main d)"
-            " (let ((x (+ d 1))) (let ((y x)) (* y y))))"
-        )
-        assert main(["opt", str(f), "--dynamic", "6", "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["ok"] is True
-        (target,) = report["targets"].values()
-        runs = target["differential"]
-        assert set(runs) == {"machine", "profiled"}
-        for run in runs.values():
-            assert run["agree"] is True
-            assert run["optimized"] == "49"
-
-    def test_opt_builtin_workloads_json(self, capsys):
-        import json
-
-        assert main(["opt", "--builtin", "workloads", "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["ok"] is True
-        for target in report["targets"].values():
-            assert target["after_instructions"] <= target["before_instructions"]
-            for run in target["differential"].values():
-                assert run["agree"] is True
-            for entry in target["templates"]:
-                assert entry["verified"], entry
-                assert entry["violations"] == []
-
-    def test_opt_optimizes_each_reported_template_once(self, capsys):
-        # The twin the differential runs is built from the reported
-        # templates, not optimized a second time.
-        import json
-
-        from repro import obs
-
-        with obs.tracing() as (_tracer, metrics):
-            assert main(["opt", "--builtin", "workloads", "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        reported = sum(
-            len(target["templates"]) for target in report["targets"].values()
-        )
-        assert reported > 0
-        assert metrics.counter_value("vm.optimize.templates") == reported
-
-    def test_opt_without_target_is_an_error(self, capsys):
-        assert main(["opt"]) == 1
-        assert "error:" in capsys.readouterr().err
-
-
 class TestProfileEmptyRun:
     def test_repeat_zero_json_exits_zero(self, power_file, capsys):
         import json
@@ -773,20 +706,38 @@ class TestErrorPaths:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
-    def test_reader_closing_the_pipe_is_not_an_error(self):
-        # ``repro opt --builtin all | head -1``: the output (~100 kB)
-        # outgrows the pipe's buffer, so the writer meets the closed
-        # pipe.  That ends the run as SIGPIPE would, with nothing on
-        # stderr, not even the "Exception ignored" of a shutdown flush.
+    def test_opt_is_not_a_command(self, capsys):
+        # The stand-alone optimizer has no subcommand: the compilators
+        # emit its fixpoint (tests/test_compilator_fixpoint.py).
+        with pytest.raises(SystemExit) as exc_info:
+            main(["opt", "--builtin", "all"])
+        assert exc_info.value.code == 2
+        assert "invalid choice: 'opt'" in capsys.readouterr().err
+
+    def test_reader_closing_the_pipe_is_not_an_error(self, tmp_path):
+        # ``repro bta many.scm --sig DD | head -1`` on 600 definitions:
+        # the output (~100 kB) outgrows the pipe's buffer, so the writer
+        # meets the closed pipe.  That ends the run as SIGPIPE would,
+        # with nothing on stderr, not even the "Exception ignored" of a
+        # shutdown flush.
         import os
         import signal
         import subprocess
         import sys
 
+        many = tmp_path / "many.scm"
+        many.write_text("".join(
+            f"(define (f{i} x y) (if (< x y) (+ x {i}) (f{(i + 1) % 600}"
+            " (- x 1) y)))\n"
+            for i in range(600)
+        ) + "(define (main x y) (f0 x y))\n")
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "opt", "--builtin", "all"],
+            [
+                sys.executable, "-m", "repro", "bta", str(many),
+                "--goal", "main", "--sig", "DD",
+            ],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
         )
         assert proc.stdout.readline().startswith(b";;")

@@ -242,20 +242,6 @@ class TestGc:
         assert report["removed_refs"] == 1
         assert store.ls() == []
 
-    def test_put_triggers_gc_when_bounded(self, tmp_path, gen):
-        # A one-byte budget cannot retain any object, so each put gc's
-        # away everything it (and its predecessors) wrote.
-        small = ImageStore(tmp_path / "store", max_bytes=1)
-        for n in range(3):
-            assert small.put(_key(n), gen.to_object_code([n])) is not None
-        objects = [
-            o
-            for shard in (tmp_path / "store" / "objects").iterdir()
-            for o in shard.iterdir()
-        ]
-        assert objects == []
-        assert small.stats()["gc_removed_objects"] == 3
-
 
 class TestLs:
     def test_ls_describes_images(self, tmp_path, gen):
@@ -545,7 +531,7 @@ class TestConcurrentGetVsGc:
     def test_threaded_get_vs_gc_hammer(self, tmp_path, gen):
         import threading
 
-        store = ImageStore(tmp_path / "store", max_bytes=1)  # evict-happy
+        store = ImageStore(tmp_path / "store")
         rp = gen.to_object_code([5])
         keys = [_key(n) for n in range(4)]
         for k in keys:
@@ -566,7 +552,7 @@ class TestConcurrentGetVsGc:
         def collector():
             while not stop.is_set():
                 try:
-                    store.gc()
+                    store.gc(max_bytes=1)  # evict-happy
                     store.put(keys[0], rp)
                 except BaseException as exc:  # noqa: B036
                     errors.append(exc)
