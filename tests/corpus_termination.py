@@ -10,10 +10,11 @@ diagnostic, report nothing on the safe set.
 ``static_args`` is a sample static input (Scheme data, as source text)
 so runtime tests can drive each program through the specializer: safe
 entries must reach a fixpoint within the runtime budgets, diverging
-entries must trip them.  Entries with ``runtime=False`` are analysis
-ground truth only — their specialization trips a known binding-time
-infelicity of the seed BTA (see the entry's note) rather than the
-property under test.
+entries must trip them.  A safe entry's ``dynamic_args`` complete the
+goal's arguments, so every route of ``tests/routes.py`` can run it.
+Entries with ``runtime=False`` are analysis ground truth only — their
+specialization trips a known binding-time infelicity of the seed BTA
+(see the entry's note) rather than the property under test.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ class CorpusProgram:
     signature: str
     goal: str
     static_args: tuple = ()
+    dynamic_args: tuple = ()
     memo_hints: tuple = ()
     unfold_hints: tuple = ()
     runtime: bool = True
@@ -120,6 +122,7 @@ SAFE: tuple[CorpusProgram, ...] = (
         signature="DS",
         goal="power",
         static_args=("5",),
+        dynamic_args=("2",),
         note="static recursion under a static guard: the program's own"
         " termination carries over to specialization",
     ),
@@ -129,6 +132,7 @@ SAFE: tuple[CorpusProgram, ...] = (
         signature="SD",
         goal="spin",
         static_args=("0",),
+        dynamic_args=("(1 2 3)",),
         note="the diverger's look-alike: s is passed unchanged, so the"
         " memo table has exactly one entry and cuts the cycle",
     ),
@@ -141,6 +145,7 @@ SAFE: tuple[CorpusProgram, ...] = (
         signature="SD",
         goal="hof2",
         static_args=("(1 2 3)",),
+        dynamic_args=("4",),
         note="the same self-application pattern, recursing on *static*"
         " data: structural descent proves it",
     ),
@@ -181,6 +186,7 @@ SAFE: tuple[CorpusProgram, ...] = (
         signature="SD",
         goal="cd",
         static_args=("3",),
+        dynamic_args=("(1 2 3 4)",),
         note="the num-descent look-alike with the guard on the *static*"
         " side: the descent is bounded",
     ),
@@ -192,6 +198,7 @@ SAFE: tuple[CorpusProgram, ...] = (
         signature="SSD",
         goal="rev",
         static_args=("(1 2 3)", "()"),
+        dynamic_args=("(9)",),
         note="one static grows, but only by the substructure the other"
         " loses: total static size is conserved",
     ),

@@ -1,13 +1,13 @@
-"""Shared test helpers: running programs on all execution paths."""
+"""Shared test helpers: the reference interpreter on an expression, and
+an unsound residual.  Every route from a program to a value is in
+``tests/routes.py``."""
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
-from repro.compiler import compile_program
-from repro.interp import Interpreter, run_program
-from repro.lang import parse_expr, parse_program
-from repro.lang.ast import Program
+from repro.interp import Interpreter
+from repro.lang import parse_expr
 from repro.runtime.values import value_to_datum
 
 
@@ -28,24 +28,6 @@ def interp_expr(source: str) -> Any:
 def interp_datum(source: str) -> Any:
     """Evaluate and convert the result to reader data (lists etc.)."""
     return value_to_datum(interp_expr(source))
-
-
-def run_all_ways(program: Program, args: Sequence[Any]) -> list[Any]:
-    """Run a program through the interpreter, ANF compiler, and stock compiler."""
-    results = [run_program(program, list(args))]
-    for mode in ("auto", "stock"):
-        results.append(compile_program(program, compiler=mode).run(list(args)))
-    return results
-
-
-def assert_all_ways_equal(source: str, args: Sequence[Any], expected: Any) -> None:
-    from repro.runtime.values import scheme_equal
-
-    program = parse_program(source)
-    for result in run_all_ways(program, args):
-        assert scheme_equal(result, expected), (
-            f"got {result!r}, expected {expected!r}"
-        )
 
 
 def unsound_residual(gen: Any, static: Any = 5) -> Any:

@@ -12,16 +12,17 @@ The same compilator definitions, read two ways, must agree:
 Every reading takes its let shapes from the read facts of the fused
 backend's handles; :class:`TestReadFactsAgree` checks those facts
 against a derivation from ANF syntax written here.  That the derived,
-printed and erased readings agree on every pinned input is checked in
-``tests/test_readings.py``.  ``EXPR_CASES`` are expression inputs of
-the object-code pins.
+printed and erased readings emit the same code on every pinned input
+(``EXPR_CASES``, the expression inputs of the object-code pins,
+included) and on random expressions is checked in
+``tests/test_readings.py``.
 """
 
 from hypothesis import given, settings
 
 from repro.anf import anf_convert
 from repro.anf.convert import anf_convert_program
-from repro.compiler import ErasingBackend, ObjectCodeBackend, compile_program
+from repro.compiler import ErasingBackend, ObjectCodeBackend
 from repro.compiler.annotated import (
     DepthTracker,
     GenCenv,
@@ -36,7 +37,7 @@ from repro.compiler.annotated import (
     make_residual_variable,
 )
 from repro.compiler.cenv import CompileTimeEnv
-from repro.compiler.program import CompiledProgram, fold_body, fold_program
+from repro.compiler.program import fold_body
 from repro.compiler.reads import (
     EMPTY,
     if_reads,
@@ -50,22 +51,8 @@ from repro.lang.ast import App, If, Lam, Let, Prim, Var
 from repro.lang.freevars import free_variables
 from repro.lang.prims import PRIMITIVES
 from repro.sexp import sym
-from repro.vm import Machine, VmClosure, assemble, disassemble
+from repro.vm import Machine, VmClosure, assemble
 from tests.strategies import arith_exprs, higher_order_exprs, list_exprs
-
-
-def erase_compile(program) -> CompiledProgram:
-    """The ANF ``program`` compiled by the erasing reading."""
-    backend = ErasingBackend()
-    fold_program(program, backend)
-    return CompiledProgram(backend.templates, program.goal)
-
-
-def compile_both(source: str):
-    program = anf_convert_program(parse_program(f"(define (t) {source})"))
-    folded = compile_program(program).templates[sym("t")]
-    erased = erase_compile(program).templates[sym("t")]
-    return folded, erased
 
 EXPR_CASES = [
     "42",
@@ -78,42 +65,6 @@ EXPR_CASES = [
     "(let ((f (lambda (x) (* x 2)))) (f (f 5)))",
     "(if (zero? 0) (let ((y 1)) y) 2)",
 ]
-
-
-class TestErasureEqualsHandwritten:
-    """The erasing reading against ``compile_program``'s fold into the
-    printed combinators."""
-
-    CASES = EXPR_CASES
-
-    def test_identical_disassembly_on_cases(self):
-        for source in self.CASES:
-            handwritten, erased = compile_both(source)
-            assert disassemble(handwritten) == disassemble(erased), source
-
-    @given(arith_exprs(depth=4))
-    @settings(max_examples=50)
-    def test_identical_on_random_arith(self, source):
-        handwritten, erased = compile_both(source)
-        assert disassemble(handwritten) == disassemble(erased)
-
-    @given(higher_order_exprs(depth=4))
-    @settings(max_examples=50)
-    def test_identical_on_random_higher_order(self, source):
-        handwritten, erased = compile_both(source)
-        assert disassemble(handwritten) == disassemble(erased)
-
-    @given(list_exprs(depth=3))
-    @settings(max_examples=30)
-    def test_identical_on_random_lists(self, source):
-        handwritten, erased = compile_both(source)
-        assert disassemble(handwritten) == disassemble(erased)
-
-    def test_derived_compiler_runs(self):
-        program = anf_convert_program(
-            parse_program("(define (t) (let ((x (* 6 7))) x))")
-        )
-        assert erase_compile(program).run([]) == 42
 
 
 class _Reads:

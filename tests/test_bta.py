@@ -7,20 +7,11 @@ from repro.lang import DApp, DIf, DLam, DPrim, Lam, Lift, MemoCall, parse_progra
 from repro.pe import BindingTime, BindingTimeError, analyze, parse_signature
 from repro.pe.bta import _Analysis, prepare
 from repro.sexp import sym
+from tests.routes import annotate, specialize
 from tests.strategies import guarded_descent_programs
 
 S, D = BindingTime.STATIC, BindingTime.DYNAMIC
-
-
-def mono_extension(program, signature):
-    """The monovariant baseline's generating extension, compiled from its
-    annotated program (a ``GeneratingExtension`` runs only the
-    polyvariant division)."""
-    from repro.pe.cogen import compile_generating_extension
-
-    return compile_generating_extension(
-        analyze(program, signature, bta="mono").annotated
-    )
+POWER = "(define (power x n) (if (zero? n) 1 (* x (power x (- n 1)))))"
 
 
 def ann_body(src, signature, goal=None, **kw):
@@ -315,60 +306,15 @@ class TestPolyvariantProperties:
         assert mono_h.bts == (D, S)
         assert any(d.bts == (S, S) for d in origins["h"])
 
-    def test_workload_residuals_agree_across_divisions(self):
-        # Differential property over the workload corpus: the mono and
-        # poly divisions must produce semantically equal residual
-        # programs, on both dispatch loops (plain and counting).
-        from repro.compiler.fusion import ObjectCodeBackend
-        from repro.lang.prims import write_value
-        from repro.rtcg import GeneratingExtension
-        from repro.runtime.values import datum_to_value
-        from repro.vm.profile import VMProfile
-        from repro.workloads import (
-            LAZY_SIGNATURE,
-            MIXWELL_SIGNATURE,
-            lazy_interpreter,
-            lazy_primes_program,
-            mixwell_interpreter,
-            mixwell_tm_program,
-        )
-
-        corpus = [
-            (
-                "mixwell", mixwell_interpreter(), MIXWELL_SIGNATURE,
-                [mixwell_tm_program()],
-                [datum_to_value([1, 0, 1, 1, 0, 1])],
-            ),
-            (
-                "lazy", lazy_interpreter(), LAZY_SIGNATURE,
-                [lazy_primes_program()], [4],
-            ),
-        ]
-        for name, program, sig, statics, dynamics in corpus:
-            outcomes = {}
-            for mode in ("mono", "poly"):
-                if mode == "mono":
-                    rp = mono_extension(program, sig).generate(
-                        statics, ObjectCodeBackend(), dif_strategy="join"
-                    )
-                else:
-                    gen = GeneratingExtension(program, sig)
-                    rp = gen.to_object_code(statics, dif_strategy="join")
-                outcomes[mode] = (
-                    write_value(rp.run(list(dynamics))),
-                    write_value(rp.run_profiled(list(dynamics), VMProfile())),
-                )
-            assert outcomes["mono"] == outcomes["poly"], name
-
 
 class TestMonoLiftInfelicity:
     """Pinned regression: the monovariant join's lift infelicity.
 
-    Ackermann under an all-static signature with the goal itself as the
-    specialization point: the goal is residual, so its branches lift —
-    and under the monovariant join the lifted (now dynamic) recursion
-    result flows back into ``ack``'s static parameter, a congruence
-    dead-end the seed BTA reported as a BindingTimeError.  The
+    Ackermann (and POWER) under an all-static signature with the goal
+    itself as the specialization point: the goal is residual, so its
+    branches lift — and under the monovariant join the lifted (now
+    dynamic) recursion result flows back into a static parameter, a
+    congruence dead-end the seed BTA reported as a BindingTimeError.  The
     polyvariant BTA splits a value variant for the inner calls and
     folds the whole tower to a constant instead.
     """
@@ -381,13 +327,22 @@ class TestMonoLiftInfelicity:
 
     def test_mono_reproduces_the_binding_time_error(self):
         entry = self._ackermann()
-        gen = mono_extension(
-            parse_program(entry.source, goal=entry.goal), entry.signature
+        annotated = annotate(
+            entry.source, entry.signature, entry.goal, bta="mono"
         )
         with pytest.raises(
             BindingTimeError, match="dynamic argument to static"
         ):
-            gen.generate([2, 3])
+            specialize(annotated, [2, 3])
+
+    def test_mono_power_under_ss_hits_it_too(self):
+        # The lifted result of the residual goal's recursion reaches
+        # the static multiplication.
+        annotated = annotate(POWER, "SS", "power", bta="mono")
+        with pytest.raises(
+            BindingTimeError, match=r"dynamic argument to static primitive \*"
+        ):
+            specialize(annotated, [2, 5])
 
     def test_poly_folds_ackermann_to_a_constant(self):
         from repro.rtcg import GeneratingExtension

@@ -1,9 +1,8 @@
-"""Tests for compile_program's two routes, against the interpreter: the
-ANF route (a fold of ANF syntax into the fused backend) and the stock
-compiler."""
+"""Tests for compile_program's two routes: the ANF route (a fold of ANF
+syntax into the fused backend) and the stock compiler.  Their agreement
+with the interpreter on random programs is ``tests/test_routes.py``'s."""
 
 import pytest
-from hypothesis import given, settings
 
 from repro.compiler import (
     CompileError,
@@ -12,13 +11,10 @@ from repro.compiler import (
     compile_program,
 )
 from repro.compiler.program import fold_program
-from repro.interp import Interpreter
 from repro.lang import parse_expr, parse_program
-from repro.runtime.values import scheme_equal
 from repro.sexp import sym
 from repro.vm import Machine, VmClosure
-from tests.helpers import run_all_ways
-from tests.strategies import arith_exprs, higher_order_exprs, list_exprs
+from tests.routes import ROUTES, Case, outcome
 
 
 def run_anf_expr(source: str):
@@ -148,8 +144,9 @@ class TestWholeProgramCompilation:
     def test_definitions_shadow_primitives(self, main):
         # Unlike even?/odd? above, the primitive abs gives a different
         # answer from the program's own.
-        p = parse_program(f"(define (abs x) 'mine) {main}")
-        assert run_all_ways(p, [-3]) == [sym("mine")] * 3
+        case = Case(parse_program(f"(define (abs x) 'mine) {main}"), "D", (-3,))
+        routes = ("interp", "compile/auto", "compile/stock")
+        assert [outcome(ROUTES[r][1], case) for r in routes] == ["mine"] * 3
 
     def test_deep_tail_recursion(self):
         p = parse_program("(define (loop n) (if (zero? n) 'done (loop (- n 1))))")
@@ -166,26 +163,3 @@ class TestWholeProgramCompilation:
         m = cp.machine()
         assert cp.run([3], machine=m) == 6
         assert cp.run([4], machine=m) == 24
-
-
-class TestDifferentialAgainstInterpreter:
-    @given(arith_exprs(depth=4))
-    @settings(max_examples=60)
-    def test_arith(self, source):
-        expected = Interpreter().eval(parse_expr(source), None)
-        assert run_anf_expr(source) == expected
-        assert run_stock_expr(source) == expected
-
-    @given(list_exprs(depth=4))
-    @settings(max_examples=40)
-    def test_lists(self, source):
-        expected = Interpreter().eval(parse_expr(source), None)
-        assert scheme_equal(run_anf_expr(source), expected)
-        assert scheme_equal(run_stock_expr(source), expected)
-
-    @given(higher_order_exprs(depth=4))
-    @settings(max_examples=60)
-    def test_higher_order(self, source):
-        expected = Interpreter().eval(parse_expr(source), None)
-        assert run_anf_expr(source) == expected
-        assert run_stock_expr(source) == expected

@@ -4,7 +4,8 @@ Fig. 3's rule for ``if^D`` passes the continuation to *both* branches; in
 value position that duplicates the residual continuation, exponentially
 for chains of conditionals.  The ``join`` strategy binds the continuation
 once as a residual join-point lambda.  Both strategies must agree
-semantically; only their residual sizes differ.
+semantically (``tests/test_routes.py`` runs both); only their residual
+sizes differ.
 
 Every check runs on both engines: the interpretive specializer and the
 compiled generating extension (``GeneratingExtension.compiled()``).
@@ -14,12 +15,8 @@ import pytest
 
 from repro.anf import is_anf_program
 from repro.compiler import ObjectCodeBackend
-from repro.lang import count_nodes, parse_program
-from repro.pe import SourceBackend, Specializer, analyze
-from repro.pe.cogen import compile_generating_extension
-from repro.runtime.values import scheme_equal
-
-ENGINES = ("specializer", "compiled")
+from repro.lang import count_nodes
+from tests.routes import ENGINES, annotate, specialize
 
 
 def make_chain(n: int) -> str:
@@ -34,53 +31,23 @@ def make_chain(n: int) -> str:
     return f"(define (chain d) {body})"
 
 
-def run_engine(engine, annotated, static_args, strategy, backend=None):
-    if engine == "specializer":
-        return Specializer(
-            annotated, backend, dif_strategy=strategy
-        ).run(static_args)
-    return compile_generating_extension(annotated).generate(
-        static_args, backend, dif_strategy=strategy
-    )
-
-
-def specialize_with(src, signature, static_args, strategy, engine, goal=None):
-    program = parse_program(src, goal=goal)
-    res = analyze(program, signature)
-    return run_engine(engine, res.annotated, static_args, strategy)
-
-
 class TestSemanticAgreement:
     CASES = [
-        (make_chain(3), "D", [], [6]),
-        (make_chain(3), "D", [], [35]),
-        (
-            "(define (f s d) (* s (+ (if (zero? d) 10 20) 1)))",
-            "SD",
-            [7],
-            [0],
-        ),
+        (make_chain(3), "D", []),
+        (make_chain(4), "D", []),
+        ("(define (f s d) (* s (+ (if (zero? d) 10 20) 1)))", "SD", [7]),
         (
             "(define (g d) (+ (if (zero? d) (if (zero? d) 1 2) 3) 100))",
             "D",
             [],
-            [0],
         ),
     ]
 
     @pytest.mark.parametrize("case", range(len(CASES)))
-    def test_same_results(self, case):
-        src, sig, static, dyn = self.CASES[case]
-        for engine in ENGINES:
-            rp_dup = specialize_with(src, sig, static, "duplicate", engine)
-            rp_join = specialize_with(src, sig, static, "join", engine)
-            assert scheme_equal(rp_dup.run(dyn), rp_join.run(dyn)), engine
-
-    @pytest.mark.parametrize("case", range(len(CASES)))
     def test_join_residual_is_anf(self, case):
-        src, sig, static, dyn = self.CASES[case]
+        src, sig, static = self.CASES[case]
         for engine in ENGINES:
-            rp = specialize_with(src, sig, static, "join", engine)
+            rp = specialize(annotate(src, sig), static, engine, None, "join")
             assert is_anf_program(rp.program), engine
 
 
@@ -90,8 +57,8 @@ class TestSizeBehaviour:
         sizes = {
             engine: sum(
                 count_nodes(d.body)
-                for d in specialize_with(
-                    make_chain(n), "D", [], strategy, engine
+                for d in specialize(
+                    annotate(make_chain(n), "D"), [], engine, None, strategy
                 ).program.defs
             )
             for engine in ENGINES
@@ -120,20 +87,17 @@ class TestSizeBehaviour:
         # produce the same residual program.
         src = "(define (f d) (if (zero? d) 'a 'b))"
         for engine in ENGINES:
-            a = specialize_with(src, "D", [], "duplicate", engine)
-            b = specialize_with(src, "D", [], "join", engine)
+            a = specialize(annotate(src, "D"), [], engine, None, "duplicate")
+            b = specialize(annotate(src, "D"), [], engine, None, "join")
             assert a.fingerprint() == b.fingerprint(), engine
 
 
 class TestJoinWithObjectBackend:
     def test_fused_backend_supports_joins(self):
-        program = parse_program(make_chain(5), goal="chain")
-        res = analyze(program, "D")
-        baseline = Specializer(res.annotated, SourceBackend()).run([])
+        annotated = annotate(make_chain(5), "D")
+        baseline = specialize(annotated, [], "specializer")
         for engine in ENGINES:
-            rp = run_engine(
-                engine, res.annotated, [], "join", ObjectCodeBackend()
-            )
+            rp = specialize(annotated, [], engine, ObjectCodeBackend(), "join")
             for d in (0, 6, 30, 209):
                 assert rp.run([d]) == baseline.run([d]), engine
 
@@ -146,8 +110,6 @@ class TestJoinWithObjectBackend:
         assert rp.run([12]) == rp2.run([12])
 
     def test_bad_strategy_rejected(self):
-        program = parse_program(make_chain(1), goal="chain")
-        res = analyze(program, "D")
         for engine in ENGINES:
             with pytest.raises(ValueError):
-                run_engine(engine, res.annotated, [], "nope")
+                specialize(annotate(make_chain(1), "D"), [], engine, None, "nope")

@@ -17,10 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compiler.fusion import ObjectCodeBackend
-from repro.interp import run_program
-from repro.lang import parse_program
 from repro.pe.backend import SourceBackend
-from repro.pe.specializer import Specializer
 from repro.rtcg import GeneratingExtension
 from repro.runtime.values import scheme_list
 from repro.workloads import (
@@ -33,20 +30,10 @@ from repro.workloads import (
     lazy_primes_program,
     mixwell_tm_program,
 )
+from tests.routes import ENGINES, specialize
 from tests.strategies import arith_exprs, guarded_descent_programs
 
 
-def _specializer(gen, statics, backend, strategy):
-    return Specializer(
-        gen.bta.annotated, backend, dif_strategy=strategy
-    ).run(statics)
-
-
-def _compiled(gen, statics, backend, strategy):
-    return gen.compiled().generate(statics, backend, dif_strategy=strategy)
-
-
-ENGINES = {"specializer": _specializer, "compiled": _compiled}
 STRATEGIES = ("duplicate", "join")
 
 
@@ -70,11 +57,11 @@ def assert_engines_agree(gen, statics):
     for strategy in STRATEGIES:
         for make_backend in (SourceBackend, ObjectCodeBackend):
             facts = {}
-            for name, engine in ENGINES.items():
+            for engine in ENGINES:
                 backend = make_backend()
-                facts[name] = _facts(
-                    engine(gen, statics, backend, strategy), backend
-                )
+                facts[engine] = _facts(specialize(
+                    gen.bta.annotated, statics, engine, backend, strategy
+                ), backend)
             assert facts["specializer"] == facts["compiled"], (
                 strategy, make_backend.__name__
             )
@@ -95,6 +82,24 @@ def test_section7_engines_agree(workload):
     source, signature, goal, static = workload
     gen = GeneratingExtension(source, signature, goal=goal, analyze="off")
     assert_engines_agree(gen, [static()])
+
+
+POWER = "(define (power x n) (if (zero? n) 1 (* x (power x (- n 1)))))"
+MAKE_ADD = """
+(define (make-add d) (lambda (x) (+ x d)))
+(define (main d e) (let ((f (make-add d))) (f (f e))))
+"""
+
+
+@pytest.mark.parametrize(
+    "source, signature, goal, statics",
+    [(POWER, "DS", "power", [6]), (POWER, "SD", "power", [3]),
+     (MAKE_ADD, "DD", "main", [])],
+    ids=["power-DS", "power-SD", "make-add"],
+)
+def test_small_programs_engines_agree(source, signature, goal, statics):
+    gen = GeneratingExtension(source, signature, goal=goal, analyze="off")
+    assert_engines_agree(gen, statics)
 
 
 # -- a hypothesis sample ------------------------------------------------------------
@@ -118,36 +123,6 @@ def test_mixed_binding_time_expressions_engines_agree(body, static):
         f"(define (goal s d) {body})", "SD", goal="goal", analyze="off"
     )
     assert_engines_agree(gen, [static])
-
-
-# -- procedure? on a static closure -------------------------------------------------
-
-PROCEDURE_P = """
-(define (f s d)
-  (let ((g (lambda (x) (+ x s))))
-    (if (procedure? g) (+ d 1) (+ d 2))))
-"""
-
-
-@pytest.mark.parametrize(
-    "route",
-    ["to_source", "to_object_code", "compiled", "specializer"],
-)
-def test_static_closure_is_a_procedure(route):
-    # A static closure answers #t to procedure? in every engine, as it
-    # does in the interpreter.
-    expected = run_program(parse_program(PROCEDURE_P, goal="f"), [3, 10])
-    assert expected == 11
-    gen = GeneratingExtension(
-        PROCEDURE_P, "SD", goal="f", analyze="off", cache_size=0
-    )
-    if route == "compiled":
-        residual = gen.compiled().generate([3])
-    elif route == "specializer":
-        residual = Specializer(gen.bta.annotated).run([3])
-    else:
-        residual = getattr(gen, route)([3])
-    assert residual.run([10]) == expected
 
 
 # -- one extension, several threads -------------------------------------------------

@@ -25,15 +25,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.anf.convert import anf_convert_program
-from repro.anf.grammar import is_anf_program
 from repro.compiler import ErasingBackend, ObjectCodeBackend, compile_program
 from repro.compiler import annotated
-from repro.compiler.program import CompiledProgram, fold_program
+from repro.compiler.program import CompiledProgram
 from repro.lang import parse_program
-from repro.lang.assignment import eliminate_assignments, has_assignments
 from repro.sexp import sym
 from repro.vm import disassemble
+from tests.routes import fold
 from tests.strategies import arith_exprs, higher_order_exprs, list_exprs
 from tests.test_compile_pins import _CASES
 
@@ -62,21 +60,6 @@ PROGRAMS = {
 }
 
 
-def _anf(program):
-    """``program`` as ``compile_program`` folds it."""
-    if any(has_assignments(d.body) for d in program.defs):
-        program = eliminate_assignments(program)
-    if not is_anf_program(program):
-        program = anf_convert_program(program)
-    return program
-
-
-def _fold(program, backend_class) -> CompiledProgram:
-    backend = backend_class()
-    fold_program(_anf(program), backend)
-    return CompiledProgram(backend.templates, program.goal)
-
-
 def _disassemblies(compiled: CompiledProgram) -> dict:
     return {
         name: disassemble(template)
@@ -87,7 +70,7 @@ def _disassemblies(compiled: CompiledProgram) -> dict:
 def assert_readings_agree(program) -> None:
     printed = _disassemblies(compile_program(program))
     for backend_class in (DerivedBackend, ErasingBackend):
-        folded = _disassemblies(_fold(program, backend_class))
+        folded = _disassemblies(fold(program, backend_class))
         assert folded == printed, backend_class.__name__
 
 
@@ -114,12 +97,12 @@ def test_three_readings_identical_on_random_expressions(source):
 
 
 def test_erasing_reading_keeps_a_program_name_over_a_primitive():
-    compiled = _fold(PROGRAMS["shadowing"], ErasingBackend)
+    compiled = fold(PROGRAMS["shadowing"], ErasingBackend)
     assert compiled.run([-3]) == sym("mine")
 
 
 def test_erasing_reading_ignores_globals_in_let_shapes():
-    erased = _fold(PROGRAMS["global-in-closure"], ErasingBackend)
+    erased = fold(PROGRAMS["global-in-closure"], ErasingBackend)
     printed = compile_program(PROGRAMS["global-in-closure"])
     t = sym("t")
     assert erased.templates[t].instruction_count() == 12

@@ -1,8 +1,6 @@
-"""Tests for the top-level RTCG API and end-to-end properties."""
+"""Tests for the top-level RTCG API (its routes agree with the
+interpreter in ``tests/test_routes.py``)."""
 
-from hypothesis import given, settings, strategies as st
-
-from repro.interp import run_program
 from repro.lang import parse_program
 from repro.rtcg import (
     GeneratingExtension,
@@ -11,8 +9,6 @@ from repro.rtcg import (
     specialize_to_object_code,
     specialize_to_source,
 )
-from repro.runtime.values import scheme_equal
-from tests.strategies import arith_exprs, higher_order_exprs
 
 POWER = "(define (power x n) (if (zero? n) 1 (* x (power x (- n 1)))))"
 
@@ -69,52 +65,3 @@ class TestResidualProgramContainer:
         rp = specialize_to_source(POWER, "SD", [2], goal="power")
         assert rp.stats["residual_defs"] >= 1
         assert rp.stats["memo_entries"] >= 1
-
-
-def _wrap_goal(body_source: str, params: tuple[str, ...]) -> str:
-    return f"(define (goal {' '.join(params)}) {body_source})"
-
-
-class TestAllDynamicIsSemanticPreserving:
-    """With every input dynamic, specialization must preserve semantics:
-    the residual program is the original, staged."""
-
-    @given(arith_exprs(depth=3, env=("a", "b")),
-           st.integers(-50, 50), st.integers(-50, 50))
-    @settings(max_examples=40, deadline=None)
-    def test_random_arith(self, body, a, b):
-        src = _wrap_goal(body, ("a", "b"))
-        program = parse_program(src, goal="goal")
-        expected = run_program(program, [a, b])
-        rp = specialize_to_object_code(src, "DD", [], goal="goal")
-        assert rp.run([a, b]) == expected
-
-    @given(higher_order_exprs(depth=3, env=("a",)), st.integers(-20, 20))
-    @settings(max_examples=40, deadline=None)
-    def test_random_higher_order(self, body, a):
-        src = _wrap_goal(body, ("a",))
-        program = parse_program(src, goal="goal")
-        expected = run_program(program, [a])
-        rp = specialize_to_object_code(src, "D", [], goal="goal")
-        assert rp.run([a]) == expected
-
-    @given(arith_exprs(depth=3, env=("a", "b")),
-           st.integers(-50, 50), st.integers(-50, 50))
-    @settings(max_examples=30, deadline=None)
-    def test_partially_static(self, body, a, b):
-        # a static, b dynamic: must agree with full evaluation.
-        src = _wrap_goal(body, ("a", "b"))
-        program = parse_program(src, goal="goal")
-        expected = run_program(program, [a, b])
-        rp = specialize_to_object_code(src, "SD", [a], goal="goal")
-        assert rp.run([b]) == expected
-
-    @given(arith_exprs(depth=3, env=("a", "b")),
-           st.integers(-50, 50), st.integers(-50, 50))
-    @settings(max_examples=30, deadline=None)
-    def test_source_and_object_agree(self, body, a, b):
-        src = _wrap_goal(body, ("a", "b"))
-        gen = make_generating_extension(src, "SD", goal="goal")
-        rp_src = gen.to_source([a])
-        rp_obj = gen.to_object_code([a])
-        assert scheme_equal(rp_src.run([b]), rp_obj.run([b]))

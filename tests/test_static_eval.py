@@ -11,6 +11,7 @@ are those of the all-CPS engines.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import pytest
@@ -28,13 +29,8 @@ from repro.lang.ast import (
     Prim,
     Var,
 )
-from repro.lang.parser import parse_program
 from repro.pe.annprog import D, S, AnnDef, AnnotatedProgram
-from repro.pe.bta import analyze
-from repro.pe.cogen import compile_generating_extension
 from repro.pe.errors import BindingTimeError, BudgetExceeded
-from repro.pe.specializer import Specializer
-from repro.rtcg import GeneratingExtension
 from repro.runtime.values import datum_to_value
 from repro.sexp.datum import sym
 from repro.sexp.reader import read
@@ -49,6 +45,7 @@ from repro.workloads import (
     mixwell_tm_program,
 )
 from tests.corpus_termination import DIVERGING
+from tests.routes import annotate, specialize
 
 f, g, h, x, y, s, d = (sym(n) for n in ("f", "g", "h", "x", "y", "s", "d"))
 even, odd = sym("even"), sym("odd")
@@ -197,27 +194,10 @@ def _digest(residual) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-_EXTENSIONS: dict = {}
-
-
-def _extension(workload: str, bta: str):
-    """The workload's generating extension.  The polyvariant division is
-    a ``GeneratingExtension``'s; the monovariant baseline is its
-    annotated program compiled directly (an extension runs only the
-    polyvariant division)."""
-    key = (workload, bta)
-    if key not in _EXTENSIONS:
-        source, signature, goal, _ = WORKLOADS[workload]
-        if bta == "poly":
-            _EXTENSIONS[key] = GeneratingExtension(
-                source, signature, goal=goal, cache_size=0
-            )
-        else:
-            program = parse_program(source, goal=goal)
-            _EXTENSIONS[key] = compile_generating_extension(
-                analyze(program, signature, bta=bta).annotated
-            )
-    return _EXTENSIONS[key]
+@functools.cache
+def _annotated(workload: str, bta: str) -> AnnotatedProgram:
+    source, signature, goal, _ = WORKLOADS[workload]
+    return annotate(source, signature, goal, bta=bta)
 
 
 @pytest.mark.parametrize(
@@ -225,19 +205,15 @@ def _extension(workload: str, bta: str):
 )
 def test_section7_residuals_are_unchanged(key):
     workload, bta, strategy, route = key
-    gen = _extension(workload, bta)
-    static = WORKLOADS[workload][3]()
-    backend = ObjectCodeBackend() if route == "object" else None
-    if strategy == "cogen":
-        compiled = gen.compiled() if bta == "poly" else gen
-        residual = compiled.generate([static], backend=backend)
-    elif bta == "poly":
-        make = gen.to_object_code if route == "object" else gen.to_source
-        residual = make([static], dif_strategy=strategy)
-    else:
-        residual = gen.generate(
-            [static], backend=backend, dif_strategy=strategy
-        )
+    # A strategy row runs the interpretive specializer, a "cogen" row
+    # the compiled extension under the default strategy.
+    cogen = strategy == "cogen"
+    residual = specialize(
+        _annotated(workload, bta), [WORKLOADS[workload][3]()],
+        "compiled" if cogen else "specializer",
+        ObjectCodeBackend() if route == "object" else None,
+        "duplicate" if cogen else strategy,
+    )
     stats = residual.stats
     assert (
         _digest(residual), stats["residual_defs"], stats["residual_size"]
@@ -245,18 +221,6 @@ def test_section7_residuals_are_unchanged(key):
 
 
 # -- errors are unchanged ---------------------------------------------------------
-
-
-def _run(engine: str, annotated: AnnotatedProgram, statics: list):
-    if engine == "specializer":
-        return Specializer(annotated).run(statics)
-    return compile_generating_extension(annotated).generate(statics)
-
-
-def _annotate(source: str) -> AnnotatedProgram:
-    return GeneratingExtension(
-        source, "SD", goal="f", analyze="off"
-    ).bta.annotated
 
 
 SPEC_TIME_ERRORS = {
@@ -282,7 +246,7 @@ def test_static_primitive_error_message(engine, case):
 
     source, statics, prim, message = SPEC_TIME_ERRORS[case]
     with pytest.raises(SpecializationError) as exc:
-        _run(engine, _annotate(source), statics)
+        specialize(annotate(source, "SD", "f"), statics, engine)
     assert str(exc.value) == (
         f"specialization-time error in ({prim} ...): {message}"
     )
@@ -336,7 +300,7 @@ BINDING_TIME_MESSAGES = {
 def test_dynamic_value_in_static_position(key):
     case, engine = key
     with pytest.raises(BindingTimeError) as exc:
-        _run(engine, _ill_annotated()[case], [1])
+        specialize(_ill_annotated()[case], [1], engine)
     assert str(exc.value) == BINDING_TIME_MESSAGES[key]
 
 
@@ -363,25 +327,14 @@ def test_budget_table_covers_the_corpus():
 @pytest.mark.parametrize("engine", ["specializer", "cogen"])
 @pytest.mark.parametrize("entry", DIVERGING, ids=lambda e: e.name)
 def test_divergers_trip_the_same_budget(engine, entry):
-    gen = GeneratingExtension(
-        entry.source,
-        entry.signature,
-        goal=entry.goal,
-        memo_hints=entry.memo_hints,
-        unfold_hints=entry.unfold_hints,
-        analyze="off",
-        max_unfold_depth=300,
-        max_residual_size=2_000,
-        cache_size=0,
+    annotated = annotate(
+        entry.source, entry.signature, entry.goal,
+        memo_hints=entry.memo_hints, unfold_hints=entry.unfold_hints,
     )
     statics = [datum_to_value(read(text)) for text in entry.static_args]
     with pytest.raises(BudgetExceeded) as exc:
-        if engine == "specializer":
-            gen.to_source(statics)
-        else:
-            gen.compiled().generate(
-                statics, max_unfold_depth=300, max_residual_size=2_000
-            )
+        specialize(annotated, statics, engine,
+                   max_unfold_depth=300, max_residual_size=2_000)
     assert (exc.value.budget, exc.value.cycle[0]) == BUDGETS[entry.name]
 
 
@@ -396,15 +349,8 @@ def test_static_unfold_depth_bounds_active_unfolds(engine):
 (define (f s d) (+ (loop s 0) d))
 (define (loop n acc) (if (zero? n) acc (loop (- n 1) (+ acc (nest 10)))))
 (define (nest k) (if (zero? k) 1 (nest (- k 1))))"""
-    gen = GeneratingExtension(
-        source, "SD", goal="f", analyze="off", max_unfold_depth=250,
-        cache_size=0,
-    )
-    annotated = gen.bta.annotated
+    annotated = annotate(source, "SD", "f")
     loop = next(dd for dd in annotated.defs if "loop" in str(dd.name))
     assert annotated.is_static(loop.body)
-    if engine == "specializer":
-        residual = gen.to_source([200])
-    else:
-        residual = gen.compiled().generate([200], max_unfold_depth=250)
+    residual = specialize(annotated, [200], engine, max_unfold_depth=250)
     assert residual.run([1]) == 201

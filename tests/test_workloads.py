@@ -1,10 +1,11 @@
 """Tests for the MIXWELL and LAZY workloads: direct runs, Futamura
-projections through both backends, and the interpreter-size claims."""
+projections through both backends, and the interpreter-size claims.
+The first Futamura equation on every route is ``tests/test_routes.py``'s."""
 
 import pytest
 
 from repro.compiler import compile_program
-from repro.runtime.values import datum_to_value, scheme_equal, value_to_datum
+from repro.runtime.values import datum_to_value, value_to_datum
 from repro.rtcg import make_generating_extension
 from repro.workloads import (
     LAZY_PRIMES_PROGRAM,
@@ -180,23 +181,3 @@ class TestLazyFutamura:
     def test_one_residual_def_per_lazy_function(self, residual_source):
         # The primes program has 5 definitions.
         assert 3 <= len(residual_source.program.defs) <= 8
-
-
-class TestFutamuraEquation:
-    """residual(interp, prog)(input) == interp(prog, input) — end to end."""
-
-    def test_mixwell_equation(self):
-        gen = make_generating_extension(
-            mixwell_interpreter(), MIXWELL_SIGNATURE
-        )
-        rp = gen.to_object_code([mixwell_tm_program()])
-        for bits in ([1, 1, 0], [1, 0, 1, 1, 1]):
-            tape = datum_to_value(bits)
-            direct = run_mixwell(mixwell_tm_program(), tape)
-            assert scheme_equal(rp.run([tape]), direct)
-
-    def test_lazy_equation(self):
-        gen = make_generating_extension(lazy_interpreter(), LAZY_SIGNATURE)
-        rp = gen.to_object_code([lazy_primes_program()])
-        for i in (0, 2, 4):
-            assert rp.run([i]) == run_lazy(lazy_primes_program(), i)
