@@ -142,6 +142,11 @@ class _Decoder:
             b = self.byte()
             result |= (b & 0x7F) << shift
             if not b & 0x80:
+                if not b and shift:
+                    # An overlong encoding (``0x87 0x00`` for 7): the
+                    # encoder never writes one, so only canonical bytes
+                    # decode.
+                    raise CodecError("overlong varint")
                 return result
             shift += 7
             if shift > 10_000:  # a varint this long is garbage, not a number

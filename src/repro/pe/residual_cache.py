@@ -71,26 +71,15 @@ class ResidualCache:
     def peek(self, key: Hashable) -> Any | None:
         """A read-only probe that does **not** promote LRU recency.
 
-        :meth:`lookup` and :meth:`get_or_generate` move a hit to the
-        most-recently-used end — correct for callers that *use* the
-        residual, wrong for stats/inspection paths: a monitor polling
-        the cache would keep every polled key artificially warm and
-        reshape eviction order.  ``peek`` reads the entry (no recency
-        update, no hit/miss counters), so observing the cache never
-        perturbs it.
+        :meth:`get_or_generate` moves a hit to the most-recently-used
+        end — correct for callers that *use* the residual, wrong for
+        stats/inspection paths: a monitor polling the cache would keep
+        every polled key artificially warm and reshape eviction order.
+        ``peek`` reads the entry (no recency update, no hit/miss
+        counters), so observing the cache never perturbs it.
         """
         with self._lock:
             return self._entries.get(key)
-
-    def lookup(self, key: Hashable) -> Any | None:
-        """A bare probe (no generation, no single-flight wait)."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-        if entry is not None:
-            self.metrics.count("hits")
-        return entry
 
     def get_or_generate(
         self, key: Hashable, produce: Callable[[], Any]

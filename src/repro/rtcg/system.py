@@ -339,11 +339,10 @@ class GeneratingExtension:
     ) -> ResidualProgram | None:
         """A read-only L1 probe: the cached residual program, or ``None``.
 
-        Unlike generation (and unlike :meth:`ResidualCache.lookup`),
-        peeking neither promotes the entry's LRU recency nor counts a
-        hit, so inspection/monitoring paths — the service layer's
-        ``probe`` request, dashboards polling warmth — cannot perturb
-        eviction order.  ``kind`` is the backend discriminator,
+        Unlike generation, peeking neither promotes the entry's LRU
+        recency nor counts a hit, so inspection/monitoring paths — the
+        service layer's ``probe`` request, dashboards polling warmth —
+        cannot perturb eviction order.  ``kind`` is the backend discriminator,
         ``"object"`` or ``"source"``.
         """
         if self.cache.maxsize <= 0:

@@ -1,5 +1,6 @@
 """Shared test helpers: the reference interpreter on an expression, and
-an unsound residual.  Every route from a program to a value is in
+an unsound residual.  Every route from a program to a value, and every
+fault a stored, fetched or served residual must survive, is in
 ``tests/routes.py``."""
 
 from __future__ import annotations
@@ -7,8 +8,11 @@ from __future__ import annotations
 from typing import Any
 
 from repro.interp import Interpreter
-from repro.lang import parse_expr
+from repro.lang import eliminate_assignments_expr, has_assignments, parse_expr
 from repro.runtime.values import value_to_datum
+from repro.vm.instructions import Op
+from repro.vm.machine import VmClosure
+from repro.vm.template import Template
 
 
 def interp_expr(source: str) -> Any:
@@ -17,8 +21,6 @@ def interp_expr(source: str) -> Any:
     Runs assignment elimination when needed (``letrec``/``set!`` desugar
     into assignments).
     """
-    from repro.lang import eliminate_assignments_expr, has_assignments
-
     expr = parse_expr(source)
     if has_assignments(expr):
         expr = eliminate_assignments_expr(expr)
@@ -35,10 +37,6 @@ def unsound_residual(gen: Any, static: Any = 5) -> Any:
     replaced by a well-framed but unsound one (a branch past the end of
     the code): an image of it encodes and decodes, and fails the
     verifier."""
-    from repro.vm.instructions import Op
-    from repro.vm.machine import VmClosure
-    from repro.vm.template import Template
-
     rp = gen.to_object_code([static])
     name = next(iter(rp.machine.globals))
     bad = Template(

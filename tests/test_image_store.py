@@ -21,8 +21,8 @@ from repro.pe.backend import ResidualProgram
 from repro.pe.values import freeze_static
 from repro.rtcg import make_generating_extension, program_digest
 from repro.sexp.datum import Char, sym
-from repro.vm.verify import VerificationError
 from tests.helpers import unsound_residual
+from tests.routes import dangling_ref, misdigested, torn_ref, truncated
 
 POWER = "(define (power x n) (if (zero? n) 1 (* x (power x (- n 1)))))"
 
@@ -34,19 +34,6 @@ def gen():
 
 def _key(n: int = 1) -> StoreKey:
     return store_key("prog", (n,), "duplicate", "object")
-
-
-def _misdigested_image(gen) -> bytes:
-    """A soundly framed image whose embedded residual digest does not
-    match its code: its CRC holds, and so does any content address taken
-    of its bytes, but decoding rejects it."""
-    from repro.image.codec import _frame, _unframe
-
-    rp = gen.to_object_code([5])
-    payload = _unframe(encode_residual(rp))
-    embedded = rp.stats["residual_digest"].encode()
-    assert payload.count(embedded) == 1
-    return _frame(payload.replace(embedded, b"0" * 64))
 
 
 class TestStoreKey:
@@ -100,17 +87,6 @@ class TestStoreKey:
 
 
 class TestPutGet:
-    def test_round_trip(self, tmp_path, gen):
-        store = ImageStore(tmp_path / "store")
-        rp = gen.to_object_code([5])
-        digest = store.put(_key(), rp)
-        assert digest is not None
-        out = store.get(_key())
-        assert out is not None
-        assert out.fingerprint() == rp.fingerprint()
-        assert out.run([2]) == 32
-        assert store.stats()["hits"] == 1
-
     def test_miss(self, tmp_path):
         store = ImageStore(tmp_path / "store")
         assert store.get(_key()) is None
@@ -130,16 +106,6 @@ class TestPutGet:
         assert len(objects) == 1
         assert len(list((tmp_path / "store" / "index").iterdir())) == 2
 
-    def test_corrupt_object_behaves_like_a_miss(self, tmp_path, gen):
-        store = ImageStore(tmp_path / "store")
-        digest = store.put(_key(), gen.to_object_code([5]))
-        path = store.backend._object_path(digest)
-        data = bytearray(path.read_bytes())
-        data[20] ^= 0xFF
-        path.write_bytes(bytes(data))
-        assert store.get(_key()) is None
-        assert store.stats()["read_errors"] == 1
-
     def test_version_1_image_is_a_miss(self, tmp_path, gen):
         # Version 1 embedded a digest of the textual fingerprint; this
         # codec no longer reads it, and a stored one must regenerate.
@@ -152,12 +118,6 @@ class TestPutGet:
             store.load(hashlib.sha256(data).hexdigest())
         assert store.get(_key()) is None
         assert store.stats()["read_errors"] == 1
-
-    def test_dangling_ref_is_a_miss(self, tmp_path, gen):
-        store = ImageStore(tmp_path / "store")
-        digest = store.put(_key(), gen.to_object_code([5]))
-        store.backend._object_path(digest).unlink()
-        assert store.get(_key()) is None
 
     def test_load_rejects_mislabeled_object(self, tmp_path, gen):
         store = ImageStore(tmp_path / "store")
@@ -172,31 +132,7 @@ class TestPutGet:
         with pytest.raises(FileNotFoundError):
             store.load("ff" * 32)
 
-    def test_source_programs_are_storable(self, tmp_path, gen):
-        store = ImageStore(tmp_path / "store")
-        key = store_key("p", (4,), "duplicate", "source")
-        assert store.put(key, gen.to_source([4])) is not None
-        out = store.get(key)
-        assert out is not None
-        assert out.run([3]) == 81
-
-
 class TestVerifyOnLoad:
-    def _poison(self, store: ImageStore, gen) -> str:
-        """Store an image whose template is well-framed (valid CRC) but
-        unsound bytecode: a branch target past the end of the code."""
-        digest = store.put(_key(), unsound_residual(gen))
-        assert digest is not None
-        return digest
-
-    def test_unsound_image_rejected_by_default(self, tmp_path, gen):
-        store = ImageStore(tmp_path / "store")
-        digest = self._poison(store, gen)
-        with pytest.raises(VerificationError):
-            store.load(digest)
-        assert store.get(_key()) is None  # behaves like a miss
-        assert store.stats()["verify_failures"] == 1
-
     def test_verify_residual_passes_sound_code(self, gen):
         verify_residual(gen.to_object_code([3]))
 
@@ -236,8 +172,8 @@ class TestGc:
 
     def test_gc_drops_dangling_refs(self, tmp_path, gen):
         store = ImageStore(tmp_path / "store")
-        digest = store.put(_key(), gen.to_object_code([5]))
-        store.backend._object_path(digest).unlink()
+        store.put(_key(), gen.to_object_code([5]))
+        dangling_ref(store)
         report = store.gc()
         assert report["removed_refs"] == 1
         assert store.ls() == []
@@ -255,14 +191,14 @@ class TestLs:
 
     def test_ls_reports_corrupt_entries(self, tmp_path, gen):
         store = ImageStore(tmp_path / "store")
-        digest = store.put(_key(), gen.to_object_code([5]))
-        store.backend._object_path(digest).write_bytes(b"junk")
+        store.put(_key(), gen.to_object_code([5]))
+        truncated(store)
         (entry,) = store.ls()
         assert "error" in entry
 
     def test_ls_reports_a_wrong_embedded_digest(self, tmp_path, gen):
         store = ImageStore(tmp_path / "store")
-        data = _misdigested_image(gen)
+        data = misdigested(encode_residual(gen.to_object_code([5])))
         assert store.adopt(_key(), hashlib.sha256(data).hexdigest(), data)
         (entry,) = store.ls()
         assert "digest mismatch" in entry["error"]
@@ -272,58 +208,7 @@ class TestLs:
         assert ImageStore(tmp_path / "store").ls() == []
 
 
-class TestGracefulDegradation:
-    # chmod tricks don't work under root (CI containers), so an
-    # uncreatable store is simulated with a regular file where a parent
-    # directory would have to be.
-
-    def test_unwritable_root(self, tmp_path, gen):
-        blocker = tmp_path / "blocker"
-        blocker.write_text("not a directory")
-        store = ImageStore(blocker / "store")
-        assert not store.writable
-        assert store.put(_key(), gen.to_object_code([5])) is None
-        assert store.get(_key()) is None
-        assert store.stats()["write_errors"] == 1
-
-    def test_fresh_handle_on_existing_store_serves_reads(self, tmp_path, gen):
-        root = tmp_path / "store"
-        ImageStore(root).put(_key(), gen.to_object_code([5]))
-        reader = ImageStore(root)
-        out = reader.get(_key())
-        assert out is not None
-        assert out.run([2]) == 32
-
-    def test_extension_falls_back_when_store_unwritable(self, tmp_path):
-        blocker = tmp_path / "blocker"
-        blocker.write_text("not a directory")
-        gen = make_generating_extension(
-            POWER, "DS", goal="power", store_dir=blocker / "store"
-        )
-        rp = gen.to_object_code([5])
-        assert rp.run([2]) == 32
-        stats = gen.cache_stats()
-        assert stats["specializer_runs"] == 1
-        assert not stats["store"]["writable"]
-
-
 class TestExtensionIntegration:
-    def test_write_through_and_l2_hit(self, tmp_path):
-        store_dir = tmp_path / "store"
-        gen = make_generating_extension(
-            POWER, "DS", goal="power", store_dir=store_dir
-        )
-        rp = gen.to_object_code([5])
-        assert "image_digest" in rp.stats
-        # Drop L1 so the next application must go through L2.
-        gen.cache_clear()
-        rp2 = gen.to_object_code([5])
-        assert rp2.stats.get("disk_hit") is True
-        assert rp2.fingerprint() == rp.fingerprint()
-        stats = gen.cache_stats()
-        assert stats["specializer_runs"] == 1
-        assert stats["store"]["hits"] == 1
-
     def test_residual_digest_recorded_before_publication(self, tmp_path):
         # Write-through (and an L2 load) record the digest on the cached
         # program, so every L1 hit answers it without encoding again.
@@ -424,8 +309,7 @@ class TestDurability:
     def test_fsck_quarantines_truncated_object(self, tmp_path, gen):
         store = ImageStore(tmp_path / "store")
         digest = store.put(_key(), gen.to_object_code([5]))
-        # simulate a torn write: truncate the object in place
-        store.backend._object_path(digest).write_bytes(b"")
+        truncated(store)  # a torn write
         report = store.fsck()
         assert report["checked"] == 1
         assert report["corrupt"] == [digest]
@@ -447,7 +331,7 @@ class TestDurability:
         # Every get of such an object fails its decode and counts a
         # read error, so fsck sets it aside like any other corruption.
         store = ImageStore(tmp_path / "store")
-        data = _misdigested_image(gen)
+        data = misdigested(encode_residual(gen.to_object_code([5])))
         digest = hashlib.sha256(data).hexdigest()
         assert store.adopt(_key(), digest, data)
         report = store.fsck()
@@ -475,13 +359,6 @@ class TestTornRefs:
     def _torn_ref(self, store: ImageStore, name: str = "deadbeef") -> None:
         (store.backend.index_dir / name).write_text("")
 
-    def test_get_on_torn_ref_is_a_miss_not_an_error(self, tmp_path):
-        store = ImageStore(tmp_path / "store")
-        key = _key()
-        self._torn_ref(store, key.digest)
-        assert store.get(key) is None  # used to raise IsADirectoryError
-        assert store.stats()["misses"] == 1
-
     def test_gc_prunes_torn_refs(self, tmp_path, gen):
         store = ImageStore(tmp_path / "store")
         store.put(_key(), gen.to_object_code([5]))
@@ -493,14 +370,6 @@ class TestTornRefs:
         assert store.stats()["gc_removed_refs"] == 2
         # the healthy ref survived
         assert store.get(_key()) is not None
-
-    def test_gc_prunes_refs_to_missing_objects(self, tmp_path, gen):
-        store = ImageStore(tmp_path / "store")
-        digest = store.put(_key(), gen.to_object_code([5]))
-        store.backend._object_path(digest).unlink()
-        report = store.gc()
-        assert report["removed_refs"] == 1
-        assert store.ls() == []
 
 
 class TestConcurrentGetVsGc:
@@ -607,14 +476,14 @@ def _case_miss(tmp_path, gen):
 
 
 def _case_torn_ref(tmp_path, gen):
-    store = ImageStore(tmp_path / "store")
-    (store.backend.index_dir / _key().digest).write_text("")
+    store, _digest = _stored(tmp_path, gen)
+    torn_ref(store)
     return store, lambda: store.get(_key())
 
 
 def _case_read_error(tmp_path, gen):
-    store, digest = _stored(tmp_path, gen)
-    store.backend._object_path(digest).write_bytes(b"torn")
+    store, _digest = _stored(tmp_path, gen)
+    truncated(store)
     return store, lambda: store.get(_key())
 
 
@@ -640,8 +509,8 @@ def _case_gc(tmp_path, gen):
 
 
 def _case_fsck(tmp_path, gen):
-    store, digest = _stored(tmp_path, gen)
-    store.backend._object_path(digest).write_bytes(b"")
+    store, _digest = _stored(tmp_path, gen)
+    truncated(store)
     return store, store.fsck
 
 

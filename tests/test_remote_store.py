@@ -1,11 +1,10 @@
 """The remote L3 object tier: protocol, client, and TieredStore.
 
-Covers the obj_get/obj_put/obj_sync frames end to end over a
-real socket, the client's retry/refusal split, and the TieredStore
-semantics the ISSUE pins: read-through with replicate-down, TTL'd
-negative caching, graceful degradation when L3 is unreachable, the
-write-behind queue (drain-on-reconnect and bounded-drop), and the trust
-story — a poisoned image on the wire never reaches the machine.
+Covers the obj_get/obj_put/obj_sync frames end to end over a real
+socket, the client's retry/refusal split, read-through with
+replicate-down, TTL'd negative caching and the write-behind queue.  The
+faults of the tier (corrupt, poisoned or unreachable) are rows of
+``tests/routes.py``'s fault table.
 """
 
 from __future__ import annotations
@@ -136,13 +135,6 @@ class TestProtocol:
         assert [st.digest for st in objects] == [digest]
         assert refs == {_key().digest: digest}
 
-    def test_corrupt_at_rest_served_as_miss(self, gen, client, server):
-        digest, data = _image_bytes(gen)
-        client.push(digest, data)
-        server.backend._object_path(digest).write_bytes(b"torn")
-        assert client.fetch(digest=digest) is None
-
-
 class TestClientRetry:
     def test_unreachable_raises_retryable(self):
         c = RemoteStoreClient(
@@ -169,17 +161,12 @@ class TestClientRetry:
 
 
 class TestTieredStore:
-    def _tiered(self, tmp_path, server, **kwargs) -> TieredStore:
-        local = ImageStore(tmp_path / "l2")
-        remote = RemoteStoreClient("127.0.0.1", server.port, timeout=5.0)
-        return TieredStore(local, remote, **kwargs)
-
     def test_read_through_replicates_down(self, tmp_path, server, gen):
         digest, data = _image_bytes(gen)
         RemoteStoreClient("127.0.0.1", server.port).push(
             digest, data, key=_key().digest
         )
-        ts = self._tiered(tmp_path, server)
+        ts = _tier(tmp_path, server.port)
         out = ts.get(_key())
         assert out is not None and out.run([2]) == 32
         assert out.stats["l3_hit"]
@@ -192,7 +179,7 @@ class TestTieredStore:
         ts.close(flush=False)
 
     def test_negative_cache_bounds_remote_probes(self, tmp_path, server):
-        ts = self._tiered(tmp_path, server, negative_ttl=60.0)
+        ts = _tier(tmp_path, server.port, negative_ttl=60.0)
         assert ts.get(_key()) is None
         assert ts.get(_key()) is None
         rs = ts.stats()["remote"]
@@ -201,7 +188,7 @@ class TestTieredStore:
         ts.close(flush=False)
 
     def test_put_clears_negative_entry(self, tmp_path, server, gen):
-        ts = self._tiered(tmp_path, server, negative_ttl=60.0)
+        ts = _tier(tmp_path, server.port, negative_ttl=60.0)
         assert ts.get(_key()) is None
         ts.put(_key(), gen.to_object_code([5]))
         assert ts.flush()
@@ -211,40 +198,9 @@ class TestTieredStore:
         assert ts.stats()["remote"]["negative_entries"] == 0
         ts.close(flush=False)
 
-    def test_degrades_to_local_when_remote_down(self, tmp_path):
-        local = ImageStore(tmp_path / "l2")
-        remote = RemoteStoreClient(
-            "127.0.0.1", _free_port(), timeout=0.2, retries=0
-        )
-        ts = TieredStore(local, remote, retry_interval=30.0)
-        assert ts.get(_key()) is None
-        rs = ts.stats()["remote"]
-        assert rs["remote_errors"] == 1 and rs["down"]
-        # while down, later gets skip the wire entirely
-        assert ts.get(_key(2)) is None
-        assert ts.stats()["remote"]["skipped_down"] == 1
-        ts.close(flush=False)
-
-    def test_extension_specializes_locally_when_remote_down(self, tmp_path):
-        gen = make_generating_extension(
-            POWER, "DS", goal="power",
-            store_dir=tmp_path / "l2",
-            remote_store=RemoteStoreClient(
-                "127.0.0.1", _free_port(), timeout=0.2, retries=0
-            ),
-        )
-        assert gen.to_object_code([5]).run([2]) == 32
-        assert gen.cache_stats()["specializer_runs"] == 1
-        assert gen.cache_stats()["store"]["remote"]["remote_errors"] >= 1
-        gen.close_store(flush=False)
-
     def test_write_behind_drains_on_reconnect(self, tmp_path, gen):
         port = _free_port()
-        local = ImageStore(tmp_path / "l2")
-        remote = RemoteStoreClient(
-            "127.0.0.1", port, timeout=1.0, retries=0
-        )
-        ts = TieredStore(local, remote, retry_interval=0.05)
+        ts = _tier(tmp_path, port, retry_interval=0.05)
         digest = ts.put(_key(), gen.to_object_code([5]))
         assert digest is not None
         # nobody is listening yet: the put queues, the worker retries
@@ -258,7 +214,7 @@ class TestTieredStore:
             assert rs["write_behind.flush"] == 1 and rs["write_behind.drop"] == 0
             c = RemoteStoreClient("127.0.0.1", port)
             assert c.fetch(key=_key().digest) == (
-                digest, local.read_object(digest)
+                digest, ts.local.read_object(digest)
             )
             c.close()
         ts.close(flush=False)
@@ -272,11 +228,8 @@ class TestTieredStore:
             raise AssertionError("put read its own L2 object back")
 
         monkeypatch.setattr(ImageStore, "read_object", no_read_back)
-        local = ImageStore(tmp_path / "l2")
-        remote = RemoteStoreClient(
-            "127.0.0.1", _free_port(), timeout=0.2, retries=0
-        )
-        ts = TieredStore(local, remote, retry_interval=30.0)
+        ts = _tier(tmp_path, _free_port(), retry_interval=30.0)
+        local = ts.local
         enqueued = []
         monkeypatch.setattr(
             ts, "_enqueue", lambda *item: enqueued.append(item)
@@ -290,11 +243,7 @@ class TestTieredStore:
         ts.close(flush=False)
 
     def test_write_behind_drops_when_saturated(self, tmp_path, gen):
-        local = ImageStore(tmp_path / "l2")
-        remote = RemoteStoreClient(
-            "127.0.0.1", _free_port(), timeout=0.2, retries=0
-        )
-        ts = TieredStore(local, remote, retry_interval=30.0, max_queue=1)
+        ts = _tier(tmp_path, _free_port(), retry_interval=30.0, max_queue=1)
         for n in (3, 4, 5):
             ts.put(_key(n), gen.to_object_code([n]))
         rs = ts.stats()["remote"]
@@ -302,71 +251,8 @@ class TestTieredStore:
         assert rs["write_behind.drop"] >= 1
         assert rs["write_behind.enqueue"] + rs["write_behind.drop"] == 3
         # L2 kept every image regardless
-        assert all(local.get(_key(n)) is not None for n in (3, 4, 5))
+        assert all(ts.local.get(_key(n)) is not None for n in (3, 4, 5))
         ts.close(flush=False)
-
-
-class TestSecondMachine:
-    """The fig11 story: machine 2, cold local store, warm shared L3."""
-
-    def test_specializer_never_runs_on_machine_two(self, tmp_path, server):
-        gen1 = make_generating_extension(
-            POWER, "DS", goal="power",
-            store_dir=tmp_path / "m1",
-            remote_store=("127.0.0.1", server.port),
-        )
-        assert gen1.to_object_code([5]).run([2]) == 32
-        assert gen1.flush_store()
-        gen1.close_store()
-
-        gen2 = make_generating_extension(
-            POWER, "DS", goal="power",
-            store_dir=tmp_path / "m2",  # cold: never saw this program
-            remote_store=("127.0.0.1", server.port),
-        )
-        rp = gen2.to_object_code([5])
-        assert rp.run([2]) == 32
-        stats = gen2.cache_stats()
-        assert stats["specializer_runs"] == 0
-        assert stats["store"]["remote"]["remote_hits"] == 1
-        # the image replicated into machine 2's L2 on the way through
-        assert stats["store"]["adopts"] == 1
-        gen2.close_store()
-
-    def test_poisoned_remote_image_never_reaches_the_machine(
-        self, tmp_path, server, gen
-    ):
-        """L3 is untrusted: a well-framed image whose bytecode is
-        unsound (wire tampering, hostile peer) must be rejected by
-        verify-on-load — the worker re-specializes instead."""
-        gen1 = make_generating_extension(
-            POWER, "DS", goal="power", store_dir=tmp_path / "m1",
-            remote_store=("127.0.0.1", server.port),
-        )
-        rp = gen1.to_object_code([5])
-        key_digest = rp.stats["image_key"]
-        assert gen1.flush_store()
-        gen1.close_store()
-
-        # forge an unsound image and overwrite the shared ref with it
-        poison = encode_residual(unsound_residual(gen))
-        poison_digest = hashlib.sha256(poison).hexdigest()
-        c = RemoteStoreClient("127.0.0.1", server.port)
-        c.push(poison_digest, poison, key=key_digest)
-        c.close()
-
-        gen2 = make_generating_extension(
-            POWER, "DS", goal="power", store_dir=tmp_path / "m2",
-            remote_store=("127.0.0.1", server.port),
-        )
-        out = gen2.to_object_code([5])
-        assert out.run([2]) == 32  # correct answer, locally generated
-        stats = gen2.cache_stats()
-        assert stats["specializer_runs"] == 1
-        assert stats["store"]["remote"]["remote_verify_failures"] == 1
-        # the poison was never adopted into L2
-        assert stats["store"]["adopts"] == 0
-        gen2.close_store()
 
 
 class TestBulkMovement:

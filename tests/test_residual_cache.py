@@ -46,8 +46,8 @@ class TestResidualCacheUnit:
         cache.get_or_generate("c", lambda: "C")   # evicts b, not a
         assert len(cache) == 2
         assert cache.stats()["evictions"] == 1
-        assert cache.lookup("a") == "A"
-        assert cache.lookup("b") is None
+        assert cache.peek("a") == "A"
+        assert cache.peek("b") is None
 
     def test_counters(self):
         cache = ResidualCache(4)
@@ -98,16 +98,6 @@ class TestResidualCacheUnit:
             before["hits"], before["misses"]
         )
 
-    def test_lookup_by_contrast_does_promote(self):
-        # The counterpart behaviour peek is defined against.
-        cache = ResidualCache(2)
-        cache.get_or_generate("old", lambda: "O")
-        cache.get_or_generate("young", lambda: "Y")
-        assert cache.lookup("old") == "O"     # promotes "old"
-        cache.get_or_generate("new", lambda: "N")  # evicts "young"
-        assert cache.peek("old") == "O"
-        assert cache.peek("young") is None
-
     def test_single_flight_coalesces_concurrent_misses(self):
         cache = ResidualCache(4)
         calls = []
@@ -134,11 +124,6 @@ class TestResidualCacheUnit:
 def _case_hit(cache):
     cache.get_or_generate("k", lambda: "V")
     return lambda: cache.get_or_generate("k", lambda: "V")
-
-
-def _case_lookup_hit(cache):
-    cache.get_or_generate("k", lambda: "V")
-    return lambda: cache.lookup("k")
 
 
 def _case_miss(cache):
@@ -190,7 +175,6 @@ L1_COUNTERS = ("hits", "misses", "evictions", "waits")
 
 @pytest.mark.parametrize("case, key", [
     (_case_hit, "hits"),
-    (_case_lookup_hit, "hits"),
     (_case_miss, "misses"),
     (_case_failed_miss, "misses"),
     (_case_eviction, "evictions"),

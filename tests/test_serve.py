@@ -127,49 +127,6 @@ class TestRoundTrip:
         assert old["fingerprint_digest"] == new["fingerprint_digest"]
         assert again["provenance"] == "l1"
 
-    def test_legacy_verify_false_cannot_skip_load_verification(
-        self, tmp_path
-    ):
-        # An untrusted tenant's L2 holds an unsound image (a branch past
-        # the end of its code) under both cache-kind strings older
-        # versions used, "object" and "object-unverified".  A frame that
-        # still carries ``"verify": false`` must not get it run: the
-        # load verifies, fails, counts as a miss, and the program is
-        # specialized again.
-        import hashlib
-
-        from repro.image.store import ImageStore, store_key
-        from repro.pe.values import freeze_static
-        from repro.rtcg import GeneratingExtension
-        from repro.rtcg.system import program_digest
-        from tests.helpers import unsound_residual
-
-        gen = GeneratingExtension(POWER, "SD")
-        shard = hashlib.sha256(b"mallory").hexdigest()[:16]
-        store = ImageStore(tmp_path / "store" / shard)
-        digest = program_digest(gen.program, "SD")
-        for kind in ("object", "object-unverified"):
-            key = store_key(digest, (freeze_static(5),), "duplicate", kind)
-            assert store.put(key, unsound_residual(gen)) is not None
-        legacy = specialize_request(
-            POWER, "SD", ["5"], tenant="mallory", dynamics=["2"]
-        )
-        legacy["verify"] = False
-        with SpecializationServer(
-            port=0, store_dir=tmp_path / "store"
-        ) as server:
-            with client_for(server) as c:
-                reply = c.request(legacy)
-            tenant = server.stats()["tenants"]["mallory"]
-        assert not tenant["trusted"]
-        assert reply["type"] == "result", reply
-        assert reply["value"] == "32"
-        assert reply["provenance"] == "miss"
-        (ext,) = tenant["extensions"]
-        assert ext["cache"]["store"]["verify_failures"] == 1
-        assert ext["cache"]["specializer_runs"] == 1
-
-
 class TestTenantIsolationAndCoalescing:
     def test_eight_clients_two_tenants(self, server):
         """8 concurrent clients, 2 tenants, one cold key per tenant:

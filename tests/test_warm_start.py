@@ -20,24 +20,6 @@ def _gen(store_dir, **kwargs):
 
 
 class TestWarmStartInProcess:
-    def test_fresh_extension_serves_from_disk(self, tmp_path):
-        store_dir = tmp_path / "store"
-        cold = _gen(store_dir)
-        rp = cold.to_object_code([5])
-        assert cold.cache_stats()["specializer_runs"] == 1
-
-        # A brand-new extension over the same program: L1 is empty, so
-        # the application must be served entirely from the store.
-        warm = _gen(store_dir)
-        rp2 = warm.to_object_code([5])
-        stats = warm.cache_stats()
-        assert stats["specializer_runs"] == 0
-        assert stats["store"]["hits"] == 1
-        assert rp2.stats.get("disk_hit") is True
-        assert rp2.stats.get("loaded_from_image") is True
-        assert rp2.fingerprint() == rp.fingerprint()
-        assert rp2.run([2]) == rp.run([2]) == 32
-
     def test_warm_start_result_is_l1_cached(self, tmp_path):
         store_dir = tmp_path / "store"
         _gen(store_dir).to_object_code([5])
@@ -56,31 +38,6 @@ class TestWarmStartInProcess:
         stats = warm.cache_stats()
         assert stats["specializer_runs"] == 1
         assert stats["store"]["misses"] == 1
-
-    def test_source_backend_warm_starts_too(self, tmp_path):
-        store_dir = tmp_path / "store"
-        _gen(store_dir).to_source([4])
-        warm = _gen(store_dir)
-        rs = warm.to_source([4])
-        assert warm.cache_stats()["specializer_runs"] == 0
-        assert rs.run([3]) == 81
-
-    def test_corrupted_store_falls_back_to_specializing(self, tmp_path):
-        store_dir = tmp_path / "store"
-        rp = _gen(store_dir).to_object_code([5])
-        # Corrupt every stored object in place.
-        objects = store_dir / "objects"
-        for shard in objects.iterdir():
-            for obj in shard.iterdir():
-                data = bytearray(obj.read_bytes())
-                data[len(data) // 2] ^= 0xFF
-                obj.write_bytes(bytes(data))
-        warm = _gen(store_dir)
-        rp2 = warm.to_object_code([5])
-        stats = warm.cache_stats()
-        assert stats["specializer_runs"] == 1
-        assert stats["store"]["read_errors"] == 1
-        assert rp2.run([2]) == rp.run([2]) == 32
 
     def test_every_load_runs_the_verifier(self, tmp_path, monkeypatch):
         store_dir = tmp_path / "store"
